@@ -11,9 +11,14 @@
 //! and **per-connection threads** on the server (a slow or idle client
 //! ties up only its own thread, bounded by the read deadline and a
 //! connection cap — never the accept loop or other requests).
+//!
+//! Every message, either direction, leaves in one vectored write of its
+//! rendered head and its body (no copy of the body), on a socket with
+//! `TCP_NODELAY` set: a message is never split into small segments that
+//! wait on each other.
 
 use std::fmt;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -161,23 +166,22 @@ pub fn http_request_traced(
         .map_err(|e| HttpError::Io(e.to_string()))?;
     conn.set_write_timeout(Some(timeout))
         .map_err(|e| HttpError::Io(e.to_string()))?;
-    let mut writer = conn.try_clone().map_err(|e| HttpError::Io(e.to_string()))?;
-    let trace_line = match trace {
-        Some(value) => format!("{TRACE_HEADER}: {value}\r\n"),
-        None => String::new(),
-    };
-    write!(
-        writer,
-        "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\n{trace_line}Connection: close\r\n\r\n",
-        body.len()
-    )
-    .map_err(|e| HttpError::Io(e.to_string()))?;
-    writer
-        .write_all(body)
+    conn.set_nodelay(true)
         .map_err(|e| HttpError::Io(e.to_string()))?;
-    writer.flush().map_err(|e| HttpError::Io(e.to_string()))?;
+    let mut head = format!(
+        "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\n",
+        body.len()
+    );
+    if let Some(value) = trace {
+        head.push_str(TRACE_HEADER);
+        head.push_str(": ");
+        head.push_str(value);
+        head.push_str("\r\n");
+    }
+    head.push_str("Connection: close\r\n\r\n");
+    write_message(&conn, head.as_bytes(), body).map_err(|e| HttpError::Io(e.to_string()))?;
 
-    let mut head = BufReader::new(conn).take(MAX_HEAD);
+    let mut head = BufReader::new(&conn).take(MAX_HEAD);
     let mut status_line = String::new();
     head.read_line(&mut status_line)
         .map_err(|e| HttpError::Io(e.to_string()))?;
@@ -310,13 +314,13 @@ fn accept_loop(listener: TcpListener, handler: Handler, stop: Arc<AtomicBool>) {
         if stop.load(Ordering::Acquire) {
             break;
         }
-        let Ok(mut conn) = conn else { continue };
+        let Ok(conn) = conn else { continue };
         conn_threads.retain(|h| !h.is_finished());
         // One thread per connection: a slow or idle peer ties up only
         // its own thread (bounded by the read deadline), never the
         // accept loop or other requests. Beyond the cap, shed promptly.
         if active.load(Ordering::Acquire) >= MAX_CONNECTIONS {
-            let _ = write_response(&mut conn, &HttpResponse::unavailable("connection limit"));
+            let _ = write_response(&conn, &HttpResponse::unavailable("connection limit"));
             continue;
         }
         active.fetch_add(1, Ordering::AcqRel);
@@ -327,7 +331,7 @@ fn accept_loop(listener: TcpListener, handler: Handler, stop: Arc<AtomicBool>) {
             .spawn(move || {
                 // An I/O error drops the connection — a broken client
                 // must never take the node down.
-                let _ = serve_connection(&mut conn, &handler);
+                let _ = serve_connection(&conn, &handler);
                 thread_active.fetch_sub(1, Ordering::AcqRel);
             });
         match spawned {
@@ -346,12 +350,13 @@ fn accept_loop(listener: TcpListener, handler: Handler, stop: Arc<AtomicBool>) {
     }
 }
 
-fn serve_connection(conn: &mut TcpStream, handler: &Handler) -> std::io::Result<()> {
+fn serve_connection(conn: &TcpStream, handler: &Handler) -> std::io::Result<()> {
     // A peer that connects and never writes must not pin its thread
     // forever: every inbound socket gets a generous fixed deadline.
     conn.set_read_timeout(Some(Duration::from_secs(30)))?;
     conn.set_write_timeout(Some(Duration::from_secs(30)))?;
-    let mut head = BufReader::new(conn.try_clone()?).take(MAX_HEAD);
+    conn.set_nodelay(true)?;
+    let mut head = BufReader::new(conn).take(MAX_HEAD);
     let mut request_line = String::new();
     head.read_line(&mut request_line)?;
     if !request_line.ends_with('\n') && head.limit() == 0 {
@@ -400,16 +405,31 @@ fn serve_connection(conn: &mut TcpStream, handler: &Handler) -> std::io::Result<
     write_response(conn, &response)
 }
 
-fn write_response(conn: &mut TcpStream, response: &HttpResponse) -> std::io::Result<()> {
-    write!(
-        conn,
+fn write_response(conn: &TcpStream, response: &HttpResponse) -> std::io::Result<()> {
+    let head = format!(
         "HTTP/1.1 {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         response.status,
         response.content_type,
         response.body.len()
-    )?;
-    conn.write_all(&response.body)?;
-    conn.flush()
+    );
+    write_message(conn, head.as_bytes(), &response.body)
+}
+
+/// Send one HTTP message: the head, rendered into one buffer, and the
+/// body go out in one vectored write — one syscall in the common case,
+/// with no copy of the body — looping only on a short write.
+fn write_message(mut conn: &TcpStream, head: &[u8], body: &[u8]) -> std::io::Result<()> {
+    let mut slices = [IoSlice::new(head), IoSlice::new(body)];
+    let mut pending = &mut slices[..];
+    while !pending.is_empty() {
+        match conn.write_vectored(pending) {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut pending, n),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]

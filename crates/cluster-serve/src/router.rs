@@ -68,7 +68,7 @@ use hom_serve::{Request, Response, StreamId};
 
 use crate::http::{http_request_traced, HttpError, HttpRequest, HttpResponse, HttpServer};
 use crate::ring::{HashRing, DEFAULT_VNODES};
-use crate::wire::{self, JsonParser};
+use crate::wire;
 
 /// Comma-separated worker addresses the router serves
 /// (e.g. `127.0.0.1:7101,127.0.0.1:7102`). Read by
@@ -493,10 +493,11 @@ impl Router {
             if idx.is_empty() {
                 continue;
             }
-            let requests: Vec<Request> = idx.iter().map(|&i| batch[i].clone()).collect();
-            let body = wire::encode_requests(&requests).map_err(|e| ClusterError::BadResponse {
-                worker: w,
-                what: format!("unencodable batch: {e}"),
+            let body = wire::encode_request_refs(idx.iter().map(|&i| &batch[i])).map_err(|e| {
+                ClusterError::BadResponse {
+                    worker: w,
+                    what: format!("unencodable batch: {e}"),
+                }
             })?;
             sub_batches.push((w, idx, body));
         }
@@ -743,9 +744,8 @@ impl Router {
             hop,
         )?;
         let text = std::str::from_utf8(&out).unwrap_or("");
-        let snapshot = JsonParser::new(text.trim())
-            .object()
-            .and_then(|f| f.str_field("snapshot").map(str::to_string))
+        let snapshot = wire::fields(text, ["snapshot"])
+            .and_then(|[snapshot]| snapshot.str())
             .map_err(|what| ClusterError::BadResponse {
                 worker: from,
                 what: format!("migrate/snapshot: {what}"),
@@ -859,12 +859,13 @@ impl Router {
                         .ok()
                         .filter(|(status, _)| *status == 200)
                         .and_then(|(_, body)| {
-                            let text = String::from_utf8(body).ok()?;
-                            let fields = JsonParser::new(text.trim()).object().ok()?;
+                            let text = std::str::from_utf8(&body).ok()?;
+                            let [epoch, live, parked] =
+                                wire::fields(text, ["epoch", "live", "parked"]).ok()?;
                             Some((
-                                fields.u64_field("epoch").ok()? as u32,
-                                fields.u64_field("live").ok()?,
-                                fields.u64_field("parked").ok()?,
+                                epoch.u64().ok()? as u32,
+                                live.u64().ok()?,
+                                parked.u64().ok()?,
                             ))
                         });
                         match health {
@@ -979,17 +980,15 @@ fn annotate_node(jsonl: &str, node: &str) -> String {
 }
 
 fn parse_epoch(payload: &[u8]) -> Option<u32> {
-    let text = std::str::from_utf8(payload).ok()?;
-    let fields = JsonParser::new(text.trim()).object().ok()?;
-    Some(fields.u64_field("epoch").ok()? as u32)
+    let [epoch] = wire::fields(std::str::from_utf8(payload).ok()?, ["epoch"]).ok()?;
+    Some(epoch.u64().ok()? as u32)
 }
 
 fn parse_streams(payload: &[u8]) -> Option<Vec<StreamId>> {
-    let text = std::str::from_utf8(payload).ok()?;
-    let fields = JsonParser::new(text.trim()).object().ok()?;
+    let [streams] = wire::fields(std::str::from_utf8(payload).ok()?, ["streams"]).ok()?;
     // Exact-integer parse: ids ≥ 2^53 must not round through f64, or
     // the rebalancer would migrate (or 404 on) the wrong stream.
-    fields.u64_array_field("streams").ok()
+    streams.u64_array().ok()
 }
 
 /// The router's own HTTP face — what clients and scrapers talk to.

@@ -53,7 +53,7 @@ use hom_obs::TraceContext;
 use hom_serve::{ServeEngine, ServeTelemetry, StreamId};
 
 use crate::http::{HttpRequest, HttpResponse, HttpServer};
-use crate::wire::{self, JsonParser};
+use crate::wire::{self, Field};
 
 /// A worker's engine plus the HTTP listener speaking the cluster
 /// protocol over it. Dropping the server stops the listener; the engine
@@ -208,10 +208,13 @@ fn submit(engine: &ServeEngine, body: &[u8], traced: bool, obs: &hom_obs::Obs) -
     HttpResponse::ok("application/jsonl", wire::encode_responses(&responses))
 }
 
-/// Parse a one-line JSON body like `{"stream":7,...}`.
-fn body_fields(body: &[u8]) -> Result<crate::wire::JsonFields, &'static str> {
+/// The `names` fields of a one-line JSON body like `{"stream":7,...}`.
+fn body_fields<'a, const N: usize>(
+    body: &'a [u8],
+    names: [&str; N],
+) -> Result<[Field<'a>; N], &'static str> {
     let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8")?;
-    JsonParser::new(text.trim()).object()
+    wire::fields(text, names)
 }
 
 /// Phase 1 of the router's two-phase migration: a **non-destructive**
@@ -220,7 +223,7 @@ fn body_fields(body: &[u8]) -> Result<crate::wire::JsonFields, &'static str> {
 /// it and sends `/migrate/evict`, so a failure anywhere in between
 /// loses nothing.
 fn migrate_snapshot(engine: &ServeEngine, body: &[u8]) -> HttpResponse {
-    let stream = match body_fields(body).and_then(|f| f.u64_field("stream")) {
+    let stream = match body_fields(body, ["stream"]).and_then(|[stream]| stream.u64()) {
         Ok(s) => s,
         Err(what) => return HttpResponse::bad_request(what),
     };
@@ -241,7 +244,7 @@ fn migrate_snapshot(engine: &ServeEngine, body: &[u8]) -> HttpResponse {
 /// target owns the stream. The extracted bytes are discarded; the
 /// authoritative copy already lives on the target.
 fn migrate_evict(engine: &ServeEngine, body: &[u8]) -> HttpResponse {
-    let stream = match body_fields(body).and_then(|f| f.u64_field("stream")) {
+    let stream = match body_fields(body, ["stream"]).and_then(|[stream]| stream.u64()) {
         Ok(s) => s,
         Err(what) => return HttpResponse::bad_request(what),
     };
@@ -252,7 +255,7 @@ fn migrate_evict(engine: &ServeEngine, body: &[u8]) -> HttpResponse {
 }
 
 fn migrate_out(engine: &ServeEngine, body: &[u8]) -> HttpResponse {
-    let stream = match body_fields(body).and_then(|f| f.u64_field("stream")) {
+    let stream = match body_fields(body, ["stream"]).and_then(|[stream]| stream.u64()) {
         Ok(s) => s,
         Err(what) => return HttpResponse::bad_request(what),
     };
@@ -269,15 +272,15 @@ fn migrate_out(engine: &ServeEngine, body: &[u8]) -> HttpResponse {
 }
 
 fn migrate_in(engine: &ServeEngine, body: &[u8]) -> HttpResponse {
-    let fields = match body_fields(body) {
+    let [stream, hex] = match body_fields(body, ["stream", "snapshot"]) {
         Ok(f) => f,
         Err(what) => return HttpResponse::bad_request(what),
     };
-    let (stream, hex) = match (fields.u64_field("stream"), fields.str_field("snapshot")) {
+    let (stream, hex) = match (stream.u64(), hex.str()) {
         (Ok(s), Ok(h)) => (s, h),
         (Err(what), _) | (_, Err(what)) => return HttpResponse::bad_request(what),
     };
-    let bytes = match wire::from_hex(hex) {
+    let bytes = match wire::from_hex(&hex) {
         Ok(b) => b,
         Err(e) => return HttpResponse::bad_request(&e.to_string()),
     };
@@ -306,7 +309,7 @@ fn swap_prepare(engine: &ServeEngine, staged: &Mutex<Option<Staged>>, body: &[u8
 }
 
 fn swap_commit(engine: &ServeEngine, staged: &Mutex<Option<Staged>>, body: &[u8]) -> HttpResponse {
-    let epoch = match body_fields(body).and_then(|f| f.u64_field("epoch")) {
+    let epoch = match body_fields(body, ["epoch"]).and_then(|[epoch]| epoch.u64()) {
         Ok(e) => e as u32,
         Err(what) => return HttpResponse::bad_request(what),
     };

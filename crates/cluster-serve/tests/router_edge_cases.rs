@@ -2,7 +2,8 @@
 //! (never a hang, never a partial response vector), unknown stream ids
 //! route deterministically, parked and store-tiered streams migrate
 //! over the wire, and an older-epoch snapshot arriving *after* a
-//! cluster-wide swap migrates forward on restore.
+//! cluster-wide swap migrates forward on restore. Hostile bodies are a
+//! 400 from the node they hit, which keeps serving.
 
 use std::net::SocketAddr;
 use std::sync::Arc;
@@ -10,7 +11,9 @@ use std::time::{Duration, Instant};
 
 use hom_classifiers::{Classifier, DecisionTreeLearner, MajorityClassifier};
 use hom_cluster::ClusterParams;
-use hom_cluster_serve::{http_request, wire, ClusterError, Router, WorkerServer, DEFAULT_VNODES};
+use hom_cluster_serve::{
+    http_request, wire, ClusterError, Router, RouterServer, WorkerServer, DEFAULT_VNODES,
+};
 use hom_core::{build, encode_model, BuildParams, HighOrderModel};
 use hom_data::stream::collect;
 use hom_data::{StreamRecord, StreamSource};
@@ -428,4 +431,55 @@ fn swap_aborts_at_prepare_when_a_worker_would_disagree() {
     // The correctly-stamped blob then flips cleanly.
     let blob = encode_model(&extended, 1).expect("encodes");
     assert_eq!(router.swap(&blob).expect("fleet flip"), 1);
+}
+
+#[test]
+fn deeply_nested_submit_is_a_bad_request_not_an_abort() {
+    let (model, test) = fixture();
+    let workers: Vec<WorkerServer> = (0..2).map(|_| spawn_worker(&model, None)).collect();
+    let router = Arc::new(
+        Router::new(
+            workers.iter().map(|w| w.addr()).collect(),
+            DEFAULT_VNODES,
+            Duration::from_secs(5),
+        )
+        .expect("router"),
+    );
+    let server =
+        RouterServer::bind("127.0.0.1:0".parse().expect("loopback"), router).expect("router binds");
+    let t = Duration::from_secs(10);
+
+    // A million open brackets where the attributes belong: a decoder
+    // that recursed per bracket would overflow its connection thread's
+    // stack and abort the whole process.
+    let mut hostile = b"{\"op\":\"predict\",\"stream\":1,\"x\":".to_vec();
+    hostile.resize(hostile.len() + 1_000_000, b'[');
+    for addr in [workers[0].addr(), server.addr()] {
+        let (status, body) =
+            http_request(addr, "POST", "/submit", &hostile, t).expect("node answers");
+        let reason = String::from_utf8_lossy(&body);
+        assert_eq!(status, 400, "{reason}");
+        assert!(reason.contains("nesting too deep"), "{reason}");
+    }
+
+    // Both nodes keep serving the next ordinary batch.
+    let batch: Vec<Request> = test[..8]
+        .iter()
+        .enumerate()
+        .map(|(i, r)| Request::Step {
+            stream: i as u64 + 1,
+            x: r.x.to_vec(),
+            y: r.y,
+        })
+        .collect();
+    let body = wire::encode_requests(&batch).expect("encodes");
+    for addr in [workers[0].addr(), server.addr()] {
+        let (status, payload) =
+            http_request(addr, "POST", "/submit", body.as_bytes(), t).expect("node serves");
+        assert_eq!(status, 200);
+        let responses =
+            wire::decode_responses(std::str::from_utf8(&payload).expect("utf-8")).expect("decodes");
+        assert_eq!(responses.len(), batch.len());
+        assert!(responses.iter().all(|r| r.prediction.is_some()));
+    }
 }
