@@ -27,8 +27,8 @@
 //! The pieces, bottom-up:
 //!
 //! * [`http`] — the dependency-free HTTP/1.1 plumbing (blocking client
-//!   with deadlines, threaded server). A dead worker is a typed error
-//!   within the timeout, never a hang.
+//!   with deadlines and a keep-alive connection pool, threaded server).
+//!   A dead worker is a typed error within the timeout, never a hang.
 //! * [`wire`] — JSONL request/response codec mirroring
 //!   [`hom_serve::Request`], with shortest-round-trip float rendering
 //!   so attribute values cross the wire **bit-exactly** (the same
@@ -121,7 +121,7 @@
 //! | `HOM_CLUSTER_WORKERS` | comma-separated worker `ip:port` list ([`ClusterConfig::from_env`]) |
 //! | `HOM_WORKER_ADDR` | the address a worker process binds |
 //! | `HOM_CLUSTER_VNODES` | virtual nodes per worker on the ring (default 64) |
-//! | `HOM_CLUSTER_TIMEOUT_MS` | per-exchange worker timeout (default 5000) |
+//! | `HOM_CLUSTER_TIMEOUT_MS` | worker deadline per exchange or fan-out (default 5000) |
 //!
 //! All follow the repo's no-silent-fallback convention: a
 //! set-but-malformed value is a typed [`ClusterConfigError`].

@@ -5,9 +5,10 @@
 //! whose two lock modes are the cluster's whole consistency story:
 //!
 //! * **read lock** — traffic. [`Router::submit`] splits a batch by ring
-//!   owner, forwards each sub-batch in parallel, and merges the
-//!   responses back into request order. Any number of batches run
-//!   concurrently.
+//!   owner, writes every sub-batch to its worker before reading any
+//!   reply (the workers serve in parallel, no router thread is spawned),
+//!   and merges the responses back into request order. Any number of
+//!   batches run concurrently.
 //! * **write lock** — reconfiguration. [`Router::swap`] (cluster-wide
 //!   model flip) and [`Router::add_worker`] / [`Router::remove_worker`]
 //!   (rebalancing migration) hold it exclusively, so no batch is in
@@ -48,7 +49,10 @@
 //! # Failure semantics
 //!
 //! Every worker exchange funnels into [`ClusterError`] — a typed,
-//! prompt error naming the worker. A batch is **all or nothing**: if
+//! prompt error naming the worker. Exchanges ride persistent
+//! connections from the router's pool (see [`crate::http`]); a pooled
+//! connection is checked alive before a byte is written, and a request
+//! that reached a socket is never resent. A batch is **all or nothing**: if
 //! any sub-batch fails, [`Router::submit`] returns the error and no
 //! partial `Vec` (the sub-batches that did land have mutated those
 //! workers' streams, which the error reports so an operator can decide
@@ -59,14 +63,14 @@ use std::fmt;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use hom_core::model_epoch;
 use hom_obs::trace::DUMP_CAP;
 use hom_obs::{trace_sample_from_env, Obs, TraceBuffer, TraceContext};
 use hom_serve::{Request, Response, StreamId};
 
-use crate::http::{http_request_traced, HttpError, HttpRequest, HttpResponse, HttpServer};
+use crate::http::{ConnPool, HttpConn, HttpRequest, HttpResponse, HttpServer};
 use crate::ring::{HashRing, DEFAULT_VNODES};
 use crate::wire;
 
@@ -85,9 +89,10 @@ pub const WORKER_ADDR_ENV: &str = "HOM_WORKER_ADDR";
 /// must agree on it, so it is read once by the router.
 pub const CLUSTER_VNODES_ENV: &str = "HOM_CLUSTER_VNODES";
 
-/// Per-exchange worker timeout in milliseconds (default 5000). Bounds
-/// how long a dead worker can stall a batch before it surfaces as
-/// [`ClusterError::WorkerDown`].
+/// Worker timeout in milliseconds (default 5000): the deadline of one
+/// exchange, or of a whole fan-out (a batch, a scrape), however many
+/// workers it touches. Bounds how long a dead worker can stall a batch
+/// before it surfaces as [`ClusterError::WorkerDown`].
 pub const CLUSTER_TIMEOUT_MS_ENV: &str = "HOM_CLUSTER_TIMEOUT_MS";
 
 const DEFAULT_TIMEOUT_MS: u64 = 5000;
@@ -145,7 +150,7 @@ pub struct ClusterConfig {
     pub workers: Vec<SocketAddr>,
     /// Virtual nodes per worker on the [`HashRing`].
     pub vnodes: usize,
-    /// Per-exchange worker timeout.
+    /// Worker exchange / fan-out deadline.
     pub timeout: Duration,
 }
 
@@ -290,6 +295,9 @@ pub struct Router {
     topology: RwLock<Topology>,
     vnodes: usize,
     timeout: Duration,
+    /// Idle keep-alive connections to the workers: every exchange goes
+    /// through it.
+    pool: ConnPool,
     /// The router's own span sink: just a [`TraceBuffer`] — the router
     /// has no aggregates worth keeping, its spans exist to stitch the
     /// cross-process tree together.
@@ -343,6 +351,7 @@ impl Router {
             topology: RwLock::new(Topology { workers, ring }),
             vnodes,
             timeout,
+            pool: ConnPool::default(),
             obs: Obs::new(Arc::clone(&traces)),
             traces,
             seq: AtomicU64::new(0),
@@ -436,14 +445,49 @@ impl Router {
         body: &[u8],
         ctx: Option<TraceContext>,
     ) -> Result<Vec<u8>, ClusterError> {
+        let deadline = Instant::now() + self.timeout;
+        let conn = self.send(worker, addr, method, path, body, ctx, deadline)?;
+        self.receive(worker, path, conn)
+    }
+
+    /// The first half of an exchange: write the request to worker
+    /// `worker` at `addr` on a pooled connection, stamping a
+    /// [`crate::http::TRACE_HEADER`] for an active `ctx`. Every socket
+    /// operation of the exchange is bounded by `deadline`.
+    #[allow(clippy::too_many_arguments)]
+    fn send(
+        &self,
+        worker: usize,
+        addr: SocketAddr,
+        method: &str,
+        path: &str,
+        body: &[u8],
+        ctx: Option<TraceContext>,
+        deadline: Instant,
+    ) -> Result<HttpConn, ClusterError> {
         let header = ctx.filter(TraceContext::is_active).map(|c| c.to_header());
-        let (status, payload) =
-            http_request_traced(addr, method, path, body, self.timeout, header.as_deref())
-                .map_err(|e: HttpError| ClusterError::WorkerDown {
-                    worker,
-                    addr,
-                    what: e.to_string(),
-                })?;
+        self.pool
+            .send(addr, method, path, body, header.as_deref(), deadline)
+            .map_err(|e| ClusterError::WorkerDown {
+                worker,
+                addr,
+                what: e.to_string(),
+            })
+    }
+
+    /// The second half: read the reply [`Self::send`] asked for. Non-200
+    /// statuses become [`ClusterError::BadResponse`] carrying the
+    /// worker's error body.
+    fn receive(&self, worker: usize, path: &str, conn: HttpConn) -> Result<Vec<u8>, ClusterError> {
+        let addr = conn.peer();
+        let (status, payload) = self
+            .pool
+            .receive(conn)
+            .map_err(|e| ClusterError::WorkerDown {
+                worker,
+                addr,
+                what: e.to_string(),
+            })?;
         if status != 200 {
             return Err(ClusterError::BadResponse {
                 worker,
@@ -456,11 +500,33 @@ impl Router {
         Ok(payload)
     }
 
-    /// Apply a batch across the cluster: split by ring owner, forward
-    /// the sub-batches in parallel, merge responses back into request
-    /// order. All or nothing — any worker failure fails the whole batch
-    /// with a typed error (no partial `Vec`, no hang; every socket has
-    /// a deadline).
+    /// The same GET to every worker in `workers` (ring index order),
+    /// every request written before any reply is read: the workers serve
+    /// in parallel and the sweep shares one deadline, so k unreachable
+    /// workers cost one timeout, not k.
+    fn get_all(
+        &self,
+        workers: &[SocketAddr],
+        path: &str,
+        ctx: Option<TraceContext>,
+    ) -> Vec<Result<Vec<u8>, ClusterError>> {
+        let deadline = Instant::now() + self.timeout;
+        let sent: Vec<_> = workers
+            .iter()
+            .enumerate()
+            .map(|(w, &addr)| self.send(w, addr, "GET", path, &[], ctx, deadline))
+            .collect();
+        sent.into_iter()
+            .enumerate()
+            .map(|(w, conn)| conn.and_then(|conn| self.receive(w, path, conn)))
+            .collect()
+    }
+
+    /// Apply a batch across the cluster: split by ring owner, write every
+    /// sub-batch to its worker, then read the replies and merge them back
+    /// into request order. All or nothing — any worker failure fails the
+    /// whole batch with a typed error (no partial `Vec`, no hang: one
+    /// deadline bounds the batch).
     pub fn submit(&self, batch: &[Request]) -> Result<Vec<Response>, ClusterError> {
         let topology = self.read();
         if topology.workers.is_empty() {
@@ -501,42 +567,28 @@ impl Router {
             })?;
             sub_batches.push((w, idx, body));
         }
-        // Forward in parallel: scoped threads, one per occupied worker
-        // (bounded by the worker count, so no pool is needed).
-        let results: Vec<Result<Vec<u8>, ClusterError>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = sub_batches
-                .iter()
-                .map(|(w, _, body)| {
-                    let topology = &topology;
-                    scope.spawn(move || {
-                        // Thread-locals don't cross the spawn: install
-                        // the trace on the forwarder thread so its
-                        // `cluster.forward` span hangs under the route
-                        // span, and the worker's spans hang under the
-                        // forward span (via the wire header).
-                        let _scope = traced.then(|| self.obs.trace_scope(ctx.child(route_id)));
-                        let fwd = traced.then(|| self.obs.span("cluster.forward"));
-                        let hop = fwd.as_ref().map(|s| ctx.child(s.id()));
-                        self.exchange_at_traced(
-                            *w,
-                            topology.workers[*w],
-                            "POST",
-                            "/submit",
-                            body.as_bytes(),
-                            hop,
-                        )
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("forwarder thread never panics"))
-                .collect()
-        });
+        // Write every sub-batch before reading any reply: the workers
+        // serve in parallel while this thread waits on the first. Each
+        // exchange has its own `cluster.forward` span under the route
+        // span, off the span stack (the exchanges overlap), and the
+        // worker's spans hang under it via the wire header.
+        let deadline = Instant::now() + self.timeout;
+        let mut in_flight = Vec::with_capacity(sub_batches.len());
+        for (w, _, body) in &sub_batches {
+            let forward = traced.then(|| self.obs.span_under("cluster.forward", route_id));
+            let hop = forward.as_ref().map(|s| ctx.child(s.id()));
+            let addr = topology.workers[*w];
+            let conn = self.send(*w, addr, "POST", "/submit", body.as_bytes(), hop, deadline)?;
+            in_flight.push((forward, conn));
+        }
+        let mut payloads = Vec::with_capacity(in_flight.len());
+        for ((w, _, _), (forward, conn)) in sub_batches.iter().zip(in_flight) {
+            payloads.push(self.receive(*w, "/submit", conn)?);
+            drop(forward);
+        }
         let _merge_span = traced.then(|| self.obs.span("cluster.merge"));
         let mut out: Vec<Option<Response>> = vec![None; batch.len()];
-        for ((w, idx, _), result) in sub_batches.iter().zip(results) {
-            let payload = result?;
+        for ((w, idx, _), payload) in sub_batches.iter().zip(payloads) {
             let text = String::from_utf8(payload).map_err(|_| ClusterError::BadResponse {
                 worker: *w,
                 what: "non-UTF-8 submit response".to_string(),
@@ -797,19 +849,7 @@ impl Router {
         // readers behind it). Scrapes run in parallel, so a scrape of a
         // degraded fleet costs one timeout, not one per dead worker.
         let workers = self.workers();
-        let results: Vec<Result<Vec<u8>, ClusterError>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = workers
-                .iter()
-                .enumerate()
-                .map(|(w, &addr)| {
-                    scope.spawn(move || self.exchange_at(w, addr, "GET", "/metrics", &[]))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("scraper thread never panics"))
-                .collect()
-        });
+        let results = self.get_all(&workers, "/metrics", None);
         let mut scrapes = Vec::with_capacity(workers.len());
         for (w, result) in results.into_iter().enumerate() {
             let text = String::from_utf8(result?).map_err(|_| ClusterError::BadResponse {
@@ -840,60 +880,33 @@ impl Router {
         let ctx = TraceContext::for_probe(round);
         let _scope = self.obs.trace_scope(ctx);
         let root = self.obs.span("cluster.probe");
-        let header = ctx.child(root.id()).to_header();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = workers
-                .iter()
-                .enumerate()
-                .map(|(w, &addr)| {
-                    let header = header.as_str();
-                    scope.spawn(move || {
-                        let health = http_request_traced(
-                            addr,
-                            "GET",
-                            "/healthz",
-                            &[],
-                            self.timeout,
-                            Some(header),
-                        )
-                        .ok()
-                        .filter(|(status, _)| *status == 200)
-                        .and_then(|(_, body)| {
-                            let text = std::str::from_utf8(&body).ok()?;
-                            let [epoch, live, parked] =
-                                wire::fields(text, ["epoch", "live", "parked"]).ok()?;
-                            Some((
-                                epoch.u64().ok()? as u32,
-                                live.u64().ok()?,
-                                parked.u64().ok()?,
-                            ))
-                        });
-                        match health {
-                            Some((epoch, live, parked)) => WorkerStatus {
-                                worker: w,
-                                addr,
-                                healthy: true,
-                                epoch,
-                                live,
-                                parked,
-                            },
-                            None => WorkerStatus {
-                                worker: w,
-                                addr,
-                                healthy: false,
-                                epoch: 0,
-                                live: 0,
-                                parked: 0,
-                            },
-                        }
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("prober thread never panics"))
-                .collect()
-        })
+        let health = self.get_all(&workers, "/healthz", Some(ctx.child(root.id())));
+        workers
+            .iter()
+            .zip(health)
+            .enumerate()
+            .map(|(w, (&addr, health))| {
+                let counts = health.ok().and_then(|body| {
+                    let text = std::str::from_utf8(&body).ok()?;
+                    let [epoch, live, parked] =
+                        wire::fields(text, ["epoch", "live", "parked"]).ok()?;
+                    Some((
+                        epoch.u64().ok()? as u32,
+                        live.u64().ok()?,
+                        parked.u64().ok()?,
+                    ))
+                });
+                let (epoch, live, parked) = counts.unwrap_or_default();
+                WorkerStatus {
+                    worker: w,
+                    addr,
+                    healthy: counts.is_some(),
+                    epoch,
+                    live,
+                    parked,
+                }
+            })
+            .collect()
     }
 
     /// The most recent trace id this router originated (0 = none yet).
@@ -925,21 +938,7 @@ impl Router {
         // As in metrics(): snapshot the workers, drop the lock, fetch
         // in parallel.
         let workers = self.workers();
-        let path = format!("/trace/{id:016x}");
-        let results: Vec<Result<Vec<u8>, ClusterError>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = workers
-                .iter()
-                .enumerate()
-                .map(|(w, &addr)| {
-                    let path = path.as_str();
-                    scope.spawn(move || self.exchange_at(w, addr, "GET", path, &[]))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("trace fetcher thread never panics"))
-                .collect()
-        });
+        let results = self.get_all(&workers, &format!("/trace/{id:016x}"), None);
         let mut out = annotate_node(&self.traces.slice_jsonl(id, DUMP_CAP), "router");
         for (w, result) in results.into_iter().enumerate() {
             let text = String::from_utf8(result?).map_err(|_| ClusterError::BadResponse {

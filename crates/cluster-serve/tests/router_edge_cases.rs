@@ -3,9 +3,12 @@
 //! route deterministically, parked and store-tiered streams migrate
 //! over the wire, and an older-epoch snapshot arriving *after* a
 //! cluster-wide swap migrates forward on restore. Hostile bodies are a
-//! 400 from the node they hit, which keeps serving.
+//! 400 from the node they hit, which keeps serving. The transport keeps
+//! one persistent connection per worker, notices a worker that went
+//! away under it without resending, and bounds a batch by one deadline.
 
-use std::net::SocketAddr;
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -54,7 +57,12 @@ fn novel_classifier(model: &HighOrderModel) -> Arc<dyn Classifier> {
     Arc::new(MajorityClassifier::from_counts(&counts))
 }
 
-fn spawn_worker(model: &Arc<HighOrderModel>, store: Option<Arc<StreamStore>>) -> WorkerServer {
+/// A worker's engine and the telemetry its `/metrics` scrapes — kept
+/// apart from the listener so a test can rebind the same engine.
+fn worker_engine(
+    model: &Arc<HighOrderModel>,
+    store: Option<Arc<StreamStore>>,
+) -> (Arc<ServeEngine>, Arc<ServeTelemetry>) {
     let telemetry = Arc::new(ServeTelemetry::new());
     let engine = Arc::new(ServeEngine::with_options(
         Arc::clone(model),
@@ -65,6 +73,11 @@ fn spawn_worker(model: &Arc<HighOrderModel>, store: Option<Arc<StreamStore>>) ->
             ..Default::default()
         },
     ));
+    (engine, telemetry)
+}
+
+fn spawn_worker(model: &Arc<HighOrderModel>, store: Option<Arc<StreamStore>>) -> WorkerServer {
+    let (engine, telemetry) = worker_engine(model, store);
     let addr: SocketAddr = "127.0.0.1:0".parse().expect("loopback");
     WorkerServer::bind(addr, engine, telemetry).expect("worker binds")
 }
@@ -482,4 +495,213 @@ fn deeply_nested_submit_is_a_bad_request_not_an_abort() {
         assert_eq!(responses.len(), batch.len());
         assert!(responses.iter().all(|r| r.prediction.is_some()));
     }
+}
+
+/// A forwarding TCP proxy in front of a worker that counts the
+/// connections it accepts. Dropping it stops the accept loop and joins
+/// every thread, once the connections through it have closed.
+struct CountingProxy {
+    addr: SocketAddr,
+    accepts: Arc<AtomicUsize>,
+    stop: Arc<AtomicBool>,
+    handle: Option<std::thread::JoinHandle<()>>,
+}
+
+impl CountingProxy {
+    fn new(upstream: SocketAddr) -> Self {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("proxy binds");
+        let addr = listener.local_addr().expect("bound");
+        let accepts = Arc::new(AtomicUsize::new(0));
+        let stop = Arc::new(AtomicBool::new(false));
+        let (counter, stopping) = (Arc::clone(&accepts), Arc::clone(&stop));
+        let handle = std::thread::spawn(move || {
+            let mut pipes = Vec::new();
+            for client in listener.incoming() {
+                if stopping.load(Ordering::SeqCst) {
+                    break;
+                }
+                let client = client.expect("accepts");
+                counter.fetch_add(1, Ordering::SeqCst);
+                let server = TcpStream::connect(upstream).expect("worker is up");
+                let pipe = |mut from: TcpStream, mut to: TcpStream| {
+                    std::thread::spawn(move || {
+                        let _ = std::io::copy(&mut from, &mut to);
+                        let _ = to.shutdown(Shutdown::Write);
+                    })
+                };
+                pipes.push(pipe(
+                    client.try_clone().unwrap(),
+                    server.try_clone().unwrap(),
+                ));
+                pipes.push(pipe(server, client));
+            }
+            for pipe in pipes {
+                pipe.join().expect("pipe thread");
+            }
+        });
+        CountingProxy {
+            addr,
+            accepts,
+            stop,
+            handle: Some(handle),
+        }
+    }
+}
+
+impl Drop for CountingProxy {
+    fn drop(&mut self) {
+        self.stop.store(true, Ordering::SeqCst);
+        let _ = TcpStream::connect(self.addr);
+        if let Some(handle) = self.handle.take() {
+            let _ = handle.join();
+        }
+    }
+}
+
+/// One `Step` per stream for record `r`.
+fn steps(streams: &[u64], r: &StreamRecord) -> Vec<Request> {
+    streams
+        .iter()
+        .map(|&stream| Request::Step {
+            stream,
+            x: r.x.to_vec(),
+            y: r.y,
+        })
+        .collect()
+}
+
+#[test]
+fn sequential_batches_reuse_one_connection_per_worker() {
+    let (model, test) = fixture();
+    let workers: Vec<WorkerServer> = (0..2).map(|_| spawn_worker(&model, None)).collect();
+    let proxies: Vec<_> = workers
+        .iter()
+        .map(|w| CountingProxy::new(w.addr()))
+        .collect();
+    let router = Router::new(
+        proxies.iter().map(|p| p.addr).collect(),
+        DEFAULT_VNODES,
+        Duration::from_secs(5),
+    )
+    .expect("router");
+    let streams = [stream_owned_by(&router, 0), stream_owned_by(&router, 1)];
+    for r in &test[..20] {
+        router.submit(&steps(&streams, r)).expect("submit");
+    }
+    // Scrapes and probes ride the same pooled connections.
+    router.metrics().expect("metrics");
+    assert!(router.cluster_status().iter().all(|s| s.healthy));
+    for (w, proxy) in proxies.iter().enumerate() {
+        assert_eq!(
+            proxy.accepts.load(Ordering::SeqCst),
+            1,
+            "worker {w}: one connection for every exchange"
+        );
+    }
+}
+
+#[test]
+fn a_rebound_worker_is_reached_afresh_and_no_request_runs_twice() {
+    let (model, test) = fixture();
+    let steady = spawn_worker(&model, None);
+    let (engine, telemetry) = worker_engine(&model, None);
+    let loopback: SocketAddr = "127.0.0.1:0".parse().expect("loopback");
+    let bounced = WorkerServer::bind(loopback, Arc::clone(&engine), Arc::clone(&telemetry))
+        .expect("worker binds");
+    let bounced_addr = bounced.addr();
+    let router = Router::new(
+        vec![steady.addr(), bounced_addr],
+        DEFAULT_VNODES,
+        Duration::from_secs(5),
+    )
+    .expect("router");
+    let streams = [stream_owned_by(&router, 0), stream_owned_by(&router, 1)];
+    let reference = ServeEngine::new(Arc::clone(&model));
+    let run = |router: &Router, r: &StreamRecord| {
+        let responses = router.submit(&steps(&streams, r)).expect("submit");
+        for (&stream, response) in streams.iter().zip(&responses) {
+            assert_eq!(response.prediction, Some(reference.step(stream, &r.x, r.y)));
+        }
+    };
+    for r in &test[..10] {
+        run(&router, r);
+    }
+    // The router now holds an idle pooled connection to the worker; the
+    // worker goes away and comes back on the same port over the same
+    // engine. The stale connection must be noticed before a byte is
+    // written to it, and the next batch served exactly once.
+    drop(bounced);
+    let _rebound =
+        WorkerServer::bind(bounced_addr, Arc::clone(&engine), telemetry).expect("rebinds the port");
+    for r in &test[10..20] {
+        run(&router, r);
+    }
+    for (&stream, worker) in streams.iter().zip([steady.engine(), &engine]) {
+        assert_eq!(
+            bits(&worker.posterior(stream).expect("served")),
+            bits(&reference.posterior(stream).expect("reference")),
+            "stream {stream}: a request applied twice or lost"
+        );
+    }
+}
+
+#[test]
+fn silent_workers_fail_a_batch_within_one_timeout() {
+    let (_, test) = fixture();
+    // Bound, never accepted from, never answered: the kernel completes
+    // the handshake and buffers the request, and no reply ever comes.
+    let silent: Vec<TcpListener> = (0..2)
+        .map(|_| TcpListener::bind("127.0.0.1:0").expect("binds"))
+        .collect();
+    let timeout = Duration::from_millis(600);
+    let router = Router::new(
+        silent.iter().map(|l| l.local_addr().unwrap()).collect(),
+        DEFAULT_VNODES,
+        timeout,
+    )
+    .expect("router");
+    let streams = [stream_owned_by(&router, 0), stream_owned_by(&router, 1)];
+    let t0 = Instant::now();
+    let err = router
+        .submit(&steps(&streams, &test[0]))
+        .expect_err("nobody answers");
+    let took = t0.elapsed();
+    assert!(
+        matches!(err, ClusterError::WorkerDown { .. }),
+        "expected WorkerDown, got {err}"
+    );
+    assert!(
+        took >= timeout && took < timeout * 3 / 2,
+        "two silent workers must cost one timeout, took {took:?}"
+    );
+    // A health sweep waits on every reply, and still costs one timeout:
+    // the second worker gets only what the first left of the deadline.
+    let t0 = Instant::now();
+    assert!(router.cluster_status().iter().all(|s| !s.healthy));
+    let took = t0.elapsed();
+    assert!(
+        took < timeout * 3 / 2,
+        "a sweep of two silent workers took {took:?}"
+    );
+}
+
+#[test]
+fn dropping_a_worker_with_an_idle_pooled_connection_is_prompt() {
+    let (model, test) = fixture();
+    let worker = spawn_worker(&model, None);
+    let router =
+        Router::new(vec![worker.addr()], DEFAULT_VNODES, Duration::from_secs(5)).expect("router");
+    router.submit(&steps(&[7], &test[0])).expect("submit");
+    let t0 = Instant::now();
+    drop(worker);
+    assert!(
+        t0.elapsed() < Duration::from_secs(1),
+        "drop waited on the router's idle connection: {:?}",
+        t0.elapsed()
+    );
+    // The router notices the worker is gone: a typed error, not a hang.
+    assert!(matches!(
+        router.submit(&steps(&[7], &test[1])),
+        Err(ClusterError::WorkerDown { .. })
+    ));
 }

@@ -164,11 +164,12 @@ fn push_json_str(out: &mut String, s: &str) {
     out.push('"');
 }
 
-/// `f64` as JSON: shortest round-trip decimal; non-finite values become
-/// `null` (JSON has no Infinity/NaN) and parse back as 0.
+/// `f64` as JSON: shortest round-trip decimal, the exact bytes `Display`
+/// writes (by a faster renderer, see `crate::dtoa`); non-finite values
+/// become `null` (JSON has no Infinity/NaN) and parse back as 0.
 fn push_json_f64(out: &mut String, v: f64) {
     if v.is_finite() {
-        let _ = write!(out, "{v}");
+        crate::dtoa::push_display(out, v);
     } else {
         out.push_str("null");
     }

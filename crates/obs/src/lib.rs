@@ -14,7 +14,8 @@
 //!   pointer check — no timestamps are taken, no events are built.
 //! * [`Span`] — hierarchical wall-clock timing with monotonic clocks.
 //!   Spans nest automatically through a thread-local stack, so crates
-//!   don't pass parent ids around.
+//!   don't pass parent ids around; [`Obs::span_under`] opens one beside
+//!   the stack under an explicit parent, for work that overlaps.
 //! * [`Histogram`] — fixed-bucket, mergeable (across worker threads)
 //!   sample distributions, e.g. per-record prediction latency.
 //! * [`Sink`] — where events go: [`NullSink`] (nowhere), [`Recorder`]
@@ -73,6 +74,7 @@
 
 pub mod agg;
 pub mod ctx;
+mod dtoa;
 pub mod event;
 pub mod exemplar;
 pub mod export;
@@ -156,7 +158,7 @@ thread_local! {
     /// span hangs under the remote parent span id — the cross-process
     /// stitch point. Like `SPAN_STACK`, the context is per-thread: worker
     /// threads spawned mid-scope start untraced unless the spawner
-    /// installs the context explicitly (the cluster fan-out does).
+    /// installs the context explicitly.
     static TRACE_CTX: Cell<TraceContext> = const { Cell::new(TraceContext { trace_id: 0, parent_span_id: 0 }) };
 }
 
@@ -287,6 +289,22 @@ impl Obs {
     /// Guards must drop in LIFO order on the thread that opened them —
     /// the natural shape of scoped `let _span = obs.span(...)` usage.
     pub fn span(&self, name: &'static str) -> Span {
+        self.open_span(name, None)
+    }
+
+    /// Open a span under an explicit `parent` span id, off this thread's
+    /// span stack: it may close in any order relative to other spans
+    /// (the cluster router holds one per in-flight worker exchange), and
+    /// spans opened while it is live do not nest under it. It carries
+    /// the active trace id like [`Obs::span`]. Disabled handles return an
+    /// inert guard.
+    pub fn span_under(&self, name: &'static str, parent: u64) -> Span {
+        self.open_span(name, Some(parent))
+    }
+
+    /// [`Obs::span`] (`explicit: None`, pushed on the thread's stack) or
+    /// [`Obs::span_under`] (`Some(parent)`, off the stack).
+    fn open_span(&self, name: &'static str, explicit: Option<u64>) -> Span {
         let Some(shared) = &self.shared else {
             return Span { state: None };
         };
@@ -295,11 +313,13 @@ impl Obs {
         // A top-level span under an active trace parents to the *remote*
         // span that initiated this work (ctx.parent_span_id is 0 when
         // untraced, so the untraced behaviour is unchanged).
-        let parent = SPAN_STACK.with(|s| {
-            let mut stack = s.borrow_mut();
-            let parent = stack.last().copied().unwrap_or(ctx.parent_span_id);
-            stack.push(id);
-            parent
+        let parent = explicit.unwrap_or_else(|| {
+            SPAN_STACK.with(|s| {
+                let mut stack = s.borrow_mut();
+                let parent = stack.last().copied().unwrap_or(ctx.parent_span_id);
+                stack.push(id);
+                parent
+            })
         });
         let start = Instant::now();
         shared.sink.record(&Event::SpanStart {
@@ -317,6 +337,7 @@ impl Obs {
                 trace: ctx.trace_id,
                 name,
                 start,
+                stacked: explicit.is_none(),
             }),
         }
     }
@@ -382,6 +403,9 @@ struct SpanState {
     trace: u64,
     name: &'static str,
     start: Instant,
+    /// Whether the span sits on its thread's span stack ([`Obs::span`])
+    /// rather than beside it ([`Obs::span_under`]).
+    stacked: bool,
 }
 
 /// An installed [`TraceContext`]; restores the previous context when
@@ -423,6 +447,9 @@ impl Drop for Span {
             return;
         };
         SPAN_STACK.with(|s| {
+            if !state.stacked {
+                return;
+            }
             let mut stack = s.borrow_mut();
             debug_assert_eq!(
                 stack.last().copied(),
@@ -507,6 +534,50 @@ mod tests {
             }
             other => panic!("unexpected tail events {other:?}"),
         }
+    }
+
+    #[test]
+    fn explicit_parent_spans_stay_off_the_stack_and_close_in_any_order() {
+        let rec = Arc::new(Recorder::new());
+        let obs = Obs::new(Arc::clone(&rec));
+        let ctx = TraceContext::for_batch(3);
+        let _scope = obs.trace_scope(ctx);
+        let root = obs.span("root");
+        let a = obs.span_under("a", root.id());
+        let b = obs.span_under("b", root.id());
+        assert_eq!(obs.current_span(), root.id(), "siblings never stack");
+        let nested = obs.span("nested");
+        drop(nested);
+        // First opened, first closed: no LIFO requirement off the stack.
+        drop(a);
+        drop(b);
+        assert_eq!(obs.current_span(), root.id());
+        drop(root);
+        assert_eq!(obs.current_span(), 0);
+
+        let ends: Vec<(String, u64, u64)> = rec
+            .events()
+            .into_iter()
+            .filter_map(|e| match e {
+                OwnedEvent::SpanEnd {
+                    name,
+                    parent,
+                    trace,
+                    ..
+                } => Some((name, parent, trace)),
+                _ => None,
+            })
+            .collect();
+        let root_id = 1;
+        assert_eq!(
+            ends,
+            [
+                ("nested".to_string(), root_id, ctx.trace_id),
+                ("a".to_string(), root_id, ctx.trace_id),
+                ("b".to_string(), root_id, ctx.trace_id),
+                ("root".to_string(), 0, ctx.trace_id),
+            ]
+        );
     }
 
     #[test]
