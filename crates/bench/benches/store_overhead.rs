@@ -19,6 +19,17 @@
 //!    [`RecoveryReport`](hom_store::RecoveryReport) clock measures the
 //!    WAL + segment scan that rebuilds the index, for
 //!    N ∈ {100, 1 000, 10 000}.
+//! 3. **What does a full engine cost per request?** The `evict at
+//!    capacity` cell drives a capacity-bounded engine over a disk store
+//!    with a churning request mix ([`CHURN_STREAMS`] streams through
+//!    [`CHURN_LIVE`] live slots, so most requests park the shard's LRU
+//!    stream and unpark their own from disk), in batches, group commits
+//!    included. Its predictions are asserted bit-identical to an
+//!    unbounded RAM engine's.
+//! 4. **How fast does compaction rewrite live records?** The
+//!    `compaction` cell times [`StreamStore::compact`] over sealed
+//!    segments holding [`COMPACT_STREAMS`] live snapshots (and as many
+//!    dead versions), in records per second.
 //!
 //! Each cell reports its best rep (reps interleaved round-robin so
 //! machine-phase drift lands evenly). With `HOM_JSON_DIR` set, a
@@ -38,7 +49,7 @@ use hom_datagen::{StaggerParams, StaggerSource};
 use hom_eval::report::print_table;
 use hom_eval::EvalConfig;
 use hom_obs::Obs;
-use hom_serve::{ServeEngine, ServeOptions};
+use hom_serve::{Request, ServeEngine, ServeOptions};
 use hom_store::{FsIo, StoreOptions, StreamStore};
 
 const HISTORICAL: usize = 20_000;
@@ -49,6 +60,17 @@ const STREAMS: u64 = 1_000;
 const REPS: usize = 5;
 /// Parked-stream counts for the recovery-time rows.
 const RECOVERY_COUNTS: [usize; 3] = [100, 1_000, 10_000];
+/// Streams the `evict at capacity` cell addresses.
+const CHURN_STREAMS: u64 = 20_000;
+/// Shards of the `evict at capacity` engine.
+const CHURN_SHARDS: usize = 8;
+/// Live streams it keeps (over all shards) before parking the LRU one.
+const CHURN_LIVE: usize = 2_000;
+/// Requests per batch and batches per rep of the `evict at capacity` cell.
+const CHURN_BATCH: usize = 512;
+const CHURN_BATCHES: usize = 40;
+/// Live snapshots in the sealed segments the `compaction` cell rewrites.
+const COMPACT_STREAMS: u64 = 50_000;
 
 #[derive(Clone, Copy, PartialEq)]
 enum Tier {
@@ -72,6 +94,18 @@ impl Tier {
 struct CycleCell {
     tier: Tier,
     ns_per_cycle: f64,
+}
+
+struct ChurnCell {
+    ns_per_request: f64,
+    disk_unparks_per_request: f64,
+}
+
+struct CompactCell {
+    records: usize,
+    segments_in: usize,
+    ms: f64,
+    records_per_sec: f64,
 }
 
 struct RecoveryCell {
@@ -198,6 +232,148 @@ fn measure_cycles(model: &Arc<HighOrderModel>, test: &[StreamRecord]) -> Vec<Cyc
         .collect()
 }
 
+/// The churning request mix: batch `k` of a deterministic walk over
+/// [`CHURN_STREAMS`] streams (an LCG, so every rep and every engine sees
+/// the same requests).
+fn churn_batch(k: usize, test: &[StreamRecord]) -> Vec<Request> {
+    (0..CHURN_BATCH)
+        .map(|i| {
+            let n = (k * CHURN_BATCH + i) as u64;
+            let stream = n
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407)
+                >> 33;
+            let r = &test[(n as usize) % test.len()];
+            Request::Step {
+                stream: stream % CHURN_STREAMS,
+                x: r.x.to_vec(),
+                y: r.y,
+            }
+        })
+        .collect()
+}
+
+fn churn_digest(digest: u64, engine: &ServeEngine, batch: &[Request]) -> u64 {
+    engine.submit(batch).iter().fold(digest, |d, r| {
+        d.wrapping_mul(1_000_003)
+            .wrapping_add(r.prediction.map_or(u64::MAX, u64::from))
+    })
+}
+
+fn disk_unparks(engine: &ServeEngine) -> u64 {
+    engine.store().map_or(0, |s| s.status().disk_unparks)
+}
+
+/// The `evict at capacity` cell: ns per request of a capacity-bounded
+/// engine over a disk store, after one untimed pass has filled it.
+fn measure_churn(model: &Arc<HighOrderModel>, test: &[StreamRecord]) -> ChurnCell {
+    let dir = bench_dir("churn");
+    let store = Arc::new(
+        StreamStore::open_with(
+            Arc::new(FsIo::open(&dir).expect("bench store dir")),
+            StoreOptions {
+                sink: Obs::none(),
+                ..Default::default()
+            },
+        )
+        .expect("open bench store"),
+    );
+    let bounded = ServeEngine::with_options(
+        Arc::clone(model),
+        &ServeOptions {
+            shards: Some(CHURN_SHARDS),
+            threads: Some(1),
+            capacity: Some(CHURN_LIVE / CHURN_SHARDS),
+            store: Some(store),
+            ..Default::default()
+        },
+    );
+    let unbounded = ServeEngine::with_options(
+        Arc::clone(model),
+        &ServeOptions {
+            shards: Some(CHURN_SHARDS),
+            threads: Some(1),
+            ..Default::default()
+        },
+    );
+    let (mut want, mut got) = (0u64, 0u64);
+    let mut best = f64::INFINITY;
+    let mut unparks = 0.0;
+    for rep in 0..=REPS {
+        let batches: Vec<Vec<Request>> = (0..CHURN_BATCHES)
+            .map(|k| churn_batch(rep * CHURN_BATCHES + k, test))
+            .collect();
+        let unparks_before = disk_unparks(&bounded);
+        let started = Instant::now();
+        for batch in &batches {
+            got = churn_digest(got, &bounded, batch);
+        }
+        let ns = started.elapsed().as_nanos() as f64 / (CHURN_BATCHES * CHURN_BATCH) as f64;
+        for batch in &batches {
+            want = churn_digest(want, &unbounded, batch);
+        }
+        assert_eq!(
+            got, want,
+            "the bounded engine diverged from the unbounded one"
+        );
+        // Rep 0 fills the engine (and the store) untimed.
+        if rep > 0 && ns < best {
+            best = ns;
+            unparks = (disk_unparks(&bounded) - unparks_before) as f64;
+        }
+    }
+    assert!(bounded.live_streams() <= CHURN_LIVE);
+    drop(bounded);
+    let _ = std::fs::remove_dir_all(&dir);
+    ChurnCell {
+        ns_per_request: best,
+        disk_unparks_per_request: unparks / (CHURN_BATCHES * CHURN_BATCH) as f64,
+    }
+}
+
+/// The `compaction` cell: records per second of an explicit
+/// [`StreamStore::compact`] over sealed segments of real snapshots, two
+/// versions per stream (one of them dead).
+fn measure_compaction(engine_snapshot: &[u8]) -> CompactCell {
+    let dir = bench_dir("compact");
+    let mut best: Option<CompactCell> = None;
+    for _ in 0..REPS {
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = StreamStore::open_with(
+            Arc::new(FsIo::open(&dir).expect("compaction dir")),
+            StoreOptions {
+                auto_compact: false,
+                sink: Obs::none(),
+                ..Default::default()
+            },
+        )
+        .expect("open");
+        for _version in 0..2 {
+            for s in 0..COMPACT_STREAMS {
+                store.park(s, engine_snapshot.to_vec());
+                if s % 1_000 == 999 {
+                    store.commit().expect("commit");
+                }
+            }
+        }
+        store.commit().expect("commit");
+        let started = Instant::now();
+        let report = store.compact().expect("compact");
+        let ms = started.elapsed().as_nanos() as f64 / 1e6;
+        assert!(report.records > 0, "nothing to compact");
+        if best.as_ref().is_none_or(|b| ms < b.ms) {
+            best = Some(CompactCell {
+                records: report.records,
+                segments_in: report.segments_in,
+                ms,
+                records_per_sec: report.records as f64 / (ms / 1e3),
+            });
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    best.expect("at least one rep")
+}
+
 fn measure_recovery(engine_snapshot: &[u8]) -> Vec<RecoveryCell> {
     let mut cells = Vec::new();
     for &n in &RECOVERY_COUNTS {
@@ -247,7 +423,14 @@ fn measure_recovery(engine_snapshot: &[u8]) -> Vec<RecoveryCell> {
     cells
 }
 
-fn snapshot_json(snapshot_bytes: usize, cycles: &[CycleCell], recovery: &[RecoveryCell]) -> String {
+fn snapshot_json(
+    cores: usize,
+    snapshot_bytes: usize,
+    cycles: &[CycleCell],
+    churn: &ChurnCell,
+    compaction: &CompactCell,
+    recovery: &[RecoveryCell],
+) -> String {
     let cycle_rows: Vec<String> = cycles
         .iter()
         .map(|c| {
@@ -270,10 +453,22 @@ fn snapshot_json(snapshot_bytes: usize, cycles: &[CycleCell], recovery: &[Recove
         .collect();
     format!(
         "{{\n  \"stream\": \"Stagger\",\n  \"historical_records\": {HISTORICAL},\n  \
-         \"streams\": {STREAMS},\n  \"reps\": {REPS},\n  \
+         \"streams\": {STREAMS},\n  \"reps\": {REPS},\n  \"machine_cores\": {cores},\n  \
          \"snapshot_bytes\": {snapshot_bytes},\n  \"measurement\": \"best_rep\",\n  \
-         \"park_unpark\": [\n{}\n  ],\n  \"recovery\": [\n{}\n  ]\n}}\n",
+         \"park_unpark\": [\n{}\n  ],\n  \
+         \"evict_at_capacity\": {{ \"streams\": {CHURN_STREAMS}, \"live\": {CHURN_LIVE}, \
+         \"shards\": {CHURN_SHARDS}, \"batch\": {CHURN_BATCH}, \"ns_per_request\": {:.0}, \
+         \"disk_unparks_per_request\": {:.3} }},\n  \
+         \"compaction\": {{ \"records\": {}, \"segments_in\": {}, \"ms\": {:.3}, \
+         \"records_per_sec\": {:.0} }},\n  \
+         \"recovery\": [\n{}\n  ]\n}}\n",
         cycle_rows.join(",\n"),
+        churn.ns_per_request,
+        churn.disk_unparks_per_request,
+        compaction.records,
+        compaction.segments_in,
+        compaction.ms,
+        compaction.records_per_sec,
         recovery_rows.join(",\n")
     )
 }
@@ -298,6 +493,8 @@ fn main() {
     probe.step(0, &r.x, r.y);
     let snapshot = probe.snapshot(0).expect("probe snapshot");
     let recovery = measure_recovery(&snapshot);
+    let churn = measure_churn(&model, &test);
+    let compaction = measure_compaction(&snapshot);
 
     let ram = cycles[0].ns_per_cycle;
     print_table(
@@ -337,9 +534,42 @@ fn main() {
             .collect::<Vec<_>>(),
     );
 
+    print_table(
+        &format!(
+            "Evict at capacity ({CHURN_STREAMS} streams, {CHURN_LIVE} live, disk group-commit, \
+             best of {REPS})"
+        ),
+        &["ns/request", "Disk unparks/request"],
+        &[vec![
+            format!("{:.0}", churn.ns_per_request),
+            format!("{:.3}", churn.disk_unparks_per_request),
+        ]],
+    );
+    print_table(
+        &format!("Compaction of sealed segments (best of {REPS})"),
+        &["Records", "Segments in", "ms", "Records/s"],
+        &[vec![
+            compaction.records.to_string(),
+            compaction.segments_in.to_string(),
+            format!("{:.3}", compaction.ms),
+            format!("{:.0}", compaction.records_per_sec),
+        ]],
+    );
+
     if let Ok(dir) = std::env::var("HOM_JSON_DIR") {
         let path = std::path::Path::new(&dir).join("BENCH_store.json");
         let _ = std::fs::create_dir_all(&dir);
-        let _ = std::fs::write(path, snapshot_json(snapshot.len(), &cycles, &recovery));
+        let cores = hom_parallel::available_threads();
+        let _ = std::fs::write(
+            path,
+            snapshot_json(
+                cores,
+                snapshot.len(),
+                &cycles,
+                &churn,
+                &compaction,
+                &recovery,
+            ),
+        );
     }
 }

@@ -42,5 +42,8 @@ pub use model_codec::{
     decode_model, encode_model, model_epoch, ModelCodecError, MODEL_MAGIC, MODEL_VERSION,
 };
 pub use online::{OnlineOptions, OnlinePredictor};
-pub use snapshot::{fnv1a, snapshot_epoch, SnapshotError, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
+pub use snapshot::{
+    encode_snapshot, fnv1a, snapshot_epoch, SnapshotError, SnapshotRef, SNAPSHOT_MAGIC,
+    SNAPSHOT_VERSION,
+};
 pub use transition::TransitionStats;

@@ -27,6 +27,12 @@
 //! time, so a snapshot parked across a hot-swap can tell how stale it is
 //! ([`snapshot_epoch`]). Version-1 bytes report epoch 0.
 //!
+//! There is one encoder ([`encode_snapshot`]) and one parser
+//! ([`SnapshotRef::parse`]), both working on a state's parts rather than
+//! on a [`FilterState`], so a serving layer that keeps its streams in its
+//! own row layout reads and writes the identical bytes without building
+//! an owned state on either side.
+//!
 //! [`FilterState::restore`] validates everything — length, magic,
 //! version, checksum, model compatibility, that the distributions are
 //! finite/non-negative/normalized and the order a permutation — and
@@ -131,10 +137,6 @@ fn read_u64(bytes: &[u8], at: usize) -> u64 {
     u64::from_le_bytes(bytes[at..at + 8].try_into().expect("bounds checked"))
 }
 
-fn read_f64(bytes: &[u8], at: usize) -> f64 {
-    f64::from_le_bytes(bytes[at..at + 8].try_into().expect("bounds checked"))
-}
-
 /// Header bytes before the variable-size payload, per format version.
 fn header_len(version: u16) -> usize {
     match version {
@@ -165,13 +167,15 @@ pub fn snapshot_epoch(bytes: &[u8]) -> Option<u32> {
 }
 
 /// Check one serialized distribution: finite, non-negative, normalized.
+/// `body` holds the distribution's `f64 × n` little-endian bytes.
 fn check_distribution(
-    p: &[f64],
+    body: &[u8],
     not_a_probability: &'static str,
     not_normalized: &'static str,
 ) -> Result<(), SnapshotError> {
     let mut sum = 0.0;
-    for &v in p {
+    for chunk in body.chunks_exact(8) {
+        let v = f64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
         if !v.is_finite() || v < 0.0 {
             return Err(SnapshotError::Corrupt(not_a_probability));
         }
@@ -183,87 +187,186 @@ fn check_distribution(
     Ok(())
 }
 
-/// The validated content of a snapshot, before any model is involved.
-struct Parsed {
-    n: usize,
-    posterior: Vec<f64>,
-    prior: Vec<f64>,
-    order: Vec<u32>,
-}
-
-/// Parse and validate everything that does not need a model: framing,
-/// checksum, distribution and permutation invariants.
-fn parse(bytes: &[u8]) -> Result<Parsed, SnapshotError> {
-    if bytes.len() < header_len(1) {
-        return Err(SnapshotError::Truncated {
-            needed: header_len(1),
-            got: bytes.len(),
-        });
-    }
-    if bytes[..4] != SNAPSHOT_MAGIC {
-        return Err(SnapshotError::BadMagic);
-    }
-    let version = read_u16(bytes, 4);
-    if version == 0 || version > SNAPSHOT_VERSION {
-        return Err(SnapshotError::UnsupportedVersion(version));
-    }
-    let n = read_u32(bytes, 6) as usize;
-    let total = total_len(version, n);
-    if bytes.len() < total {
-        return Err(SnapshotError::Truncated {
-            needed: total,
-            got: bytes.len(),
-        });
-    }
-    if bytes.len() > total {
-        return Err(SnapshotError::Corrupt("trailing bytes after checksum"));
-    }
-    let declared = read_u64(bytes, total - 8);
-    if fnv1a(&bytes[..total - 8]) != declared {
-        return Err(SnapshotError::Corrupt("checksum mismatch"));
-    }
-
-    let mut at = header_len(version);
-    let mut posterior = Vec::with_capacity(n);
-    for _ in 0..n {
-        posterior.push(read_f64(bytes, at));
-        at += 8;
-    }
-    let mut prior = Vec::with_capacity(n);
-    for _ in 0..n {
-        prior.push(read_f64(bytes, at));
-        at += 8;
-    }
-    let mut order = Vec::with_capacity(n);
-    for _ in 0..n {
-        order.push(read_u32(bytes, at));
-        at += 4;
-    }
-
-    check_distribution(
-        &posterior,
-        "posterior entry not a probability",
-        "posterior does not sum to 1",
-    )?;
-    check_distribution(
-        &prior,
-        "prior entry not a probability",
-        "prior does not sum to 1",
-    )?;
-    let mut seen = vec![false; n];
-    for &c in &order {
-        if (c as usize) >= n || seen[c as usize] {
+/// Check that `body` (`u32 × n` little-endian bytes) is a permutation of
+/// `0..n`. Allocation-free for up to 256 concepts.
+fn check_permutation(body: &[u8], n: usize) -> Result<(), SnapshotError> {
+    let words = n.div_ceil(64);
+    let mut small = [0u64; 4];
+    let mut large = Vec::new();
+    let seen: &mut [u64] = if words <= small.len() {
+        &mut small[..words]
+    } else {
+        large.resize(words, 0);
+        &mut large
+    };
+    for chunk in body.chunks_exact(4) {
+        let c = u32::from_le_bytes(chunk.try_into().expect("4-byte chunk")) as usize;
+        let bit = 1u64 << (c % 64);
+        if c >= n || seen[c / 64] & bit != 0 {
             return Err(SnapshotError::Corrupt("order is not a permutation"));
         }
-        seen[c as usize] = true;
+        seen[c / 64] |= bit;
+    }
+    Ok(())
+}
+
+/// Append the current-version (2) encoding of a filter state given as
+/// its parts — the one HOMF encoder. [`FilterState::snapshot_with_epoch`]
+/// and a serving layer's row table (which stores the same parts in its
+/// own layout) both write through here, so their bytes are identical by
+/// construction.
+///
+/// # Panics
+/// Panics if `prior` or `order` is not as long as `posterior`.
+pub fn encode_snapshot(
+    out: &mut Vec<u8>,
+    epoch: u32,
+    posterior: &[f64],
+    prior: &[f64],
+    order: &[u32],
+) {
+    let n = posterior.len();
+    assert!(
+        prior.len() == n && order.len() == n,
+        "snapshot parts disagree on the concept count"
+    );
+    let start = out.len();
+    out.reserve(total_len(SNAPSHOT_VERSION, n));
+    out.extend_from_slice(&SNAPSHOT_MAGIC);
+    out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+    out.extend_from_slice(&(n as u32).to_le_bytes());
+    out.extend_from_slice(&epoch.to_le_bytes());
+    for &v in posterior.iter().chain(prior) {
+        out.extend_from_slice(&v.to_le_bytes());
+    }
+    for &c in order {
+        out.extend_from_slice(&c.to_le_bytes());
+    }
+    let checksum = fnv1a(&out[start..]);
+    out.extend_from_slice(&checksum.to_le_bytes());
+}
+
+/// A validated snapshot, borrowed from its bytes — the one HOMF parser.
+///
+/// [`Self::parse`] runs every check a restore needs that does not
+/// involve a model (framing, version, length, trailing bytes, checksum,
+/// both distributions, the order permutation) without allocating; the
+/// accessors then copy the values out wherever the caller keeps them —
+/// a [`FilterState`]'s vectors, or a serving layer's row block.
+#[derive(Debug, Clone, Copy)]
+pub struct SnapshotRef<'a> {
+    n: usize,
+    /// `posterior (f64 × n) | prior (f64 × n) | order (u32 × n)`.
+    body: &'a [u8],
+}
+
+impl<'a> SnapshotRef<'a> {
+    /// Validate `bytes` (any supported version) and borrow them. Never
+    /// panics on untrusted input: every defect is a [`SnapshotError`].
+    pub fn parse(bytes: &'a [u8]) -> Result<SnapshotRef<'a>, SnapshotError> {
+        if bytes.len() < header_len(1) {
+            return Err(SnapshotError::Truncated {
+                needed: header_len(1),
+                got: bytes.len(),
+            });
+        }
+        if bytes[..4] != SNAPSHOT_MAGIC {
+            return Err(SnapshotError::BadMagic);
+        }
+        let version = read_u16(bytes, 4);
+        if version == 0 || version > SNAPSHOT_VERSION {
+            return Err(SnapshotError::UnsupportedVersion(version));
+        }
+        let n = read_u32(bytes, 6) as usize;
+        let total = total_len(version, n);
+        if bytes.len() < total {
+            return Err(SnapshotError::Truncated {
+                needed: total,
+                got: bytes.len(),
+            });
+        }
+        if bytes.len() > total {
+            return Err(SnapshotError::Corrupt("trailing bytes after checksum"));
+        }
+        let declared = read_u64(bytes, total - 8);
+        if fnv1a(&bytes[..total - 8]) != declared {
+            return Err(SnapshotError::Corrupt("checksum mismatch"));
+        }
+        let body = &bytes[header_len(version)..total - 8];
+        check_distribution(
+            &body[..8 * n],
+            "posterior entry not a probability",
+            "posterior does not sum to 1",
+        )?;
+        check_distribution(
+            &body[8 * n..16 * n],
+            "prior entry not a probability",
+            "prior does not sum to 1",
+        )?;
+        check_permutation(&body[16 * n..], n)?;
+        Ok(SnapshotRef { n, body })
     }
 
-    Ok(Parsed {
-        n,
-        posterior,
-        prior,
-        order,
-    })
+    /// Concepts the snapshot tracks.
+    pub fn n_concepts(&self) -> usize {
+        self.n
+    }
+
+    /// Copy the state out, bit for bit: the posterior, the prior and the
+    /// §III-C prune order.
+    ///
+    /// # Panics
+    /// Panics if a destination is not [`Self::n_concepts`] long.
+    pub fn read_into(&self, posterior: &mut [f64], prior: &mut [f64], order: &mut [u32]) {
+        let n = self.n;
+        assert!(
+            posterior.len() == n && prior.len() == n && order.len() == n,
+            "destination does not match the snapshot's concept count"
+        );
+        let (dists, order_bytes) = self.body.split_at(16 * n);
+        for (v, chunk) in posterior
+            .iter_mut()
+            .chain(prior.iter_mut())
+            .zip(dists.chunks_exact(8))
+        {
+            *v = f64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
+        }
+        for (c, chunk) in order.iter_mut().zip(order_bytes.chunks_exact(4)) {
+            *c = u32::from_le_bytes(chunk.try_into().expect("4-byte chunk"));
+        }
+    }
+
+    /// The state as owned vectors `(posterior, prior, order)`.
+    fn to_parts(self) -> (Vec<f64>, Vec<f64>, Vec<u32>) {
+        let (mut posterior, mut prior, mut order) =
+            (vec![0.0; self.n], vec![0.0; self.n], vec![0; self.n]);
+        self.read_into(&mut posterior, &mut prior, &mut order);
+        (posterior, prior, order)
+    }
+
+    /// Restore into `model` exactly as [`FilterState::restore_migrating`]
+    /// does: a same-width snapshot bit-identically, one from an older,
+    /// smaller model migrated forward (`true` in the result), a larger
+    /// one rejected with [`SnapshotError::ModelMismatch`].
+    pub fn restore_migrating(
+        self,
+        model: &HighOrderModel,
+    ) -> Result<(FilterState, bool), SnapshotError> {
+        if self.n > model.n_concepts() {
+            return Err(SnapshotError::ModelMismatch {
+                snapshot: self.n,
+                model: model.n_concepts(),
+            });
+        }
+        let (posterior, prior, order) = self.to_parts();
+        if self.n == model.n_concepts() {
+            return Ok((
+                FilterState::from_parts(model, posterior, prior, order),
+                false,
+            ));
+        }
+        Ok((migrate_parts(model, &posterior, &prior, &order), true))
+    }
 }
 
 impl FilterState {
@@ -279,23 +382,14 @@ impl FilterState {
     /// the header so a snapshot parked across a model hot-swap knows
     /// which model it was taken against ([`snapshot_epoch`]).
     pub fn snapshot_with_epoch(&self, epoch: u32) -> Vec<u8> {
-        let n = self.n_concepts();
-        let mut out = Vec::with_capacity(total_len(SNAPSHOT_VERSION, n));
-        out.extend_from_slice(&SNAPSHOT_MAGIC);
-        out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-        out.extend_from_slice(&(n as u32).to_le_bytes());
-        out.extend_from_slice(&epoch.to_le_bytes());
-        for &v in self.posterior() {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        for &v in self.prior() {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        for &c in self.order() {
-            out.extend_from_slice(&c.to_le_bytes());
-        }
-        let checksum = fnv1a(&out);
-        out.extend_from_slice(&checksum.to_le_bytes());
+        let mut out = Vec::new();
+        encode_snapshot(
+            &mut out,
+            epoch,
+            self.posterior(),
+            self.prior(),
+            self.order(),
+        );
         out
     }
 
@@ -305,19 +399,15 @@ impl FilterState {
     /// on any defect the bytes are rejected with a [`SnapshotError`] —
     /// this function never panics on untrusted input.
     pub fn restore(model: &HighOrderModel, bytes: &[u8]) -> Result<FilterState, SnapshotError> {
-        let p = parse(bytes)?;
-        if p.n != model.n_concepts() {
+        let snap = SnapshotRef::parse(bytes)?;
+        if snap.n != model.n_concepts() {
             return Err(SnapshotError::ModelMismatch {
-                snapshot: p.n,
+                snapshot: snap.n,
                 model: model.n_concepts(),
             });
         }
-        Ok(FilterState::from_parts(
-            model,
-            p.posterior,
-            p.prior,
-            p.order,
-        ))
+        let (posterior, prior, order) = snap.to_parts();
+        Ok(FilterState::from_parts(model, posterior, prior, order))
     }
 
     /// Like [`Self::restore`], but a snapshot taken against an older
@@ -336,20 +426,7 @@ impl FilterState {
         model: &HighOrderModel,
         bytes: &[u8],
     ) -> Result<(FilterState, bool), SnapshotError> {
-        let p = parse(bytes)?;
-        if p.n > model.n_concepts() {
-            return Err(SnapshotError::ModelMismatch {
-                snapshot: p.n,
-                model: model.n_concepts(),
-            });
-        }
-        if p.n == model.n_concepts() {
-            return Ok((
-                FilterState::from_parts(model, p.posterior, p.prior, p.order),
-                false,
-            ));
-        }
-        Ok((migrate_parts(model, &p.posterior, &p.prior, &p.order), true))
+        SnapshotRef::parse(bytes)?.restore_migrating(model)
     }
 }
 

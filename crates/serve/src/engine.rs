@@ -965,29 +965,19 @@ impl ServeEngine {
         // insert admits the same victim set as parking after it: the
         // incoming stream is not yet in the table, so it can never be
         // its own victim.
-        if let Some(cap) = self.capacity {
-            if shard.table.len() >= cap {
-                if let Some((victim, vslot)) = shard.lru_victim(stream) {
-                    let state = shard.table.materialize(model, vslot);
-                    shard.table.remove(vslot);
-                    shard.index.remove(victim);
-                    self.park_bytes(shard, victim, self.snapshot_bytes(&state));
-                    self.counters.evictions.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
+        self.make_room(shard, stream);
         let slot = match self.take_parked(shard, stream) {
             Some(bytes) => {
                 self.counters.unparks.fetch_add(1, Ordering::Relaxed);
-                // `restore_migrating` because the durable tier can hold
-                // snapshots recorded before a model swap (migrated here,
-                // lazily, rather than under the swap's write lock); for
-                // current-epoch snapshots it is exactly `restore`. Bytes
-                // that cannot restore at all — a store directory carried
-                // over from an incompatible model — start the stream
-                // fresh rather than panicking the serving path.
-                match FilterState::restore_migrating(model, &bytes) {
-                    Ok((state, _)) => shard.table.insert_state(stream, &state, now),
+                // Decoded with migration because the durable tier can
+                // hold snapshots recorded before a model swap (migrated
+                // here, lazily, rather than under the swap's write lock);
+                // current-epoch snapshots decode straight into the row.
+                // Bytes that cannot restore at all — a store directory
+                // carried over from an incompatible model — start the
+                // stream fresh rather than panicking the serving path.
+                match shard.table.decode(model, &bytes) {
+                    Ok(incoming) => shard.table.insert_decoded(stream, &incoming, now),
                     Err(_) => shard.table.insert_uniform(stream, now),
                 }
             }
@@ -995,6 +985,33 @@ impl ServeEngine {
         };
         shard.index.insert(stream, slot);
         slot
+    }
+
+    /// Enforce the per-shard capacity ahead of an insert: when the shard
+    /// is full, park its least-recently-used stream other than `keep`.
+    /// Returns whether a stream was parked.
+    fn make_room(&self, shard: &mut Shard, keep: StreamId) -> bool {
+        let Some(cap) = self.capacity else {
+            return false;
+        };
+        if shard.table.len() < cap {
+            return false;
+        }
+        let Some((victim, slot)) = shard.table.lru_victim(keep) else {
+            return false;
+        };
+        self.park_slot(shard, victim, slot);
+        self.counters.evictions.fetch_add(1, Ordering::Relaxed);
+        true
+    }
+
+    /// Park one live stream: encode its row (current-epoch stamp), free
+    /// the slot and tier the snapshot.
+    fn park_slot(&self, shard: &mut Shard, stream: StreamId, slot: u32) {
+        let bytes = self.encode_row(shard, slot);
+        shard.table.remove(slot);
+        shard.index.remove(stream);
+        self.park_bytes(shard, stream, bytes);
     }
 
     /// Tier a parked snapshot: into the durable store when one is
@@ -1029,9 +1046,9 @@ impl ServeEngine {
         }
     }
 
-    /// Serialize a state the engine's way: current-epoch stamp.
-    fn snapshot_bytes(&self, state: &FilterState) -> Vec<u8> {
-        state.snapshot_with_epoch(self.epoch.load(Ordering::Acquire))
+    /// Serialize a live row the engine's way: current-epoch stamp.
+    fn encode_row(&self, shard: &Shard, slot: u32) -> Vec<u8> {
+        shard.table.encode(slot, self.epoch.load(Ordering::Acquire))
     }
 
     /// Apply one request against an already-locked shard (the scalar
@@ -1678,10 +1695,12 @@ impl ServeEngine {
     /// restorable bit-identically into this or any engine over an
     /// equivalent model. `None` if the stream does not exist.
     pub fn snapshot(&self, stream: StreamId) -> Option<Vec<u8>> {
-        let serving = self.serving_guard();
+        // The model read lock keeps a swap (new row width, new epoch)
+        // from interleaving with the encode.
+        let _serving = self.serving_guard();
         let shard = self.lock(&self.shards[self.shard_index(stream)]);
         if let Some(slot) = shard.index.get(stream) {
-            return Some(self.snapshot_bytes(&shard.table.materialize(&serving.model, slot)));
+            return Some(self.encode_row(&shard, slot));
         }
         // Store-parked bytes are returned as recorded — possibly an
         // older epoch's stamp, which `restore`/`restore_migrating`
@@ -1721,12 +1740,12 @@ impl ServeEngine {
     /// migrate sequence still lands bit-identical to a stream that
     /// lived through the same swap in one engine.
     pub fn extract(&self, stream: StreamId) -> Option<Vec<u8>> {
-        let serving = self.serving_guard();
+        let _serving = self.serving_guard();
         let mut shard = self.lock(&self.shards[self.shard_index(stream)]);
         let bytes = if let Some(slot) = shard.index.remove(stream) {
-            let state = shard.table.materialize(&serving.model, slot);
+            let bytes = self.encode_row(&shard, slot);
             shard.table.remove(slot);
-            Some(self.snapshot_bytes(&state))
+            Some(bytes)
         } else if let Some(bytes) = shard.parked.remove(&stream) {
             Some(bytes)
         } else {
@@ -1754,22 +1773,38 @@ impl ServeEngine {
     /// ([`FilterState::restore_migrating`]); a snapshot with *more*
     /// concepts than the serving model is rejected with
     /// [`SnapshotError::ModelMismatch`].
+    ///
+    /// Like a request that inserts, a restore into a full shard first
+    /// parks the shard's least-recently-used stream, so the capacity
+    /// holds however many streams migrate in.
     pub fn restore(&self, stream: StreamId, bytes: &[u8]) -> Result<(), SnapshotError> {
         let serving = self.serving_guard();
-        let (state, _migrated) = FilterState::restore_migrating(&serving.model, bytes)?;
-        let now = self.clock.fetch_add(1, Ordering::Relaxed);
-        let mut shard = self.lock(&self.shards[self.shard_index(stream)]);
-        shard.parked.remove(&stream);
-        // The restored state supersedes any store-parked snapshot; like
-        // an unpark, it is volatile until the stream is next parked.
-        if let Some(store) = &self.store {
-            store.mark_resident(stream);
+        let evicted = {
+            let mut shard = self.lock(&self.shards[self.shard_index(stream)]);
+            // Validate before changing anything: a rejected snapshot
+            // leaves the engine exactly as it was.
+            let incoming = shard.table.decode(&serving.model, bytes)?;
+            shard.parked.remove(&stream);
+            // The restored state supersedes any store-parked snapshot;
+            // like an unpark, it is volatile until the stream is next
+            // parked.
+            if let Some(store) = &self.store {
+                store.mark_resident(stream);
+            }
+            if let Some(slot) = shard.index.remove(stream) {
+                shard.table.remove(slot);
+            }
+            let evicted = self.make_room(&mut shard, stream);
+            // Ticked under the shard lock, like every request, so the
+            // shard's LRU list stays in tick order.
+            let now = self.clock.fetch_add(1, Ordering::Relaxed);
+            let slot = shard.table.insert_decoded(stream, &incoming, now);
+            shard.index.insert(stream, slot);
+            evicted
+        };
+        if evicted {
+            self.commit_tick();
         }
-        if let Some(slot) = shard.index.remove(stream) {
-            shard.table.remove(slot);
-        }
-        let slot = shard.table.insert_state(stream, &state, now);
-        shard.index.insert(stream, slot);
         Ok(())
     }
 
@@ -1777,14 +1812,12 @@ impl ServeEngine {
     /// Returns `false` if the stream is not live. The stream transparently
     /// resumes — bit-identically — on its next request.
     pub fn park(&self, stream: StreamId) -> bool {
-        let serving = self.serving_guard();
+        let _serving = self.serving_guard();
         let parked = {
             let mut shard = self.lock(&self.shards[self.shard_index(stream)]);
-            match shard.index.remove(stream) {
+            match shard.index.get(stream) {
                 Some(slot) => {
-                    let state = shard.table.materialize(&serving.model, slot);
-                    shard.table.remove(slot);
-                    self.park_bytes(&mut shard, stream, self.snapshot_bytes(&state));
+                    self.park_slot(&mut shard, stream, slot);
                     self.counters.evictions.fetch_add(1, Ordering::Relaxed);
                     true
                 }
@@ -1821,22 +1854,14 @@ impl ServeEngine {
     /// (always 0 when no TTL is configured).
     pub fn sweep(&self) -> usize {
         let Some(ttl) = self.ttl else { return 0 };
-        let serving = self.serving_guard();
+        let _serving = self.serving_guard();
         let now = self.clock.load(Ordering::Relaxed);
         let mut parked = 0;
         for shard in &self.shards {
             let mut shard = self.lock(shard);
-            let idle: Vec<(StreamId, u32)> = shard
-                .table
-                .iter()
-                .filter(|&(_, _, last_used)| now.saturating_sub(last_used) > ttl)
-                .map(|(id, slot, _)| (id, slot))
-                .collect();
-            for (id, slot) in idle {
-                let state = shard.table.materialize(&serving.model, slot);
-                shard.table.remove(slot);
-                shard.index.remove(id);
-                self.park_bytes(&mut shard, id, self.snapshot_bytes(&state));
+            // The idle streams are the cold end of the LRU list.
+            for (id, slot) in shard.table.idle(now, ttl) {
+                self.park_slot(&mut shard, id, slot);
                 parked += 1;
             }
         }
@@ -2060,19 +2085,14 @@ impl Drop for ServeEngine {
         // by then — this is what distinguishes the two), then
         // group-commit so recovery has nothing to roll back.
         if let Some(store) = &self.store {
-            let serving = self.serving_guard();
             for mutex in &self.shards {
                 let mut shard = self.lock(mutex);
                 let live: Vec<(StreamId, u32)> =
                     shard.table.iter().map(|(id, slot, _)| (id, slot)).collect();
                 for (id, slot) in live {
-                    let state = shard.table.materialize(&serving.model, slot);
-                    shard.table.remove(slot);
-                    shard.index.remove(id);
-                    store.park(id, self.snapshot_bytes(&state));
+                    self.park_slot(&mut shard, id, slot);
                 }
             }
-            drop(serving);
             let _ = store.commit();
         }
         self.flush_trace();

@@ -4,7 +4,9 @@
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
-use hom_core::{FilterState, FilterView, HighOrderModel};
+use hom_core::{
+    encode_snapshot, FilterState, FilterView, HighOrderModel, SnapshotError, SnapshotRef,
+};
 
 use crate::request::StreamId;
 
@@ -233,10 +235,12 @@ impl Shard {
     /// Rebuild the live table against a grown model: every row is
     /// materialized against `old`, migrated forward
     /// (`FilterState::migrate`) and re-inserted — keeping its LRU tick —
-    /// into a fresh table of `new`'s concept width. Returns the number
-    /// of streams migrated. Cold path: runs once per model hot-swap.
+    /// into a fresh table of `new`'s concept width. Rows are re-inserted
+    /// coldest first, so the new table's LRU list keeps tick order.
+    /// Returns the number of streams migrated. Cold path: runs once per
+    /// model hot-swap.
     pub fn migrate_live(&mut self, old: &HighOrderModel, new: &HighOrderModel) -> usize {
-        let rows: Vec<(StreamId, u32, u64)> = self.table.iter().collect();
+        let rows: Vec<(StreamId, u32, u64)> = self.table.iter_lru().collect();
         let mut table = StateTable::new(new.n_concepts());
         let mut index = StreamIndex::new();
         for &(id, slot, last_used) in &rows {
@@ -247,19 +251,10 @@ impl Shard {
         self.index = index;
         rows.len()
     }
-
-    /// The least-recently-used live stream, excluding `keep` (the stream
-    /// being served right now). `None` when there is no other stream.
-    /// Unique regardless of scan order: last-used ticks come from the
-    /// engine's global clock, so no two streams share one.
-    pub fn lru_victim(&self, keep: StreamId) -> Option<(StreamId, u32)> {
-        self.table
-            .iter()
-            .filter(|&(id, _, _)| id != keep)
-            .min_by_key(|&(_, _, last_used)| last_used)
-            .map(|(id, slot, _)| (id, slot))
-    }
 }
+
+/// Link sentinel of the LRU list: no slot.
+const NIL: u32 = u32::MAX;
 
 /// Per-slot bookkeeping only the lookup, LRU and eviction paths read —
 /// deliberately *not* part of the per-request row block, so steady-state
@@ -269,6 +264,10 @@ struct SlotMeta {
     last_used: u64,
     /// Owning stream (meaningful only while occupied).
     id: StreamId,
+    /// Next-colder occupied slot in the LRU list ([`NIL`] at the head).
+    prev: u32,
+    /// Next-hotter occupied slot in the LRU list ([`NIL`] at the tail).
+    next: u32,
     /// Whether the slot currently holds a live stream.
     occupied: bool,
 }
@@ -293,6 +292,14 @@ struct SlotMeta {
 ///
 /// Slots of removed streams go on a free list and are reused by the next
 /// insert.
+///
+/// Occupied slots are also threaded on a doubly linked LRU list (links
+/// in [`SlotMeta`]), coldest at the head: every insert and every
+/// [`Self::touch`] moves its slot to the tail. The engine takes every
+/// tick from its global clock while holding the shard lock, so list
+/// order *is* tick order — the head is exactly the minimum-tick stream,
+/// found in O(1), and the idle streams a TTL sweep parks are a prefix of
+/// the list.
 pub(crate) struct StateTable {
     /// Concepts per row.
     n: usize,
@@ -307,6 +314,10 @@ pub(crate) struct StateTable {
     free: Vec<u32>,
     /// Occupied-slot count.
     live: usize,
+    /// Least-recently-used occupied slot ([`NIL`] when empty).
+    head: u32,
+    /// Most-recently-used occupied slot ([`NIL`] when empty).
+    tail: u32,
 }
 
 /// Reinterpret a block's tail `f64` slots as the `n`-entry `u32` prune
@@ -330,6 +341,8 @@ impl StateTable {
             meta: Vec::new(),
             free: Vec::new(),
             live: 0,
+            head: NIL,
+            tail: NIL,
         }
     }
 
@@ -338,11 +351,11 @@ impl StateTable {
         self.live
     }
 
-    /// Claim a slot (reusing a freed one if any), leaving the row
-    /// contents to the caller.
+    /// Claim a slot (reusing a freed one if any) at the hot end of the
+    /// LRU list, leaving the row contents to the caller.
     fn alloc(&mut self, stream: StreamId, now: u64) -> u32 {
         self.live += 1;
-        if let Some(slot) = self.free.pop() {
+        let slot = if let Some(slot) = self.free.pop() {
             let m = &mut self.meta[slot as usize];
             m.id = stream;
             m.occupied = true;
@@ -354,9 +367,41 @@ impl StateTable {
             self.meta.push(SlotMeta {
                 last_used: now,
                 id: stream,
+                prev: NIL,
+                next: NIL,
                 occupied: true,
             });
             slot
+        };
+        self.link_tail(slot);
+        slot
+    }
+
+    /// Append `slot` at the hot end of the LRU list.
+    #[inline]
+    fn link_tail(&mut self, slot: u32) {
+        let tail = self.tail;
+        let m = &mut self.meta[slot as usize];
+        m.prev = tail;
+        m.next = NIL;
+        match tail {
+            NIL => self.head = slot,
+            t => self.meta[t as usize].next = slot,
+        }
+        self.tail = slot;
+    }
+
+    /// Take `slot` out of the LRU list.
+    #[inline]
+    fn unlink(&mut self, slot: u32) {
+        let SlotMeta { prev, next, .. } = self.meta[slot as usize];
+        match prev {
+            NIL => self.head = next,
+            p => self.meta[p as usize].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            n => self.meta[n as usize].prev = prev,
         }
     }
 
@@ -377,8 +422,8 @@ impl StateTable {
         slot
     }
 
-    /// Insert a stream from an owned state (an unparked snapshot or a
-    /// migrated row), copying every value bit-for-bit.
+    /// Insert a stream from an owned state (a migrated row or a snapshot
+    /// of an older model), copying every value bit-for-bit.
     pub fn insert_state(&mut self, stream: StreamId, state: &FilterState, now: u64) -> u32 {
         let slot = self.alloc(stream, now);
         let (n, s) = (self.n, slot as usize);
@@ -390,10 +435,96 @@ impl StateTable {
         slot
     }
 
-    /// Bump a live slot's LRU tick.
+    /// Validate parked snapshot bytes for insertion into this table.
+    /// Bytes of the table's width stay borrowed, to be decoded straight
+    /// into a row; bytes of an older, smaller model take the owned
+    /// migrate path. Every defect is the same [`SnapshotError`]
+    /// `FilterState::restore_migrating` returns for those bytes.
+    pub fn decode<'a>(
+        &self,
+        model: &HighOrderModel,
+        bytes: &'a [u8],
+    ) -> Result<Incoming<'a>, SnapshotError> {
+        debug_assert_eq!(model.n_concepts(), self.n);
+        let snap = SnapshotRef::parse(bytes)?;
+        if snap.n_concepts() == self.n {
+            Ok(Incoming::Row(snap))
+        } else {
+            Ok(Incoming::Migrated(snap.restore_migrating(model)?.0))
+        }
+    }
+
+    /// Insert a stream from [`Self::decode`]d bytes. A row-width snapshot
+    /// is copied straight into the new row — bit-identical to
+    /// `FilterState::restore`, with the Eq. 7 normalizer reset to `1.0`
+    /// as a restore does — without building an owned state.
+    pub fn insert_decoded(&mut self, stream: StreamId, incoming: &Incoming<'_>, now: u64) -> u32 {
+        let snap = match incoming {
+            Incoming::Row(snap) => snap,
+            Incoming::Migrated(state) => return self.insert_state(stream, state, now),
+        };
+        let slot = self.alloc(stream, now);
+        let (n, s) = (self.n, slot as usize);
+        let block = &mut self.rows[s * self.stride..(s + 1) * self.stride];
+        let (dist, tail) = block.split_at_mut(2 * n);
+        let (posterior, prior) = dist.split_at_mut(n);
+        let (ll, order) = tail.split_at_mut(1);
+        ll[0] = 1.0;
+        snap.read_into(posterior, prior, order_in_tail(order, n));
+        slot
+    }
+
+    /// Serialize one live row as a HOMF snapshot stamped with `epoch` —
+    /// the same bytes `FilterState::snapshot_with_epoch` writes for the
+    /// materialized row, encoded straight from the block.
+    pub fn encode(&self, slot: u32, epoch: u32) -> Vec<u8> {
+        let (n, s) = (self.n, slot as usize);
+        let block = &self.rows[s * self.stride..(s + 1) * self.stride];
+        let mut out = Vec::new();
+        encode_snapshot(
+            &mut out,
+            epoch,
+            &block[..n],
+            &block[n..2 * n],
+            order_of(block, n),
+        );
+        out
+    }
+
+    /// Bump a live slot's LRU tick, moving it to the hot end of the list.
     #[inline]
     pub fn touch(&mut self, slot: u32, now: u64) {
         self.meta[slot as usize].last_used = now;
+        if slot != self.tail {
+            self.unlink(slot);
+            self.link_tail(slot);
+        }
+    }
+
+    /// The least-recently-used live stream other than `keep` (the stream
+    /// being served right now), as `(stream, slot)`: the head of the LRU
+    /// list, or its successor when the head is `keep`. `None` when there
+    /// is no other stream.
+    pub fn lru_victim(&self, keep: StreamId) -> Option<(StreamId, u32)> {
+        let mut slot = self.head;
+        while slot != NIL {
+            let m = &self.meta[slot as usize];
+            if m.id != keep {
+                return Some((m.id, slot));
+            }
+            slot = m.next;
+        }
+        None
+    }
+
+    /// The coldest live streams as `(stream, slot)`: the LRU prefix whose
+    /// last use is more than `ttl` ticks before `now`. Stops at the first
+    /// stream that is not idle.
+    pub fn idle(&self, now: u64, ttl: u64) -> Vec<(StreamId, u32)> {
+        self.iter_lru()
+            .take_while(|&(_, _, last_used)| now.saturating_sub(last_used) > ttl)
+            .map(|(id, slot, _)| (id, slot))
+            .collect()
     }
 
     /// Hint the CPU to pull `slot`'s block into cache — issued a few
@@ -433,21 +564,16 @@ impl StateTable {
         }
     }
 
-    /// Copy one block out into an owned `FilterState` (introspection,
-    /// snapshot and migration all work on owned states; these are cold
-    /// paths).
+    /// Copy one block out into an owned `FilterState` (introspection and
+    /// migration work on owned states; these are cold paths).
     pub fn materialize(&self, model: &HighOrderModel, slot: u32) -> FilterState {
         let (n, s) = (self.n, slot as usize);
         let block = &self.rows[s * self.stride..(s + 1) * self.stride];
-        // SAFETY: same layout argument as [`order_in_tail`], shared
-        // borrow this time.
-        let order =
-            unsafe { std::slice::from_raw_parts(block[2 * n + 1..].as_ptr().cast::<u32>(), n) };
         FilterState::assemble(
             model,
             block[..n].to_vec(),
             block[n..2 * n].to_vec(),
-            order.to_vec(),
+            order_of(block, n).to_vec(),
             block[2 * n],
         )
     }
@@ -455,6 +581,7 @@ impl StateTable {
     /// Free a slot (the stream was evicted or removed).
     pub fn remove(&mut self, slot: u32) {
         debug_assert!(self.meta[slot as usize].occupied);
+        self.unlink(slot);
         self.meta[slot as usize].occupied = false;
         self.free.push(slot);
         self.live -= 1;
@@ -489,16 +616,14 @@ impl StateTable {
                 }
             }
             *entropy_sum += h / norm;
-            // SAFETY: same layout argument as [`order_in_tail`], shared
-            // borrow this time.
-            let head = unsafe { *block[2 * n + 1..].as_ptr().cast::<u32>() };
-            map_streams[head as usize] += 1;
+            map_streams[order_of(block, n)[0] as usize] += 1;
             folded += 1;
         }
         folded
     }
 
-    /// Iterate the live streams as `(stream, slot, last_used)`.
+    /// Iterate the live streams as `(stream, slot, last_used)`, in slot
+    /// order.
     pub fn iter(&self) -> impl Iterator<Item = (StreamId, u32, u64)> + '_ {
         self.meta
             .iter()
@@ -506,6 +631,41 @@ impl StateTable {
             .filter(|&(_, m)| m.occupied)
             .map(|(s, m)| (m.id, s as u32, m.last_used))
     }
+
+    /// Iterate the live streams as `(stream, slot, last_used)`, coldest
+    /// first (LRU list order, which is ascending tick order).
+    pub fn iter_lru(&self) -> impl Iterator<Item = (StreamId, u32, u64)> + '_ {
+        let mut slot = self.head;
+        std::iter::from_fn(move || {
+            if slot == NIL {
+                return None;
+            }
+            let m = &self.meta[slot as usize];
+            let item = (m.id, slot, m.last_used);
+            slot = m.next;
+            Some(item)
+        })
+    }
+}
+
+/// Parked snapshot bytes validated by [`StateTable::decode`], ready for
+/// [`StateTable::insert_decoded`].
+pub(crate) enum Incoming<'a> {
+    /// A snapshot of the table's width, still borrowed from its bytes.
+    Row(SnapshotRef<'a>),
+    /// A snapshot of an older, smaller model, migrated forward.
+    Migrated(FilterState),
+}
+
+/// The `n`-entry `u32` prune order packed into a block's tail (shared
+/// borrow; see [`order_in_tail`]).
+#[inline]
+fn order_of(block: &[f64], n: usize) -> &[u32] {
+    let tail = &block[2 * n + 1..];
+    debug_assert!(tail.len() * 2 >= n);
+    // SAFETY: same layout argument as [`order_in_tail`], shared borrow
+    // this time.
+    unsafe { std::slice::from_raw_parts(tail.as_ptr().cast::<u32>(), n) }
 }
 
 /// Multiplicative (Fibonacci) hash of a stream id onto `2^bits` shards —
@@ -520,6 +680,211 @@ pub(crate) fn shard_of(stream: StreamId, bits: u32) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hom_classifiers::MajorityClassifier;
+    use hom_core::{Concept, TransitionStats};
+    use hom_data::{Attribute, Schema};
+    use proptest::prelude::*;
+    use std::collections::HashMap;
+    use std::sync::Arc;
+
+    /// A model of `n` majority-vote concepts over one numeric attribute.
+    fn model(n: usize) -> HighOrderModel {
+        let schema = Schema::new(vec![Attribute::numeric("x")], ["a", "b"]);
+        let concepts = (0..n)
+            .map(|id| Concept {
+                id,
+                model: Arc::new(MajorityClassifier::from_counts(if id % 2 == 0 {
+                    &[9, 1]
+                } else {
+                    &[2, 8]
+                })),
+                err: 0.1 + 0.01 * id as f64,
+                n_records: 50,
+                n_occurrences: 1,
+            })
+            .collect();
+        let occ: Vec<(usize, usize)> = (0..n).map(|c| (c, 30 + 7 * c)).collect();
+        HighOrderModel::from_parts(schema, concepts, TransitionStats::from_occurrences(n, &occ))
+    }
+
+    /// Get-or-create `stream` at tick `now`, as the engine's touch does.
+    fn touch(shard: &mut Shard, stream: StreamId, now: u64) {
+        match shard.index.get(stream) {
+            Some(slot) => shard.table.touch(slot, now),
+            None => {
+                let slot = shard.table.insert_uniform(stream, now);
+                shard.index.insert(stream, slot);
+            }
+        }
+    }
+
+    /// The reference LRU victim: a min-tick scan over every live stream.
+    fn scan_victim(ticks: &HashMap<StreamId, u64>, keep: StreamId) -> Option<StreamId> {
+        ticks
+            .iter()
+            .filter(|&(&id, _)| id != keep)
+            .min_by_key(|&(_, &t)| t)
+            .map(|(&id, _)| id)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The O(1) LRU list agrees with a min-tick scan after every
+        /// insert, touch, remove, eviction, live migration and TTL sweep.
+        fn lru_list_matches_a_min_tick_scan(
+            ops in proptest::collection::vec((0u8..6, 0u64..24, 0u64..40), 1..160),
+        ) {
+            let mut models = vec![Arc::new(model(2))];
+            let mut shard = Shard::new(2);
+            let mut ticks: HashMap<StreamId, u64> = HashMap::new();
+            let mut clock = 0u64;
+            for (op, stream, arg) in ops {
+                match op {
+                    0 | 1 => {
+                        touch(&mut shard, stream, clock);
+                        ticks.insert(stream, clock);
+                        clock += 1;
+                    }
+                    2 => {
+                        if let Some(slot) = shard.index.remove(stream) {
+                            shard.table.remove(slot);
+                        }
+                        ticks.remove(&stream);
+                    }
+                    3 => {
+                        let victim = shard.table.lru_victim(stream);
+                        prop_assert_eq!(victim.map(|v| v.0), scan_victim(&ticks, stream));
+                        if let Some((id, slot)) = victim {
+                            shard.table.remove(slot);
+                            shard.index.remove(id);
+                            ticks.remove(&id);
+                        }
+                    }
+                    4 => {
+                        // Grow the model now and then; same-width
+                        // migrations rebuild the table all the same.
+                        let old = models.last().expect("a model").clone();
+                        let new = if arg % 2 == 0 && old.n_concepts() < 5 {
+                            Arc::new(old.admit_concept(
+                                Arc::new(MajorityClassifier::from_counts(&[5, 5])),
+                                0.2,
+                                40,
+                            ))
+                        } else {
+                            Arc::clone(&old)
+                        };
+                        prop_assert_eq!(shard.migrate_live(&old, &new), ticks.len());
+                        models.push(new);
+                    }
+                    _ => {
+                        let mut idle: Vec<StreamId> = shard
+                            .table
+                            .idle(clock, arg)
+                            .into_iter()
+                            .map(|(id, _)| id)
+                            .collect();
+                        let mut expect: Vec<StreamId> = ticks
+                            .iter()
+                            .filter(|&(_, &t)| clock.saturating_sub(t) > arg)
+                            .map(|(&id, _)| id)
+                            .collect();
+                        idle.sort_unstable();
+                        expect.sort_unstable();
+                        prop_assert_eq!(&idle, &expect);
+                        for id in idle {
+                            let slot = shard.index.remove(id).expect("idle stream is live");
+                            shard.table.remove(slot);
+                            ticks.remove(&id);
+                        }
+                    }
+                }
+                prop_assert_eq!(shard.table.len(), ticks.len());
+                for keep in [stream, u64::MAX] {
+                    prop_assert_eq!(
+                        shard.table.lru_victim(keep).map(|v| v.0),
+                        scan_victim(&ticks, keep)
+                    );
+                }
+                let order: Vec<u64> = shard.table.iter_lru().map(|(_, _, t)| t).collect();
+                prop_assert!(order.windows(2).all(|w| w[0] < w[1]), "{order:?}");
+            }
+        }
+
+        /// Rows encode to exactly `FilterState::snapshot_with_epoch`'s
+        /// bytes, decode to exactly `FilterState::restore`'s state, and
+        /// reject every truncation and single-bit flip with the same
+        /// error — never a panic.
+        fn row_codec_matches_the_filter_state_codec(
+            n in 1usize..10,
+            labels in proptest::collection::vec(0u32..2, 0..40),
+            epoch in 0u32..5,
+        ) {
+            let m = model(n);
+            let mut state = FilterState::new(&m);
+            for (t, &y) in labels.iter().enumerate() {
+                state.observe(&m, &[t as f64], y);
+            }
+            let mut table = StateTable::new(n);
+            let slot = table.insert_state(3, &state, 0);
+            let bytes = table.encode(slot, epoch);
+            prop_assert_eq!(&bytes, &state.snapshot_with_epoch(epoch));
+
+            let restored = FilterState::restore(&m, &bytes).expect("valid snapshot");
+            let incoming = table.decode(&m, &bytes).expect("valid snapshot");
+            let row = table.insert_decoded(4, &incoming, 1);
+            let row = table.materialize(&m, row);
+            let bits = |p: &[f64]| p.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(row.posterior()), bits(restored.posterior()));
+            prop_assert_eq!(bits(row.prior()), bits(restored.prior()));
+            prop_assert_eq!(row.order(), restored.order());
+            prop_assert_eq!(row.last_likelihood(), 1.0);
+
+            let mut damaged: Vec<Vec<u8>> = (0..bytes.len()).map(|len| bytes[..len].to_vec()).collect();
+            for i in 0..bytes.len() {
+                for bit in 0..8 {
+                    let mut bad = bytes.clone();
+                    bad[i] ^= 1 << bit;
+                    damaged.push(bad);
+                }
+            }
+            for bad in damaged {
+                let row = table.decode(&m, &bad).err();
+                prop_assert!(row.is_some(), "damaged bytes decoded: {bad:?}");
+                prop_assert_eq!(&row, &FilterState::restore(&m, &bad).err());
+                prop_assert_eq!(&row, &FilterState::restore_migrating(&m, &bad).err());
+            }
+        }
+    }
+
+    #[test]
+    fn older_snapshots_migrate_into_a_wider_row() {
+        let small = model(2);
+        let mut state = FilterState::new(&small);
+        state.observe(&small, &[0.0], 1);
+        let bytes = state.snapshot_with_epoch(1);
+        let wide = small.admit_concept(Arc::new(MajorityClassifier::from_counts(&[5, 5])), 0.2, 40);
+        let mut table = StateTable::new(wide.n_concepts());
+        let incoming = table
+            .decode(&wide, &bytes)
+            .expect("older snapshot migrates");
+        assert!(matches!(incoming, Incoming::Migrated(_)));
+        let slot = table.insert_decoded(9, &incoming, 0);
+        let direct = state.migrate(&wide);
+        assert_eq!(
+            table.materialize(&wide, slot).posterior(),
+            direct.posterior()
+        );
+        // A wider snapshot never shrinks into a narrower table.
+        let back = StateTable::new(2);
+        assert_eq!(
+            back.decode(&small, &table.encode(slot, 0)).err(),
+            Some(SnapshotError::ModelMismatch {
+                snapshot: 3,
+                model: 2
+            })
+        );
+    }
 
     #[test]
     fn dense_ids_spread_over_shards() {

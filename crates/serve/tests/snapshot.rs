@@ -187,3 +187,68 @@ fn snapshot_against_a_different_model_is_a_mismatch_error() {
         Err(other) => panic!("unexpected error {other:?}"),
     }
 }
+
+#[test]
+fn restores_into_a_full_engine_keep_its_capacity() {
+    const STREAMS: u64 = 12;
+    const SHARDS: usize = 2;
+    let (model, test) = fixture();
+    // Every stream advanced to a different point of the test segment.
+    let source = ServeEngine::new(Arc::clone(&model));
+    for stream in 0..STREAMS {
+        for r in &test[..20 + 10 * stream as usize] {
+            source.step(stream, &r.x, r.y);
+        }
+    }
+    // A capacity-1 target (cluster migration into a full worker) and a
+    // dedicated, unbounded engine per stream as the reference.
+    let target = ServeEngine::with_options(
+        Arc::clone(&model),
+        &ServeOptions {
+            shards: Some(SHARDS),
+            threads: Some(1),
+            capacity: Some(1),
+            ..Default::default()
+        },
+    );
+    let dedicated: Vec<ServeEngine> = (0..STREAMS)
+        .map(|_| ServeEngine::new(Arc::clone(&model)))
+        .collect();
+    for stream in 0..STREAMS {
+        let snapshot = source.snapshot(stream).expect("stream exists");
+        target.restore(stream, &snapshot).expect("restores");
+        dedicated[stream as usize]
+            .restore(stream, &snapshot)
+            .expect("restores");
+        assert!(
+            target.live_streams() <= SHARDS,
+            "{} live after restoring {} streams",
+            target.live_streams(),
+            stream + 1
+        );
+    }
+    assert_eq!(
+        target.live_streams() + target.parked_streams(),
+        STREAMS as usize
+    );
+    for (t, r) in test[300..700].iter().enumerate() {
+        let stream = (t as u64 * 5) % STREAMS;
+        assert_eq!(
+            target.step(stream, &r.x, r.y),
+            dedicated[stream as usize].step(stream, &r.x, r.y),
+            "stream {stream} diverged at t = {t}"
+        );
+        assert!(target.live_streams() <= SHARDS);
+    }
+    for stream in 0..STREAMS {
+        assert_eq!(
+            bits(&target.posterior(stream).expect("stream exists")),
+            bits(
+                &dedicated[stream as usize]
+                    .posterior(stream)
+                    .expect("stream exists")
+            ),
+            "final posterior of stream {stream}"
+        );
+    }
+}

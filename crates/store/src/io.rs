@@ -5,7 +5,8 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io::{self, Write};
+use std::os::unix::fs::FileExt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -29,7 +30,8 @@ pub trait StoreIo: Send + Sync {
     /// Read the whole of `file`.
     fn read(&self, file: &str) -> io::Result<Vec<u8>>;
     /// Read exactly `len` bytes at `offset` (an error if the range is
-    /// not fully inside the file).
+    /// not fully inside the file). Never creates `file`: reading a
+    /// missing file is a [`io::ErrorKind::NotFound`] error.
     fn read_at(&self, file: &str, offset: u64, len: usize) -> io::Result<Vec<u8>>;
     /// Cut `file` down to `len` bytes (a no-op if already shorter).
     fn truncate(&self, file: &str, len: u64) -> io::Result<()>;
@@ -62,31 +64,37 @@ impl FsIo {
         &self.root
     }
 
+    /// Run `f` on `file`'s cached handle, opening it first if needed.
+    /// Only the write paths pass `create`; a read of a missing file is
+    /// `NotFound` and leaves the directory untouched.
     fn with_handle<R>(
         &self,
         file: &str,
+        create: bool,
         f: impl FnOnce(&mut File) -> io::Result<R>,
     ) -> io::Result<R> {
         let mut handles = self.handles.lock().unwrap_or_else(|e| e.into_inner());
-        if !handles.contains_key(file) {
-            let h = OpenOptions::new()
-                .read(true)
-                .append(true)
-                .create(true)
-                .open(self.root.join(file))?;
-            handles.insert(file.to_string(), h);
+        if let Some(h) = handles.get_mut(file) {
+            return f(h);
         }
-        f(handles.get_mut(file).expect("just inserted"))
+        let mut h = OpenOptions::new()
+            .read(true)
+            .append(true)
+            .create(create)
+            .open(self.root.join(file))?;
+        let out = f(&mut h);
+        handles.insert(file.to_string(), h);
+        out
     }
 }
 
 impl StoreIo for FsIo {
     fn append(&self, file: &str, bytes: &[u8]) -> io::Result<()> {
-        self.with_handle(file, |h| h.write_all(bytes))
+        self.with_handle(file, true, |h| h.write_all(bytes))
     }
 
     fn sync(&self, file: &str) -> io::Result<()> {
-        self.with_handle(file, |h| h.sync_data())
+        self.with_handle(file, true, |h| h.sync_data())
     }
 
     fn read(&self, file: &str) -> io::Result<Vec<u8>> {
@@ -94,16 +102,16 @@ impl StoreIo for FsIo {
     }
 
     fn read_at(&self, file: &str, offset: u64, len: usize) -> io::Result<Vec<u8>> {
-        self.with_handle(file, |h| {
+        // One positioned read (`pread`), no seek.
+        self.with_handle(file, false, |h| {
             let mut buf = vec![0u8; len];
-            h.seek(SeekFrom::Start(offset))?;
-            h.read_exact(&mut buf)?;
+            h.read_exact_at(&mut buf, offset)?;
             Ok(buf)
         })
     }
 
     fn truncate(&self, file: &str, len: u64) -> io::Result<()> {
-        self.with_handle(file, |h| h.set_len(len))
+        self.with_handle(file, true, |h| h.set_len(len))
     }
 
     fn remove(&self, file: &str) -> io::Result<()> {
@@ -337,5 +345,37 @@ impl<I: StoreIo> StoreIo for FaultIo<I> {
 
     fn list(&self) -> io::Result<Vec<String>> {
         self.inner.list()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn reads_never_create_files() {
+        let dir = std::env::temp_dir().join(format!("hom-fsio-reads-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let io = FsIo::open(&dir).expect("open");
+        io.append("seg-00000000", b"HOMS").expect("append");
+        let before = io.list().expect("list");
+        for (offset, len) in [(0, 0), (0, 4), (9, 1)] {
+            let err = io
+                .read_at("seg-00000001", offset, len)
+                .expect_err("missing file");
+            assert_eq!(err.kind(), io::ErrorKind::NotFound);
+        }
+        assert_eq!(io.list().expect("list"), before, "no file appeared");
+        // Positioned reads of an existing file ignore the append cursor.
+        assert_eq!(io.read_at("seg-00000000", 1, 3).expect("read"), b"OMS");
+        io.append("seg-00000000", b"!").expect("append");
+        assert_eq!(io.read("seg-00000000").expect("read"), b"HOMS!");
+        assert_eq!(
+            io.read_at("seg-00000000", 3, 4)
+                .expect_err("past the end")
+                .kind(),
+            io::ErrorKind::UnexpectedEof
+        );
+        std::fs::remove_dir_all(&dir).expect("clean up");
     }
 }

@@ -153,6 +153,20 @@ pub fn decode_at(buf: &[u8], at: usize) -> Result<(Record<'_>, usize), DecodeFai
     ))
 }
 
+/// Decode a buffer that must hold exactly one record (a read of an
+/// indexed record at its indexed length) and keep only the payload, in
+/// the record's own buffer: no second allocation. `None` when the record
+/// fails to decode or does not fill the buffer exactly.
+pub(crate) fn into_payload(mut buf: Vec<u8>) -> Option<Vec<u8>> {
+    match decode_at(&buf, 0) {
+        Ok((_, len)) if len == buf.len() => {}
+        _ => return None,
+    }
+    buf.truncate(buf.len() - 8);
+    buf.drain(..RECORD_HEADER_LEN);
+    Some(buf)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -172,6 +186,20 @@ mod tests {
         assert_eq!(len2, m);
         assert_eq!(r2.kind, RecordKind::Commit);
         assert!(r2.payload.is_empty());
+    }
+
+    #[test]
+    fn into_payload_needs_exactly_one_record() {
+        let mut rec = Vec::new();
+        encode_into(&mut rec, RecordKind::Snapshot, 3, 4, b"state");
+        assert_eq!(into_payload(rec.clone()).as_deref(), Some(&b"state"[..]));
+        // A short read, trailing bytes and a flipped bit are all rejected.
+        assert_eq!(into_payload(rec[..rec.len() - 1].to_vec()), None);
+        let mut long = rec.clone();
+        long.push(0);
+        assert_eq!(into_payload(long), None);
+        rec[RECORD_HEADER_LEN] ^= 1;
+        assert_eq!(into_payload(rec), None);
     }
 
     #[test]

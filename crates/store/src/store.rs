@@ -11,8 +11,8 @@ use hom_obs::{Histogram, Obs};
 
 use crate::io::{FsIo, StoreIo};
 use crate::record::{
-    decode_at, encode_into, encoded_len, segment_header, RecordKind, SEGMENT_HEADER_LEN,
-    SEGMENT_MAGIC, SEGMENT_VERSION,
+    decode_at, encode_into, encoded_len, into_payload, segment_header, RecordKind,
+    SEGMENT_HEADER_LEN, SEGMENT_MAGIC, SEGMENT_VERSION,
 };
 
 /// The environment variable [`StreamStore::open`] is pointed at by the
@@ -34,6 +34,11 @@ const DEFAULT_SEGMENT_BYTES: u64 = 4 << 20;
 /// Pending bytes beyond which [`StreamStore::maybe_commit`] commits
 /// regardless of cadence (bounds RAM held by uncommitted records).
 const DEFAULT_PENDING_BYTES: usize = 1 << 20;
+
+/// Compaction reads sealed files in aligned spans of this many bytes: a
+/// read per span rather than per record, while the bytes held for
+/// reading stay bounded by one span plus the largest record.
+pub(crate) const COMPACT_SPAN: u64 = 1 << 20;
 
 /// A store operation that could not complete. Every variant is typed and
 /// recoverable: the store never panics on bad bytes or a failing disk.
@@ -331,8 +336,38 @@ struct Inner {
     recovery: RecoveryReport,
 }
 
-fn file_name(no: u32) -> String {
-    format!("seg-{no:08}")
+/// A store file's name, `seg-` plus the file number zero-padded to eight
+/// digits, built on the stack: the unpark path names a file per read.
+struct FileName {
+    buf: [u8; 14],
+    len: usize,
+}
+
+impl std::ops::Deref for FileName {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        std::str::from_utf8(&self.buf[..self.len]).expect("ASCII by construction")
+    }
+}
+
+fn file_name(no: u32) -> FileName {
+    let mut digits = [b'0'; 10];
+    let mut rest = no;
+    let mut used = 0;
+    while rest > 0 {
+        digits[9 - used] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        used += 1;
+    }
+    let width = used.max(8);
+    let mut buf = [0u8; 14];
+    buf[..4].copy_from_slice(b"seg-");
+    buf[4..4 + width].copy_from_slice(&digits[10 - width..]);
+    FileName {
+        buf,
+        len: 4 + width,
+    }
 }
 
 fn parse_file_name(name: &str) -> Option<u32> {
@@ -645,7 +680,8 @@ impl StreamStore {
         }
     }
 
-    /// Read and verify one durable record's payload.
+    /// Read and verify one durable record (one positioned read of its
+    /// indexed length) and return its payload in the read's own buffer.
     fn read_payload(
         &self,
         inner: &mut Inner,
@@ -654,24 +690,12 @@ impl StreamStore {
         len: u32,
     ) -> Result<Vec<u8>, StoreError> {
         let name = file_name(file);
-        let bytes = self.io.read_at(&name, offset, len as usize).map_err(|e| {
-            inner.stats.io_errors += 1;
-            let err = io_err("read", &name, e);
-            inner.last_error = Some(err.clone());
-            err
-        })?;
-        match decode_at(&bytes, 0) {
-            Ok((rec, _)) => Ok(rec.payload.to_vec()),
-            Err(_) => {
-                let err = StoreError::Corrupt {
-                    file: name,
-                    offset,
-                    what: "indexed record failed to decode",
-                };
-                inner.last_error = Some(err.clone());
-                Err(err)
-            }
-        }
+        let bytes = self
+            .io
+            .read_at(&name, offset, len as usize)
+            .map_err(|e| read_failed(inner, &name, e))?;
+        into_payload(bytes)
+            .ok_or_else(|| corrupt(inner, &name, offset, "indexed record failed to decode"))
     }
 
     /// Mark `stream` resident without reading it (the engine installed
@@ -874,40 +898,47 @@ impl StreamStore {
             .max(inner.active + 1);
         let out_name = file_name(out_no);
 
-        // Gather the records to carry over (raw bytes, verified — the
-        // encoding is deterministic, so a verbatim copy is identical to
-        // a re-encode).
-        let moves: Vec<(u64, u64, u32, u64, u32)> = inner
+        // Gather the records to carry over in file order, so the output
+        // order is deterministic and each source file is read front to
+        // back in spans. Records are copied verbatim after a full check
+        // (the encoding is deterministic, so a copy equals a re-encode).
+        let mut moves: Vec<(u32, u64, u32, u64, u64)> = inner
             .index
             .iter()
             .filter_map(|(&stream, e)| match e.loc {
                 Loc::File { file, offset, len } if sealed.binary_search(&file).is_ok() => {
-                    Some((stream, e.seq, file, offset, len))
+                    Some((file, offset, len, stream, e.seq))
                 }
                 _ => None,
             })
             .collect();
-        let mut buf = segment_header().to_vec();
+        moves.sort_unstable();
+        // Sized exactly up front: the output is the largest buffer of a
+        // compaction, and growing it by doubling would over-allocate it.
+        let out_len =
+            SEGMENT_HEADER_LEN + moves.iter().map(|m| m.2 as usize).sum::<usize>() + encoded_len(0);
+        let mut buf = Vec::with_capacity(out_len);
+        buf.extend_from_slice(&segment_header());
         let mut new_locs: Vec<(u64, u64, u64, u32)> = Vec::with_capacity(moves.len());
-        for &(stream, seq, file, offset, len) in &moves {
-            let name = file_name(file);
-            let bytes = self.io.read_at(&name, offset, len as usize).map_err(|e| {
-                inner.stats.io_errors += 1;
-                let err = io_err("read", &name, e);
-                inner.last_error = Some(err.clone());
-                err
-            })?;
-            if decode_at(&bytes, 0).is_err() {
-                let err = StoreError::Corrupt {
-                    file: name,
-                    offset,
-                    what: "indexed record failed to decode during compaction",
-                };
-                inner.last_error = Some(err.clone());
-                return Err(err);
+        for group in moves.chunk_by(|a, b| a.0 == b.0) {
+            let name = file_name(group[0].0);
+            let last = group[group.len() - 1];
+            let mut span = SpanReader::new(last.1 + u64::from(last.2));
+            for &(_, offset, len, stream, seq) in group {
+                let rec = span
+                    .record(&*self.io, &name, offset, len as usize)
+                    .map_err(|e| read_failed(inner, &name, e))?;
+                if !matches!(decode_at(rec, 0), Ok((_, n)) if n == rec.len()) {
+                    return Err(corrupt(
+                        inner,
+                        &name,
+                        offset,
+                        "indexed record failed to decode during compaction",
+                    ));
+                }
+                new_locs.push((stream, seq, buf.len() as u64, len));
+                buf.extend_from_slice(rec);
             }
-            new_locs.push((stream, seq, buf.len() as u64, len));
-            buf.extend_from_slice(&bytes);
         }
         let marker_seq = inner.next_seq;
         inner.next_seq += 1;
@@ -953,12 +984,15 @@ impl StreamStore {
             if let Some(meta) = inner.files.remove(no) {
                 reclaimed += meta.len;
             }
+            // A sealed file that never reached the disk (nothing was
+            // ever committed to it) is already gone.
             let name = file_name(*no);
-            if meta_exists_on_disk(&*self.io, &name) {
-                if let Err(e) = self.io.remove(&name) {
+            match self.io.remove(&name) {
+                Err(e) if e.kind() != std::io::ErrorKind::NotFound => {
                     inner.stats.io_errors += 1;
                     inner.last_error = Some(io_err("remove", &name, e));
                 }
+                _ => {}
             }
         }
         let reclaimed = reclaimed.saturating_sub(buf.len() as u64);
@@ -1095,8 +1129,80 @@ fn compact_worthwhile(inner: &Inner) -> bool {
     total > 0 && total.saturating_sub(live) * 2 > total
 }
 
-fn meta_exists_on_disk(io: &dyn StoreIo, name: &str) -> bool {
-    io.read_at(name, 0, 0).is_ok()
+/// Count and record a failed read of `name`.
+fn read_failed(inner: &mut Inner, name: &str, e: std::io::Error) -> StoreError {
+    inner.stats.io_errors += 1;
+    let err = io_err("read", name, e);
+    inner.last_error = Some(err.clone());
+    err
+}
+
+/// Record an indexed record at `offset` of `name` that failed its check.
+fn corrupt(inner: &mut Inner, name: &str, offset: u64, what: &'static str) -> StoreError {
+    let err = StoreError::Corrupt {
+        file: name.to_string(),
+        offset,
+        what,
+    };
+    inner.last_error = Some(err.clone());
+    err
+}
+
+/// Forward-only reader of records in one file, in ascending offset
+/// order, for compaction. Each [`StoreIo::read_at`] runs to the end of
+/// the [`COMPACT_SPAN`]-aligned span it starts in (or to `limit`, the end
+/// of the file's last wanted record), so a file costs at most one read
+/// per span it occupies — never one per record — and the buffer holds at
+/// most the current record plus one span.
+struct SpanReader {
+    /// File bytes `[base, base + buf.len())`.
+    buf: Vec<u8>,
+    base: u64,
+    limit: u64,
+}
+
+impl SpanReader {
+    fn new(limit: u64) -> SpanReader {
+        SpanReader {
+            buf: Vec::new(),
+            base: 0,
+            limit,
+        }
+    }
+
+    /// The `len` bytes at `offset`, which must end by `limit`; offsets
+    /// must not decrease between calls.
+    fn record(
+        &mut self,
+        io: &dyn StoreIo,
+        name: &str,
+        offset: u64,
+        len: usize,
+    ) -> std::io::Result<&[u8]> {
+        let end = offset + len as u64;
+        debug_assert!(offset >= self.base && end <= self.limit);
+        if offset >= self.base + self.buf.len() as u64 {
+            // Past everything read so far: start over at the record.
+            self.buf.clear();
+            self.base = offset;
+        }
+        while self.base + (self.buf.len() as u64) < end {
+            // Drop the bytes before this record, then read on to the end
+            // of the current span.
+            self.buf.drain(..(offset - self.base) as usize);
+            self.base = offset;
+            let from = self.base + self.buf.len() as u64;
+            let to = ((from / COMPACT_SPAN + 1) * COMPACT_SPAN).min(self.limit);
+            let bytes = io.read_at(name, from, (to - from) as usize)?;
+            if self.buf.is_empty() {
+                self.buf = bytes;
+            } else {
+                self.buf.extend_from_slice(&bytes);
+            }
+        }
+        let at = (offset - self.base) as usize;
+        Ok(&self.buf[at..at + len])
+    }
 }
 
 impl fmt::Debug for StreamStore {
@@ -1115,5 +1221,250 @@ impl Drop for StreamStore {
     fn drop(&mut self) {
         let _ = self.commit();
         self.flush_trace();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::io::{FaultIo, IoOp, MemIo};
+
+    fn options(segment_bytes: u64) -> StoreOptions {
+        StoreOptions {
+            segment_bytes,
+            auto_compact: false,
+            sink: Obs::none(),
+            ..StoreOptions::default()
+        }
+    }
+
+    /// `len` bytes that differ per stream, version and position.
+    fn payload(stream: u64, version: u8, len: usize) -> Vec<u8> {
+        (0..len)
+            .map(|i| (stream as usize * 31 + i * 7 + usize::from(version)) as u8)
+            .collect()
+    }
+
+    /// Park `streams` with `len`-byte payloads at `version`, committing
+    /// every `per_commit` parks (sealing segments on the way).
+    fn fill(store: &StreamStore, streams: std::ops::Range<u64>, len: usize, version: u8) {
+        for s in streams {
+            store.park(s, payload(s, version, len));
+            if s % 50 == 49 {
+                store.commit().expect("commit");
+            }
+        }
+        store.commit().expect("commit");
+    }
+
+    /// Bytes and count of the sealed (compactable) files.
+    fn sealed(store: &StreamStore) -> (u64, u64) {
+        let inner = store.lock();
+        let metas = inner
+            .files
+            .iter()
+            .filter(|&(&no, m)| no != inner.active && m.len > 0);
+        metas.fold((0, 0), |(bytes, files), (_, m)| (bytes + m.len, files + 1))
+    }
+
+    /// Live records in sealed files.
+    fn sealed_records(store: &StreamStore) -> usize {
+        let inner = store.lock();
+        inner
+            .index
+            .values()
+            .filter(|e| matches!(e.loc, Loc::File { file, .. } if file != inner.active))
+            .count()
+    }
+
+    /// Live records in sealed files that cross a span boundary.
+    fn straddlers(store: &StreamStore) -> usize {
+        let inner = store.lock();
+        inner
+            .index
+            .values()
+            .filter(|e| match e.loc {
+                Loc::File { file, offset, len } => {
+                    file != inner.active
+                        && offset / COMPACT_SPAN != (offset + u64::from(len) - 1) / COMPACT_SPAN
+                }
+                Loc::Pending(_) => false,
+            })
+            .count()
+    }
+
+    fn read_calls_of(fault: &FaultIo<MemIo>, f: impl FnOnce()) -> u64 {
+        let before = fault.calls(IoOp::Read);
+        f();
+        fault.calls(IoOp::Read) - before
+    }
+
+    fn file_list(io: &dyn StoreIo) -> Vec<String> {
+        let mut names = io.list().expect("list");
+        names.sort();
+        names
+    }
+
+    #[test]
+    fn file_names_match_the_padded_format() {
+        for no in [0u32, 7, 12_345_678, 99_999_999, 100_000_000, u32::MAX] {
+            assert_eq!(&*file_name(no), format!("seg-{no:08}"));
+        }
+    }
+
+    #[test]
+    fn compaction_reads_spans_not_records() {
+        let fault = Arc::new(FaultIo::new(MemIo::new()));
+        let store = StreamStore::open_with(fault.clone() as Arc<dyn StoreIo>, options(1_500_000))
+            .expect("open");
+        fill(&store, 0..3000, 1000, 1);
+        // Supersede every seventh stream, so the live records have gaps.
+        for s in (0..3000u64).step_by(7) {
+            store.park(s, payload(s, 2, 1000));
+        }
+        store.commit().expect("commit");
+        let (bytes, files) = sealed(&store);
+        assert!(
+            files >= 2 && bytes > 2 * COMPACT_SPAN,
+            "{files} files, {bytes} B"
+        );
+        assert!(
+            straddlers(&store) > 0,
+            "some record crosses a span boundary"
+        );
+        let mut report = None;
+        let reads = read_calls_of(&fault, || report = Some(store.compact().expect("compact")));
+        let bound = bytes.div_ceil(COMPACT_SPAN) + files;
+        assert!(
+            reads <= bound,
+            "{reads} reads for {bytes} B in {files} files"
+        );
+        assert!(report.expect("compacted").records > 1000);
+        for s in 0..3000u64 {
+            let version = if s % 7 == 0 { 2 } else { 1 };
+            assert_eq!(
+                store.get(s).expect("get"),
+                Some(payload(s, version, 1000)),
+                "{s}"
+            );
+        }
+    }
+
+    #[test]
+    fn compaction_output_is_in_file_order() {
+        let io = Arc::new(MemIo::new());
+        let store =
+            StreamStore::open_with(io.clone() as Arc<dyn StoreIo>, options(4096)).expect("open");
+        fill(&store, 0..200, 40, 1);
+        store.park(1000, payload(1000, 1, 40));
+        store.commit().expect("commit");
+        store.compact().expect("compact");
+        // Sorted by old (file, offset), the streams keep their park order.
+        let inner = store.lock();
+        let mut at: Vec<(u64, u64)> = inner
+            .index
+            .iter()
+            .filter_map(|(&s, e)| match e.loc {
+                Loc::File { file, offset, .. } if file != inner.active => Some((offset, s)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(at.len(), 200, "the sealed streams moved to one output");
+        at.sort_unstable();
+        let order: Vec<u64> = at.into_iter().map(|(_, s)| s).collect();
+        let mut sorted = order.clone();
+        sorted.sort_unstable();
+        assert_eq!(order, sorted);
+    }
+
+    #[test]
+    fn a_record_larger_than_the_span_compacts_whole() {
+        let fault = Arc::new(FaultIo::new(MemIo::new()));
+        let store =
+            StreamStore::open_with(fault.clone() as Arc<dyn StoreIo>, options(4096)).expect("open");
+        let big = (COMPACT_SPAN + COMPACT_SPAN / 2) as usize;
+        fill(&store, 0..10, 100, 1);
+        store.park(77, payload(77, 1, big));
+        store.commit().expect("commit");
+        fill(&store, 10..20, 100, 1);
+        let (bytes, files) = sealed(&store);
+        let reads = read_calls_of(&fault, || {
+            store.compact().expect("compact");
+        });
+        assert!(
+            reads <= bytes.div_ceil(COMPACT_SPAN) + files,
+            "{reads} reads"
+        );
+        assert_eq!(store.get(77).expect("get"), Some(payload(77, 1, big)));
+        for s in 0..20u64 {
+            assert_eq!(store.get(s).expect("get"), Some(payload(s, 1, 100)));
+        }
+    }
+
+    #[test]
+    fn a_corrupt_record_mid_span_fails_compaction_and_keeps_the_sources() {
+        let io = Arc::new(MemIo::new());
+        let store =
+            StreamStore::open_with(io.clone() as Arc<dyn StoreIo>, options(200_000)).expect("open");
+        fill(&store, 0..600, 500, 1);
+        let (file, offset) = {
+            let inner = store.lock();
+            match inner.index[&300].loc {
+                Loc::File { file, offset, .. } => (file, offset),
+                Loc::Pending(_) => panic!("stream 300 is committed"),
+            }
+        };
+        assert_ne!(file, store.lock().active, "the damaged record is sealed");
+        let mut disk = io.dump();
+        disk.get_mut(&*file_name(file)).expect("sealed file")[offset as usize + 40] ^= 0x10;
+        io.install(disk);
+        let names = file_list(&*io);
+        match store.compact() {
+            Err(StoreError::Corrupt {
+                file: f, offset: o, ..
+            }) => assert_eq!((f, o), (file_name(file).to_string(), offset)),
+            other => panic!("expected a typed Corrupt error, got {other:?}"),
+        }
+        assert_eq!(
+            file_list(&*io),
+            names,
+            "no output written, no source removed"
+        );
+        for s in (0..600u64).filter(|&s| s != 300) {
+            assert_eq!(
+                store.get(s).expect("index unchanged"),
+                Some(payload(s, 1, 500))
+            );
+        }
+        assert!(matches!(store.get(300), Err(StoreError::Corrupt { .. })));
+    }
+
+    #[test]
+    fn a_read_fault_mid_compaction_changes_nothing() {
+        let fault = Arc::new(FaultIo::new(MemIo::new()));
+        let store = StreamStore::open_with(fault.clone() as Arc<dyn StoreIo>, options(700_000))
+            .expect("open");
+        fill(&store, 0..2000, 1000, 1);
+        let moving = sealed_records(&store);
+        assert!(moving > 0);
+        let names = file_list(&*fault);
+        fault.fail_after(IoOp::Read, 1);
+        let err = store.compact().expect_err("read fault surfaces");
+        assert!(matches!(err, StoreError::Io { op: "read", .. }), "{err:?}");
+        assert_eq!(store.health().io_errors, 1);
+        fault.heal();
+        assert_eq!(
+            file_list(&*fault),
+            names,
+            "no output written, no source removed"
+        );
+        for s in 0..2000u64 {
+            assert_eq!(store.get(s).expect("get"), Some(payload(s, 1, 1000)));
+        }
+        let report = store.compact().expect("healed compaction");
+        assert_eq!(report.records, moving);
+        for s in 0..2000u64 {
+            assert_eq!(store.get(s).expect("get"), Some(payload(s, 1, 1000)));
+        }
     }
 }
