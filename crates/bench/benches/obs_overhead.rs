@@ -1,5 +1,4 @@
-//! Cost of live telemetry on the serving hot path — steady state, per
-//! kernel.
+//! Cost of live telemetry on the serving hot path — steady state.
 //!
 //! The question an operator flipping on the metrics endpoint will ask:
 //! what does recording into the aggregation sink — and additionally
@@ -8,13 +7,12 @@
 //! batched `Step` workload through a [`hom_serve::ServeEngine`] over
 //! the grid
 //!
-//!   kernel ∈ { compiled, scalar }
-//!     × sink ∈ { off, AggSink, AggSink + tracing, AggSink + flight + concepts }
+//!   sink ∈ { off, AggSink, AggSink + tracing, AggSink + flight + concepts }
 //!     × threads ∈ { 1, cores }
 //!
 //! The `AggSink` tier is the **always-on** configuration (what a
 //! production deployment runs permanently); its budget is ≤ 3%
-//! ns/record over sink-off on the compiled kernel at one thread. The
+//! ns/record over sink-off at one thread. The
 //! tracing tier is the always-on configuration of a fleet node —
 //! AggSink fanned out with a [`hom_obs::TraceBuffer`], every batch
 //! submitted under an active [`hom_obs::TraceContext`] (sampling off,
@@ -36,8 +34,8 @@
 //! persistent effect, not a scheduling accident.
 //!
 //! Telemetry must be free of observable effect, so the bench asserts
-//! that every cell's prediction digest — across sinks, kernels, *and*
-//! thread counts — is bit-identical to the first cell's; the same
+//! that every cell's prediction digest — across sinks *and* thread
+//! counts — is bit-identical to the first cell's; the same
 //! invariant `examples/serve_smoke.rs`, CI and the differential suites
 //! hold the engine to.
 //!
@@ -126,7 +124,6 @@ impl SinkKind {
 }
 
 struct Cell {
-    kernel: &'static str,
     sink: SinkKind,
     threads: usize,
     ns_per_record: f64,
@@ -187,7 +184,6 @@ fn build_batches(test: &[StreamRecord]) -> Vec<Vec<Request>> {
 fn run_rep(
     model: &Arc<HighOrderModel>,
     batches: &[Vec<Request>],
-    compiled: bool,
     sink: SinkKind,
     threads: usize,
 ) -> (f64, u64) {
@@ -197,7 +193,6 @@ fn run_rep(
         &ServeOptions {
             shards: Some(64),
             threads: Some(threads),
-            compiled: Some(compiled),
             sink: obs.clone(),
             ..Default::default()
         },
@@ -242,20 +237,18 @@ fn run_rep(
 fn measure(
     model: &Arc<HighOrderModel>,
     batches: &[Vec<Request>],
-    compiled: bool,
     sink: SinkKind,
     threads: usize,
     reference: &mut Option<u64>,
     best: &mut f64,
 ) {
-    let (warm, digest) = run_rep(model, batches, compiled, sink, threads);
+    let (warm, digest) = run_rep(model, batches, sink, threads);
     match reference {
         None => *reference = Some(digest),
         Some(want) => assert_eq!(
             digest,
             *want,
-            "kernel={} sink={} threads={threads} changed predictions — determinism violated",
-            if compiled { "compiled" } else { "scalar" },
+            "sink={} threads={threads} changed predictions — determinism violated",
             sink.label()
         ),
     }
@@ -267,9 +260,8 @@ fn snapshot_json(cores: usize, cells: &[Cell]) -> String {
         .iter()
         .map(|c| {
             format!(
-                "    {{ \"kernel\": \"{}\", \"sink\": \"{}\", \"threads\": {}, \
+                "    {{ \"sink\": \"{}\", \"threads\": {}, \
                  \"ns_per_record\": {:.0}, \"preds_per_sec\": {:.0} }}",
-                c.kernel,
                 c.sink.label(),
                 c.threads,
                 c.ns_per_record,
@@ -303,80 +295,72 @@ fn main() {
     // recording path (striped sinks under real contention) is still on
     // the grid.
     let thread_grid = [1usize, if cores > 1 { cores } else { 8 }];
-    let kernels = [true, false];
 
     let batches = build_batches(&test);
     let mut reference: Option<u64> = None;
-    // bests[kernel_idx][sink_idx][thread_pos] = best warm seconds.
-    let mut bests = vec![vec![vec![f64::INFINITY; thread_grid.len()]; SINKS.len()]; kernels.len()];
+    // bests[sink_idx][thread_pos] = best warm seconds.
+    let mut bests = vec![vec![f64::INFINITY; thread_grid.len()]; SINKS.len()];
 
     // Interleaved rounds over the whole grid: every cell is measured
     // once per round, so all cells sample the same machine-phase mix.
     for round in 0..REPS {
-        for (ki, &compiled) in kernels.iter().enumerate() {
-            for (si, &sink) in SINKS.iter().enumerate() {
-                for (pos, &threads) in thread_grid.iter().enumerate() {
-                    measure(
-                        &model,
-                        &batches,
-                        compiled,
-                        sink,
-                        threads,
-                        &mut reference,
-                        &mut bests[ki][si][pos],
-                    );
-                }
+        for (si, &sink) in SINKS.iter().enumerate() {
+            for (pos, &threads) in thread_grid.iter().enumerate() {
+                measure(
+                    &model,
+                    &batches,
+                    sink,
+                    threads,
+                    &mut reference,
+                    &mut bests[si][pos],
+                );
             }
         }
         eprintln!("  round {} of {REPS} done", round + 1);
     }
 
     // Acceptance sweeps. Two conditions force a re-measurement:
-    //  1. A multi-thread cell below its (kernel, sink) threads=1 floor —
-    //     the fanout inlining must keep multi-thread submit no slower
-    //     than single-thread on this single-task workload.
+    //  1. A multi-thread cell below its sink's threads=1 floor — the
+    //     fanout inlining must keep multi-thread submit no slower than
+    //     single-thread on this single-task workload.
     //  2. An always-on tier (AggSink, or AggSink + tracing with every
-    //     batch traced) over its 3% ns/record budget vs sink-off on the
-    //     same kernel at threads=1 — re-measure both sides of the
-    //     comparison, since either may have caught a slow phase.
+    //     batch traced) over its 3% ns/record budget vs sink-off at
+    //     threads=1 — re-measure both sides of the comparison, since
+    //     either may have caught a slow phase.
     let t1 = 0usize; // thread_grid position of threads=1
     for sweep in 0..EXTRA_REPS {
         let mut failing = 0usize;
-        for (ki, &compiled) in kernels.iter().enumerate() {
-            for (si, &sink) in SINKS.iter().enumerate() {
-                let floor = bests[ki][si][t1];
-                for (pos, &threads) in thread_grid.iter().enumerate() {
-                    if pos != t1 && threads > 1 && bests[ki][si][pos] > floor {
-                        failing += 1;
-                        measure(
-                            &model,
-                            &batches,
-                            compiled,
-                            sink,
-                            threads,
-                            &mut reference,
-                            &mut bests[ki][si][pos],
-                        );
-                    }
+        for (si, &sink) in SINKS.iter().enumerate() {
+            let floor = bests[si][t1];
+            for (pos, &threads) in thread_grid.iter().enumerate() {
+                if pos != t1 && threads > 1 && bests[si][pos] > floor {
+                    failing += 1;
+                    measure(
+                        &model,
+                        &batches,
+                        sink,
+                        threads,
+                        &mut reference,
+                        &mut bests[si][pos],
+                    );
                 }
             }
-            for si in ALWAYS_ON {
-                // Re-read the floor each time: the previous tier's
-                // retry may have just improved the sink-off best.
-                let off = bests[ki][0][t1];
-                if bests[ki][si][t1] > off * (1.0 + ALWAYS_ON_BUDGET) {
-                    failing += 1;
-                    for si in [0, si] {
-                        measure(
-                            &model,
-                            &batches,
-                            compiled,
-                            SINKS[si],
-                            thread_grid[t1],
-                            &mut reference,
-                            &mut bests[ki][si][t1],
-                        );
-                    }
+        }
+        for si in ALWAYS_ON {
+            // Re-read the floor each time: the previous tier's retry may
+            // have just improved the sink-off best.
+            let off = bests[0][t1];
+            if bests[si][t1] > off * (1.0 + ALWAYS_ON_BUDGET) {
+                failing += 1;
+                for si in [0, si] {
+                    measure(
+                        &model,
+                        &batches,
+                        SINKS[si],
+                        thread_grid[t1],
+                        &mut reference,
+                        &mut bests[si][t1],
+                    );
                 }
             }
         }
@@ -394,51 +378,39 @@ fn main() {
 
     let mut cells: Vec<Cell> = Vec::new();
     let mut rows: Vec<Vec<String>> = Vec::new();
-    for (ki, &compiled) in kernels.iter().enumerate() {
-        let kernel = if compiled { "compiled" } else { "scalar" };
-        for (si, &sink) in SINKS.iter().enumerate() {
-            for (pos, &threads) in thread_grid.iter().enumerate() {
-                let warm = bests[ki][si][pos];
-                let cell = Cell {
-                    kernel,
-                    sink,
-                    threads,
-                    ns_per_record: warm * 1e9 / REQUESTS as f64,
-                    preds_per_sec: REQUESTS as f64 / warm,
-                };
-                let base = bests[ki][0][pos] * 1e9 / REQUESTS as f64;
-                rows.push(vec![
-                    kernel.into(),
-                    sink.label().into(),
-                    threads.to_string(),
-                    format!("{:.0}", cell.ns_per_record),
-                    format!("{:.2}M", cell.preds_per_sec / 1e6),
-                    if sink == SinkKind::Off {
-                        "—".into()
-                    } else {
-                        format!("{:+.1}%", (cell.ns_per_record / base - 1.0) * 100.0)
-                    },
-                ]);
-                cells.push(cell);
-            }
+    for (si, &sink) in SINKS.iter().enumerate() {
+        for (pos, &threads) in thread_grid.iter().enumerate() {
+            let warm = bests[si][pos];
+            let cell = Cell {
+                sink,
+                threads,
+                ns_per_record: warm * 1e9 / REQUESTS as f64,
+                preds_per_sec: REQUESTS as f64 / warm,
+            };
+            let base = bests[0][pos] * 1e9 / REQUESTS as f64;
+            rows.push(vec![
+                sink.label().into(),
+                threads.to_string(),
+                format!("{:.0}", cell.ns_per_record),
+                format!("{:.2}M", cell.preds_per_sec / 1e6),
+                if sink == SinkKind::Off {
+                    "—".into()
+                } else {
+                    format!("{:+.1}%", (cell.ns_per_record / base - 1.0) * 100.0)
+                },
+            ]);
+            cells.push(cell);
         }
     }
     print_table(
         &format!(
             "Telemetry overhead (steady state): {REQUESTS} Step requests over {STREAMS} streams"
         ),
-        &[
-            "Kernel",
-            "Sink",
-            "Threads",
-            "ns/record",
-            "preds/s",
-            "Overhead",
-        ],
+        &["Sink", "Threads", "ns/record", "preds/s", "Overhead"],
         &rows,
     );
     println!(
-        "(Overhead is vs the sink-off cell with the same kernel and thread count; \
+        "(Overhead is vs the sink-off cell with the same thread count; \
          the AggSink and AggSink + tracing tiers are always-on configurations, \
          each with a {:.0}% budget — the tracing tier stamps every batch with a \
          trace context, sampling off)",

@@ -1,14 +1,11 @@
 //! Serving-engine throughput — predictions/sec across the stream-count ×
-//! thread-count × kernel grid.
+//! thread-count grid.
 //!
 //! Mines one high-order model from a Stagger stream, then drives batched
 //! `Step` requests (predict + observe, the full serving path) through a
-//! [`hom_serve::ServeEngine`] for every combination of
-//! streams ∈ {1, 1 000, 100 000}, threads ∈ {1, 2, all cores}, and
-//! kernel ∈ {compiled, scalar}. The compiled rows measure the
-//! batch-vectorized SoA path ([`hom_core::CompiledModel`]); the scalar
-//! rows are the per-request [`FilterState`] loop the kernel replaced,
-//! kept in the grid as the honest before/after baseline.
+//! [`hom_serve::ServeEngine`] — the batch-vectorized
+//! [`hom_core::CompiledModel`] kernel — for every combination of
+//! streams ∈ {1, 1 000, 100 000} and threads ∈ {1, 2, all cores}.
 //!
 //! Request batches are pre-built **outside** the timed region, so the
 //! timer covers only `submit()` — not `Vec` allocation of the requests
@@ -21,7 +18,7 @@
 //! keep that first-pass number visible).
 //!
 //! Reps are **interleaved round-robin across the thread counts** of each
-//! (streams, kernel) block — round 1 measures every thread position
+//! stream-count block — round 1 measures every thread position
 //! once, then round 2, and so on — rather than exhausting one cell's
 //! reps before the next cell starts. Shared machines drift between
 //! faster and slower phases lasting seconds to minutes; consecutive
@@ -37,7 +34,7 @@
 //! whatever phase the block happened to end in.
 //!
 //! The engine's determinism contract makes the grid honest: every cell —
-//! across batch splits, thread counts, *and* kernels — computes the exact
+//! across batch splits and thread counts — computes the exact
 //! same per-stream results, so the only thing that varies is wall-clock
 //! time. The bench asserts this by comparing each cell's aggregate
 //! prediction histogram against the first cell with the same stream
@@ -65,7 +62,7 @@ const BLOCK_SIZE: usize = 100;
 /// Requests per grid cell; batches of `BATCH` are submitted at a time.
 const REQUESTS: usize = 200_000;
 const BATCH: usize = 2_048;
-/// Interleaved measurement rounds per (streams, kernel) block; each
+/// Interleaved measurement rounds per stream-count block; each
 /// round measures every thread count once, and each cell reports its
 /// best rep.
 const REPS: usize = 5;
@@ -78,7 +75,6 @@ const EXTRA_REPS: usize = 60;
 struct Cell {
     streams: usize,
     threads: usize,
-    kernel: &'static str,
     wall_secs: f64,
     preds_per_sec: f64,
     /// First-pass (stream-creating) rate of the same rep — the cold-start
@@ -143,14 +139,12 @@ fn run_rep(
     model: &Arc<HighOrderModel>,
     batches: &[Vec<Request>],
     threads: usize,
-    compiled: bool,
 ) -> (f64, f64, Vec<u64>) {
     let engine = ServeEngine::with_options(
         Arc::clone(model),
         &ServeOptions {
             shards: Some(64),
             threads: Some(threads),
-            compiled: Some(compiled),
             ..Default::default()
         },
     );
@@ -179,16 +173,15 @@ fn measure(
     batches: &[Vec<Request>],
     streams: usize,
     threads: usize,
-    compiled: bool,
     reference: &mut Option<Vec<u64>>,
     best: &mut (f64, f64),
 ) {
-    let (cold, warm, histogram) = run_rep(model, batches, threads, compiled);
+    let (cold, warm, histogram) = run_rep(model, batches, threads);
     match reference {
         None => *reference = Some(histogram),
         Some(r) => assert!(
             *r == histogram,
-            "streams={streams} threads={threads} compiled={compiled}: \
+            "streams={streams} threads={threads}: \
              re-measurement changed predictions — determinism violated"
         ),
     }
@@ -203,10 +196,10 @@ fn snapshot_json(cores: usize, cells: &[Cell]) -> String {
         .iter()
         .map(|c| {
             format!(
-                "    {{ \"streams\": {}, \"threads\": {}, \"kernel\": \"{}\", \
+                "    {{ \"streams\": {}, \"threads\": {}, \
                  \"wall_secs\": {:.3}, \"preds_per_sec\": {:.0}, \
                  \"cold_preds_per_sec\": {:.0} }}",
-                c.streams, c.threads, c.kernel, c.wall_secs, c.preds_per_sec, c.cold_preds_per_sec
+                c.streams, c.threads, c.wall_secs, c.preds_per_sec, c.cold_preds_per_sec
             )
         })
         .collect();
@@ -242,37 +235,29 @@ fn main() {
         .iter()
         .map(|&streams| build_batches(&test, streams))
         .collect();
-    // Cross-cell AND cross-kernel: one reference histogram per stream
-    // count, shared by every thread count and both kernels.
+    // Cross-cell: one reference histogram per stream count, shared by
+    // every thread count.
     let mut references: Vec<Option<Vec<u64>>> = vec![None; stream_counts.len()];
-    // bests[streams_idx][kernel_idx][thread_pos] = (warm, cold) seconds.
-    let mut bests = vec![
-        vec![vec![(f64::INFINITY, f64::INFINITY); thread_counts.len()]; 2];
-        stream_counts.len()
-    ];
+    // bests[streams_idx][thread_pos] = (warm, cold) seconds.
+    let mut bests =
+        vec![vec![(f64::INFINITY, f64::INFINITY); thread_counts.len()]; stream_counts.len()];
     for (si, &streams) in stream_counts.iter().enumerate() {
-        for (ki, &compiled) in [true, false].iter().enumerate() {
-            // Interleaved rounds: every thread position is measured once
-            // per round, so all positions sample the same machine-phase
-            // mix (see the module doc).
-            for _round in 0..REPS {
-                for (pos, &threads) in thread_counts.iter().enumerate() {
-                    measure(
-                        &model,
-                        &all_batches[si],
-                        streams,
-                        threads,
-                        compiled,
-                        &mut references[si],
-                        &mut bests[si][ki][pos],
-                    );
-                }
+        // Interleaved rounds: every thread position is measured once per
+        // round, so all positions sample the same machine-phase mix (see
+        // the module doc).
+        for _round in 0..REPS {
+            for (pos, &threads) in thread_counts.iter().enumerate() {
+                measure(
+                    &model,
+                    &all_batches[si],
+                    streams,
+                    threads,
+                    &mut references[si],
+                    &mut bests[si][pos],
+                );
             }
-            eprintln!(
-                "  done: streams={streams} kernel={}",
-                if compiled { "compiled" } else { "scalar" }
-            );
         }
+        eprintln!("  done: streams={streams}");
     }
     // The best threads=1 rate of a block is the floor every multi-thread
     // cell of that block must clear — possibly by re-measuring — before
@@ -291,21 +276,18 @@ fn main() {
     for sweep in 0..EXTRA_REPS {
         let mut failing = 0usize;
         for (si, &streams) in stream_counts.iter().enumerate() {
-            for (ki, &compiled) in [true, false].iter().enumerate() {
-                let serial = floor(&bests[si][ki]);
-                for (pos, &threads) in thread_counts.iter().enumerate() {
-                    if threads > 1 && REQUESTS as f64 / bests[si][ki][pos].0 < serial {
-                        failing += 1;
-                        measure(
-                            &model,
-                            &all_batches[si],
-                            streams,
-                            threads,
-                            compiled,
-                            &mut references[si],
-                            &mut bests[si][ki][pos],
-                        );
-                    }
+            let serial = floor(&bests[si]);
+            for (pos, &threads) in thread_counts.iter().enumerate() {
+                if threads > 1 && REQUESTS as f64 / bests[si][pos].0 < serial {
+                    failing += 1;
+                    measure(
+                        &model,
+                        &all_batches[si],
+                        streams,
+                        threads,
+                        &mut references[si],
+                        &mut bests[si][pos],
+                    );
                 }
             }
         }
@@ -323,28 +305,23 @@ fn main() {
         std::thread::sleep(std::time::Duration::from_secs(1 << (sweep / 8).min(2)));
     }
     for (si, &streams) in stream_counts.iter().enumerate() {
-        for (ki, &compiled) in [true, false].iter().enumerate() {
-            let serial = floor(&bests[si][ki]);
-            let kernel = if compiled { "compiled" } else { "scalar" };
-            for (&threads, &(warm, cold)) in thread_counts.iter().zip(&bests[si][ki]) {
-                let cell = Cell {
-                    streams,
-                    threads,
-                    kernel,
-                    wall_secs: warm,
-                    preds_per_sec: REQUESTS as f64 / warm,
-                    cold_preds_per_sec: REQUESTS as f64 / cold,
-                };
-                table.push(vec![
-                    streams.to_string(),
-                    cell.threads.to_string(),
-                    cell.kernel.to_string(),
-                    format!("{:.0}", cell.preds_per_sec),
-                    format!("{:.0}", cell.cold_preds_per_sec),
-                    format!("{:.2}x", cell.preds_per_sec / serial),
-                ]);
-                cells.push(cell);
-            }
+        let serial = floor(&bests[si]);
+        for (&threads, &(warm, cold)) in thread_counts.iter().zip(&bests[si]) {
+            let cell = Cell {
+                streams,
+                threads,
+                wall_secs: warm,
+                preds_per_sec: REQUESTS as f64 / warm,
+                cold_preds_per_sec: REQUESTS as f64 / cold,
+            };
+            table.push(vec![
+                streams.to_string(),
+                cell.threads.to_string(),
+                format!("{:.0}", cell.preds_per_sec),
+                format!("{:.0}", cell.cold_preds_per_sec),
+                format!("{:.2}x", cell.preds_per_sec / serial),
+            ]);
+            cells.push(cell);
         }
     }
 
@@ -353,19 +330,12 @@ fn main() {
             "Serving throughput (steady state): {REQUESTS} Step requests/cell, \
              {cores}-core machine"
         ),
-        &[
-            "Streams",
-            "Threads",
-            "Kernel",
-            "Preds/sec",
-            "Cold p/s",
-            "Speedup",
-        ],
+        &["Streams", "Threads", "Preds/sec", "Cold p/s", "Speedup"],
         &table,
     );
     println!(
         "(Preds/sec is the warm second pass; Cold p/s the stream-creating first pass; \
-         speedup is relative to the best threads=1 row with the same stream count and kernel)"
+         speedup is relative to the best threads=1 row with the same stream count)"
     );
     if let Ok(dir) = std::env::var("HOM_JSON_DIR") {
         let path = std::path::Path::new(&dir).join("BENCH_serve.json");

@@ -1081,13 +1081,12 @@ fn route(router: &Router, req: &HttpRequest) -> HttpResponse {
             format!("{{\"workers\":{}}}\n", router.workers().len()),
         ),
         ("GET", path) if path.starts_with("/trace/") => {
-            let hex = &path["/trace/".len()..];
-            match u64::from_str_radix(hex, 16) {
-                Ok(id) if id != 0 => match router.trace(id) {
+            match hom_obs::parse_trace_id(&path["/trace/".len()..]) {
+                Some(id) => match router.trace(id) {
                     Ok(body) => HttpResponse::ok("application/x-ndjson", body),
                     Err(e) => bad_gateway(&e),
                 },
-                _ => HttpResponse::bad_request("bad trace id"),
+                None => HttpResponse::bad_request("bad trace id"),
             }
         }
         _ => HttpResponse::not_found("unknown route"),

@@ -180,12 +180,12 @@ fn dispatch(
 /// valid answer the router's federation must be able to aggregate, not
 /// an error that would fail the whole stitched fetch.
 fn trace_slice(telemetry: &ServeTelemetry, hex: &str) -> HttpResponse {
-    match u64::from_str_radix(hex, 16) {
-        Ok(id) if id != 0 => HttpResponse::ok(
+    match hom_obs::parse_trace_id(hex) {
+        Some(id) => HttpResponse::ok(
             "application/x-ndjson",
             telemetry.traces().slice_jsonl(id, DUMP_CAP),
         ),
-        _ => HttpResponse::bad_request("bad trace id"),
+        None => HttpResponse::bad_request("bad trace id"),
     }
 }
 

@@ -447,6 +447,39 @@ fn swap_aborts_at_prepare_when_a_worker_would_disagree() {
 }
 
 #[test]
+fn non_canonical_trace_ids_are_bad_requests_on_every_node() {
+    let (model, _) = fixture();
+    let worker = spawn_worker(&model, None);
+    let router = Arc::new(
+        Router::new(vec![worker.addr()], DEFAULT_VNODES, Duration::from_secs(5)).expect("router"),
+    );
+    let server =
+        RouterServer::bind("127.0.0.1:0".parse().expect("loopback"), router).expect("router binds");
+    let t = Duration::from_secs(10);
+    for addr in [worker.addr(), server.addr()] {
+        let get = |path: &str| {
+            http_request(addr, "GET", path, b"", t)
+                .expect("node answers")
+                .0
+        };
+        assert_eq!(
+            get("/trace/00000000000000a1"),
+            200,
+            "canonical id at {addr}"
+        );
+        for bad in [
+            "a1",
+            "+00000000000000a1",
+            "+0000000000000a1",
+            "00000000000000A1",
+            "0000000000000000",
+        ] {
+            assert_eq!(get(&format!("/trace/{bad}")), 400, "/trace/{bad} at {addr}");
+        }
+    }
+}
+
+#[test]
 fn deeply_nested_submit_is_a_bad_request_not_an_abort() {
     let (model, test) = fixture();
     let workers: Vec<WorkerServer> = (0..2).map(|_| spawn_worker(&model, None)).collect();

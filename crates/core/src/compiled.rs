@@ -3,7 +3,9 @@
 //!
 //! # Why a compiled form exists
 //!
-//! The scalar path re-walks the same [`HighOrderModel`] for every record
+//! The scalar [`FilterState`](crate::FilterState) path — what
+//! `OnlinePredictor` runs per stream — re-walks the same
+//! [`HighOrderModel`] for every record
 //! of every stream: each `ψ(c, yₜ)` (Eq. 8) is a virtual call into a
 //! pointer-chasing tree, and each `M_c(l|x)` row (Eq. 10) is a Laplace
 //! computation repeated per call. When a serving engine drives thousands
@@ -38,9 +40,10 @@
 //! the view's χ-advance core against a clone of the model's
 //! [`TransitionStats`]; and the prediction loops accumulate the same
 //! per-concept rows in the same order. That is what lets `hom-serve`
-//! switch the kernel on or off (and vary batch size, shard count, or
-//! thread count) without changing a single output bit — the differential
-//! suite in `hom-serve/tests` enforces this.
+//! serve every request through the kernel (at any batch size, shard
+//! count or thread count) while matching a dedicated `FilterState` per
+//! stream bit for bit — the differential suite in `hom-serve/tests`
+//! enforces this.
 //!
 //! Classifiers with no flat form (e.g. naive Bayes) fall back to dynamic
 //! dispatch inside the same kernel, still amortized per distinct record.

@@ -29,8 +29,10 @@
 //!
 //! `to_header` renders `<trace_id>-<parent_span_id>` as two fixed-width
 //! lowercase hex fields (`{:016x}`); [`TraceContext::parse`] accepts
-//! exactly that. A missing or malformed header simply means "untraced"
-//! — propagation must never fail a request.
+//! exactly that, so a parsed header always renders back to itself. A
+//! missing or malformed header simply means "untraced" — propagation
+//! must never fail a request. Trace ids in URLs (`/trace/<id>`) use the
+//! same canonical field, checked by [`parse_trace_id`].
 
 use std::fmt;
 
@@ -136,19 +138,35 @@ impl TraceContext {
     /// error (tracing must not be able to fail a request).
     pub fn parse(s: &str) -> Option<TraceContext> {
         let (t, p) = s.trim().split_once('-')?;
-        if t.len() != 16 || p.len() != 16 {
-            return None;
-        }
-        let trace_id = u64::from_str_radix(t, 16).ok()?;
-        let parent_span_id = u64::from_str_radix(p, 16).ok()?;
-        if trace_id == 0 {
-            return None;
-        }
         Some(TraceContext {
-            trace_id,
-            parent_span_id,
+            trace_id: parse_trace_id(t)?,
+            parent_span_id: hex16(p)?,
         })
     }
+}
+
+/// A trace id in its one canonical form — exactly 16 lowercase hex
+/// digits, nonzero — as [`TraceContext`] renders it in headers, exemplar
+/// labels and `/trace/<id>` URLs. `None` on anything else, including
+/// forms `u64::from_str_radix` would take (a leading `+`, uppercase
+/// digits, another width).
+pub fn parse_trace_id(s: &str) -> Option<u64> {
+    hex16(s).filter(|&id| id != 0)
+}
+
+/// Exactly 16 lowercase hex digits, as `{:016x}` renders a `u64`.
+fn hex16(s: &str) -> Option<u64> {
+    if s.len() != 16 {
+        return None;
+    }
+    s.bytes().try_fold(0u64, |acc, b| {
+        let digit = match b {
+            b'0'..=b'9' => b - b'0',
+            b'a'..=b'f' => b - b'a' + 10,
+            _ => return None,
+        };
+        Some(acc << 4 | u64::from(digit))
+    })
 }
 
 impl fmt::Display for TraceContext {
@@ -251,6 +269,9 @@ mod tests {
             "00000000000000010000000000000002",    // no dash
             "000000000000000g-0000000000000001",   // bad hex
             "0000000000000001-0000000000000002-3", // trailing field
+            "+00000000000000a-0000000000000001",   // sign
+            "000000000000000A-0000000000000001",   // uppercase
+            "0000000000000001-+000000000000002",   // signed parent
         ] {
             assert_eq!(TraceContext::parse(bad), None, "{bad:?}");
         }

@@ -87,8 +87,8 @@ pub mod trace;
 
 pub use agg::{AggSink, AggSnapshot};
 pub use ctx::{
-    trace_buffer_from_env, trace_sample_from_env, TraceContext, TraceKnobError, TRACE_BUFFER_ENV,
-    TRACE_SAMPLE_ENV,
+    parse_trace_id, trace_buffer_from_env, trace_sample_from_env, TraceContext, TraceKnobError,
+    TRACE_BUFFER_ENV, TRACE_SAMPLE_ENV,
 };
 pub use event::{Event, OwnedEvent};
 pub use exemplar::{hash_sampled, Exemplar, ExemplarRing};

@@ -25,13 +25,6 @@ pub const SHARDS_ENV: &str = "HOM_SERVE_SHARDS";
 /// (`hom-eval` reads the same knob).
 pub const THREADS_ENV: &str = "HOM_THREADS";
 
-/// The compiled-kernel escape hatch: `HOM_COMPILED=0` serves every
-/// batch through the scalar [`FilterState`] path, any other value (or
-/// unset) uses the batch-vectorized [`CompiledModel`] kernel. The two
-/// are bit-identical in output; the knob exists for A/B measurement and
-/// as an operational fallback. [`ServeOptions::compiled`] overrides it.
-pub const COMPILED_ENV: &str = "HOM_COMPILED";
-
 /// The environment variable behind [`ServeOptions::fanout`]: minimum
 /// requests per worker task before [`ServeEngine::submit`] fans a batch
 /// out to the pool.
@@ -251,14 +244,6 @@ pub struct ServeOptions {
     /// which [`ServeEngine::sweep`] parks a stream. `None` disables
     /// TTL sweeping.
     pub ttl: Option<u64>,
-    /// Serve batches through the compiled batch kernel
-    /// ([`CompiledModel`], default) or the scalar per-request
-    /// [`FilterState`] path — bit-identical outputs either way; the
-    /// kernel is the fast one. `None` reads `HOM_COMPILED`
-    /// ([`COMPILED_ENV`]): `0` disables, anything else (or unset)
-    /// enables. Tests pass an explicit value rather than the env var,
-    /// which is process-global and racy under a parallel test runner.
-    pub compiled: Option<bool>,
     /// Minimum requests per worker task before [`ServeEngine::submit`]
     /// fans out to the thread pool (nonzero, or
     /// [`ConfigError::ZeroFanout`]). Small batches run inline on the
@@ -301,7 +286,6 @@ impl Default for ServeOptions {
             prune: true,
             capacity: None,
             ttl: None,
-            compiled: None,
             fanout: None,
             slo_objective_ns: None,
             slo_target: None,
@@ -401,8 +385,7 @@ impl Fleet {
         }
     }
 
-    /// Fold one task's (or one scalar request's) accumulator into the
-    /// cumulative fields.
+    /// Fold one task's accumulator into the cumulative fields.
     fn absorb_stats(&mut self, stats: &BatchStats) {
         self.interned += stats.interned;
         self.distinct += stats.distinct;
@@ -479,31 +462,13 @@ pub struct StreamInfo {
     pub introspection: FilterIntrospection,
 }
 
-/// What the engine serves with: the mined model plus, when the compiled
-/// kernel is enabled, its flattened evaluation form. The two always
+/// What the engine serves with: the mined model plus its compiled
+/// evaluation form, the only path a request takes. The two always
 /// describe the same model epoch and are swapped together under the one
 /// write lock, so a batch can never see a model/kernel mismatch.
 struct Serving {
     model: Arc<HighOrderModel>,
-    compiled: Option<Arc<CompiledModel>>,
-}
-
-/// Per-task scratch of the scalar path — the buffers the filter-view
-/// equations borrow (ψ is concept-sized, `classes` class-sized). One per
-/// worker task, reused across every stream the task serves; the compiled
-/// path's counterpart is [`KernelScratch`].
-struct ScalarScratch {
-    psi: Vec<f64>,
-    classes: Vec<f64>,
-}
-
-impl ScalarScratch {
-    fn new(model: &HighOrderModel) -> Self {
-        ScalarScratch {
-            psi: vec![0.0; model.n_concepts()],
-            classes: vec![0.0; model.schema().n_classes()],
-        }
-    }
+    compiled: Arc<CompiledModel>,
 }
 
 /// A batch's requests grouped by shard, in one flat CSR layout: group
@@ -596,9 +561,6 @@ pub struct ServeEngine {
     prune: bool,
     capacity: Option<usize>,
     ttl: Option<u64>,
-    /// Whether batches run through the compiled kernel (fixed at
-    /// construction; a model swap recompiles accordingly).
-    compiled: bool,
     /// Minimum requests per worker task (see [`ServeOptions::fanout`]).
     fanout: usize,
     /// Whether any eviction policy (capacity or TTL) is configured.
@@ -682,9 +644,6 @@ impl ServeEngine {
             Some(f) => f,
             None => env_usize(FANOUT_ENV).unwrap_or(DEFAULT_FANOUT),
         };
-        let compiled = options
-            .compiled
-            .unwrap_or_else(|| std::env::var(COMPILED_ENV).map_or(true, |v| v != "0"));
         let objective_ns = match options.slo_objective_ns {
             Some(ns) => ns,
             None => match std::env::var(SLO_BATCH_US_ENV) {
@@ -756,7 +715,7 @@ impl ServeEngine {
         let n_concepts = model.n_concepts();
         Ok(ServeEngine {
             serving: RwLock::new(Serving {
-                compiled: compiled.then(|| Arc::new(CompiledModel::compile(&model))),
+                compiled: Arc::new(CompiledModel::compile(&model)),
                 model,
             }),
             epoch: AtomicU32::new(0),
@@ -771,7 +730,6 @@ impl ServeEngine {
             prune: options.prune,
             capacity: options.capacity,
             ttl: options.ttl,
-            compiled,
             fanout,
             track_lru: options.capacity.is_some() || options.ttl.is_some(),
             clock: AtomicU64::new(0),
@@ -795,12 +753,6 @@ impl ServeEngine {
     /// engine.
     pub fn model(&self) -> Arc<HighOrderModel> {
         Arc::clone(&self.serving_guard().model)
-    }
-
-    /// Whether batches run through the compiled batch kernel (fixed at
-    /// construction from [`ServeOptions::compiled`] / `HOM_COMPILED`).
-    pub fn compiled(&self) -> bool {
-        self.compiled
     }
 
     /// The engine's model generation: 0 until the first successful
@@ -873,9 +825,7 @@ impl ServeEngine {
         // serving unit, rebuilt once per model epoch under the same
         // write lock (a batch never pairs an old kernel with a new
         // model, or vice versa).
-        guard.compiled = self
-            .compiled
-            .then(|| Arc::new(CompiledModel::compile(&new)));
+        guard.compiled = Arc::new(CompiledModel::compile(&new));
         guard.model = new;
         self.epoch.store(epoch, Ordering::Release);
         if self.obs.enabled() {
@@ -1051,100 +1001,6 @@ impl ServeEngine {
         shard.table.encode(slot, self.epoch.load(Ordering::Acquire))
     }
 
-    /// Apply one request against an already-locked shard (the scalar
-    /// path): touch the stream's slot, borrow its row as a [`FilterView`]
-    /// and run the update equations on it with the task's scratch.
-    ///
-    /// Telemetry lands in `stats` — cheap task-local adds (the batch
-    /// folds them into the engine once, see [`Self::submit`]) that read
-    /// only values the update just computed, so the scalar and compiled
-    /// paths derive **identical** counters from identical logical events
-    /// (`tests/obs_differential.rs` asserts the integer equality).
-    fn process(
-        &self,
-        model: &HighOrderModel,
-        shard: &mut Shard,
-        request: &Request,
-        scratch: &mut ScalarScratch,
-        stats: &mut BatchStats,
-    ) -> Response {
-        let measure = self.obs.enabled();
-        if measure {
-            stats.requests += 1;
-        }
-        match request {
-            Request::Predict { stream, x } => {
-                let slot = self.touch(model, shard, *stream);
-                let view = shard.table.view(slot);
-                let (pred, consulted) = if self.prune {
-                    view.predict_pruned(model, x, &mut scratch.classes)
-                } else {
-                    (
-                        view.predict(model, x, &mut scratch.classes),
-                        model.n_concepts(),
-                    )
-                };
-                if measure {
-                    stats.predicted += 1;
-                    stats.consulted += consulted as u64;
-                    stats.pruned += u64::from(consulted < model.n_concepts());
-                }
-                Response {
-                    stream: *stream,
-                    prediction: Some(pred),
-                }
-            }
-            Request::Observe { stream, x, y } => {
-                let slot = self.touch(model, shard, *stream);
-                let mut view = shard.table.view(slot);
-                view.observe(model, x, *y, &mut scratch.psi);
-                if measure {
-                    stats.observed += 1;
-                    stats.likelihood += *view.last_likelihood;
-                    stats.map_hit(view.order[0] as usize);
-                }
-                Response {
-                    stream: *stream,
-                    prediction: None,
-                }
-            }
-            Request::Step { stream, x, y } => {
-                let slot = self.touch(model, shard, *stream);
-                let mut view = shard.table.view(slot);
-                let (pred, consulted) = if self.prune {
-                    view.predict_pruned(model, x, &mut scratch.classes)
-                } else {
-                    (
-                        view.predict(model, x, &mut scratch.classes),
-                        model.n_concepts(),
-                    )
-                };
-                view.observe(model, x, *y, &mut scratch.psi);
-                if measure {
-                    stats.predicted += 1;
-                    stats.consulted += consulted as u64;
-                    stats.pruned += u64::from(consulted < model.n_concepts());
-                    stats.observed += 1;
-                    stats.likelihood += *view.last_likelihood;
-                    stats.map_hit(view.order[0] as usize);
-                }
-                Response {
-                    stream: *stream,
-                    prediction: Some(pred),
-                }
-            }
-            Request::Advance { stream, k } => {
-                let slot = self.touch(model, shard, *stream);
-                let mut view = shard.table.view(slot);
-                view.advance_by(model, *k);
-                Response {
-                    stream: *stream,
-                    prediction: None,
-                }
-            }
-        }
-    }
-
     /// Apply a batch of requests, returning one response per request in
     /// the same order.
     ///
@@ -1156,14 +1012,14 @@ impl ServeEngine {
     /// threads or occupied shards, and a batch that only fills one task
     /// runs **inline** on the submitting thread (no pool dispatch at
     /// all) — which is why multi-thread engines are never slower than
-    /// single-thread ones on small batches. With the compiled kernel
-    /// enabled, each task makes one [`CompiledModel::evaluate`] pass
-    /// over its distinct records before applying per-stream updates.
+    /// single-thread ones on small batches. Each task makes one
+    /// [`CompiledModel::evaluate`] pass over its distinct records before
+    /// applying per-stream updates.
     ///
     /// None of that granularity is observable in the responses: the
-    /// result is independent of thread count, task packing and kernel
-    /// choice. The whole batch runs against one model generation: a
-    /// concurrent [`Self::swap_model`] waits for it.
+    /// result is independent of thread count and task packing. The whole
+    /// batch runs against one model generation: a concurrent
+    /// [`Self::swap_model`] waits for it.
     pub fn submit(&self, requests: &[Request]) -> Vec<Response> {
         let measure = self.obs.enabled();
         let t0 = measure.then(Instant::now);
@@ -1238,16 +1094,12 @@ impl ServeEngine {
             let mut fleet = self.lock_fleet();
             fleet.batch_latency.record(elapsed_ns as f64);
             fleet.batch_requests.record(requests.len() as f64);
-            if serving.compiled.is_some() {
-                fleet.batch_distinct.record(merged.distinct as f64);
-            }
+            fleet.batch_distinct.record(merged.distinct as f64);
             // One stage sample per task, so the histograms expose the
             // fan-out shape, not just batch totals.
             for stats in &task_stats {
-                if serving.compiled.is_some() {
-                    fleet.stage_intern_ns.record(stats.intern_ns as f64);
-                    fleet.stage_evaluate_ns.record(stats.evaluate_ns as f64);
-                }
+                fleet.stage_intern_ns.record(stats.intern_ns as f64);
+                fleet.stage_evaluate_ns.record(stats.evaluate_ns as f64);
                 fleet.stage_apply_ns.record(stats.apply_ns as f64);
             }
             fleet.absorb_stats(&merged);
@@ -1302,10 +1154,9 @@ impl ServeEngine {
     }
 
     /// Process one worker task: the given shards, in order, each locked
-    /// once. With the compiled kernel, the task's records are interned
-    /// (duplicates collapse), evaluated in one concept-outer pass, and
-    /// the per-request work becomes table lookups; without it, each
-    /// request runs the scalar path. Identical responses either way.
+    /// once. The task's records are interned (duplicates collapse),
+    /// evaluated in one concept-outer pass, and the per-request work
+    /// becomes table lookups.
     fn run_task(
         &self,
         serving: &Serving,
@@ -1319,158 +1170,129 @@ impl ServeEngine {
         // The disabled-telemetry path takes none of them.
         let measure = self.obs.enabled();
         let mut stats = BatchStats::default();
-        match &serving.compiled {
-            Some(cm) => {
-                let t_stage = measure.then(Instant::now);
-                let n_requests: usize = shard_ids.iter().map(|&s| groups.len(s)).sum();
-                let mut table = BatchTable::with_capacity(n_requests);
-                // Record index per request, in task iteration order
-                // (u32::MAX for Advance requests, which carry none).
-                let mut recs: Vec<u32> = Vec::with_capacity(n_requests);
-                for &s in shard_ids {
-                    for &i in groups.group(s) {
-                        recs.push(match &requests[i as usize] {
-                            Request::Predict { x, .. } => table.intern(x, false),
-                            Request::Observe { x, .. } | Request::Step { x, .. } => {
-                                table.intern(x, true)
-                            }
-                            Request::Advance { .. } => u32::MAX,
-                        });
-                    }
-                }
-                let t_stage = t_stage.map(|t| {
-                    stats.intern_ns = t.elapsed().as_nanos() as u64;
-                    stats.interned = table.n_interned();
-                    stats.distinct = table.n_records() as u64;
-                    Instant::now()
+        let cm = &*serving.compiled;
+        let t_stage = measure.then(Instant::now);
+        let n_requests: usize = shard_ids.iter().map(|&s| groups.len(s)).sum();
+        let mut table = BatchTable::with_capacity(n_requests);
+        // Record index per request, in task iteration order
+        // (u32::MAX for Advance requests, which carry none).
+        let mut recs: Vec<u32> = Vec::with_capacity(n_requests);
+        for &s in shard_ids {
+            for &i in groups.group(s) {
+                recs.push(match &requests[i as usize] {
+                    Request::Predict { x, .. } => table.intern(x, false),
+                    Request::Observe { x, .. } | Request::Step { x, .. } => table.intern(x, true),
+                    Request::Advance { .. } => u32::MAX,
                 });
-                cm.evaluate(&mut table);
-                let t_stage = t_stage.map(|t| {
-                    stats.evaluate_ns = t.elapsed().as_nanos() as u64;
-                    Instant::now()
-                });
-                let mut scratch = KernelScratch::new(cm);
-                // Lookahead distance of the software prefetches below:
-                // far enough ahead to overlap a memory round-trip with
-                // useful work, near enough that the lines are still
-                // resident when their request comes up.
-                const PREFETCH: usize = 8;
-                let mut slots: Vec<u32> = Vec::new();
-                let mut at = 0;
-                for &s in shard_ids {
-                    let mut shard = self.lock(&self.shards[s]);
-                    let group = groups.group(s);
-                    if self.capacity.is_none() {
-                        // Staged processing. With no eviction configured
-                        // a resolved slot can never be invalidated later
-                        // in the group, so the group splits into two
-                        // passes: resolve every stream's slot (with the
-                        // index probes prefetched ahead — at 100k live
-                        // streams each probe is otherwise a cache miss),
-                        // then run the kernel (with each stream's state
-                        // rows prefetched ahead). Purely a wall-clock
-                        // reordering: streams are independent, so
-                        // per-stream request order — the only order that
-                        // matters — is unchanged.
-                        for &i in group.iter().take(PREFETCH) {
-                            shard.index.prefetch(requests[i as usize].stream());
-                        }
-                        slots.clear();
-                        for (k, &i) in group.iter().enumerate() {
-                            if let Some(&j) = group.get(k + PREFETCH) {
-                                shard.index.prefetch(requests[j as usize].stream());
-                            }
-                            slots.push(self.touch(
-                                &serving.model,
-                                &mut shard,
-                                requests[i as usize].stream(),
-                            ));
-                        }
-                        for &slot in slots.iter().take(PREFETCH) {
-                            shard.table.prefetch(slot);
-                        }
-                        for (k, &i) in group.iter().enumerate() {
-                            if let Some(&next) = slots.get(k + PREFETCH) {
-                                shard.table.prefetch(next);
-                            }
-                            emit(
-                                i as usize,
-                                self.process_compiled(
-                                    cm,
-                                    &table,
-                                    &mut shard,
-                                    &requests[i as usize],
-                                    recs[at + k],
-                                    slots[k],
-                                    &mut scratch,
-                                    &mut stats,
-                                ),
-                            );
-                        }
-                    } else {
-                        // Eviction may repack slots on any insert:
-                        // resolve and process one request at a time.
-                        for (k, &i) in group.iter().enumerate() {
-                            let slot = self.touch(
-                                &serving.model,
-                                &mut shard,
-                                requests[i as usize].stream(),
-                            );
-                            emit(
-                                i as usize,
-                                self.process_compiled(
-                                    cm,
-                                    &table,
-                                    &mut shard,
-                                    &requests[i as usize],
-                                    recs[at + k],
-                                    slot,
-                                    &mut scratch,
-                                    &mut stats,
-                                ),
-                            );
-                        }
-                    }
-                    at += group.len();
+            }
+        }
+        let t_stage = t_stage.map(|t| {
+            stats.intern_ns = t.elapsed().as_nanos() as u64;
+            stats.interned = table.n_interned();
+            stats.distinct = table.n_records() as u64;
+            Instant::now()
+        });
+        cm.evaluate(&mut table);
+        let t_stage = t_stage.map(|t| {
+            stats.evaluate_ns = t.elapsed().as_nanos() as u64;
+            Instant::now()
+        });
+        let mut scratch = KernelScratch::new(cm);
+        // Lookahead distance of the software prefetches below: far enough
+        // ahead to overlap a memory round-trip with useful work, near
+        // enough that the lines are still resident when their request
+        // comes up.
+        const PREFETCH: usize = 8;
+        let mut slots: Vec<u32> = Vec::new();
+        let mut at = 0;
+        for &s in shard_ids {
+            let mut shard = self.lock(&self.shards[s]);
+            let group = groups.group(s);
+            if self.capacity.is_none() {
+                // Staged processing. With no eviction configured a
+                // resolved slot can never be invalidated later in the
+                // group, so the group splits into two passes: resolve
+                // every stream's slot (with the index probes prefetched
+                // ahead — at 100k live streams each probe is otherwise a
+                // cache miss), then run the kernel (with each stream's
+                // state rows prefetched ahead). Purely a wall-clock
+                // reordering: streams are independent, so per-stream
+                // request order — the only order that matters — is
+                // unchanged.
+                for &i in group.iter().take(PREFETCH) {
+                    shard.index.prefetch(requests[i as usize].stream());
                 }
-                if let Some(t) = t_stage {
-                    stats.apply_ns = t.elapsed().as_nanos() as u64;
+                slots.clear();
+                for (k, &i) in group.iter().enumerate() {
+                    if let Some(&j) = group.get(k + PREFETCH) {
+                        shard.index.prefetch(requests[j as usize].stream());
+                    }
+                    slots.push(self.touch(
+                        &serving.model,
+                        &mut shard,
+                        requests[i as usize].stream(),
+                    ));
+                }
+                for &slot in slots.iter().take(PREFETCH) {
+                    shard.table.prefetch(slot);
+                }
+                for (k, &i) in group.iter().enumerate() {
+                    if let Some(&next) = slots.get(k + PREFETCH) {
+                        shard.table.prefetch(next);
+                    }
+                    emit(
+                        i as usize,
+                        self.apply(
+                            cm,
+                            &table,
+                            &mut shard,
+                            &requests[i as usize],
+                            recs[at + k],
+                            slots[k],
+                            &mut scratch,
+                            &mut stats,
+                        ),
+                    );
+                }
+            } else {
+                // Eviction may repack slots on any insert: resolve and
+                // apply one request at a time.
+                for (k, &i) in group.iter().enumerate() {
+                    let slot =
+                        self.touch(&serving.model, &mut shard, requests[i as usize].stream());
+                    emit(
+                        i as usize,
+                        self.apply(
+                            cm,
+                            &table,
+                            &mut shard,
+                            &requests[i as usize],
+                            recs[at + k],
+                            slot,
+                            &mut scratch,
+                            &mut stats,
+                        ),
+                    );
                 }
             }
-            None => {
-                let t_stage = measure.then(Instant::now);
-                let mut scratch = ScalarScratch::new(&serving.model);
-                for &s in shard_ids {
-                    let mut shard = self.lock(&self.shards[s]);
-                    for &i in groups.group(s) {
-                        emit(
-                            i as usize,
-                            self.process(
-                                &serving.model,
-                                &mut shard,
-                                &requests[i as usize],
-                                &mut scratch,
-                                &mut stats,
-                            ),
-                        );
-                    }
-                }
-                // The scalar path has no intern/evaluate stages: every
-                // request is classifier work + state update, all "apply".
-                if let Some(t) = t_stage {
-                    stats.apply_ns = t.elapsed().as_nanos() as u64;
-                }
-            }
+            at += group.len();
+        }
+        if let Some(t) = t_stage {
+            stats.apply_ns = t.elapsed().as_nanos() as u64;
         }
         stats
     }
 
-    /// [`Self::process`] against the batch kernel: same lifecycle, same
-    /// counters, with classifier work replaced by [`BatchTable`] reads.
+    /// Apply one request through the batch kernel: classifier work is
+    /// [`BatchTable`] reads, the state update runs on the stream's row.
     /// `slot` is the stream's already-touched slot (resolved by the
     /// caller so the staged path can prefetch it ahead of time).
+    ///
+    /// Telemetry lands in `stats` — cheap task-local adds (the batch
+    /// folds them into the engine once, see [`Self::submit`]) that read
+    /// only values the update just computed.
     #[allow(clippy::too_many_arguments)]
-    fn process_compiled(
+    fn apply(
         &self,
         cm: &CompiledModel,
         table: &BatchTable<'_>,
@@ -1587,29 +1409,23 @@ impl ServeEngine {
     }
 
     fn one(&self, request: Request) -> Response {
-        // Single requests take the scalar path directly: building a
-        // one-record batch table costs more than it amortizes, and the
-        // two paths are bit-identical anyway.
+        // A single request is a one-request task through the same kernel
+        // as a batch. It bypasses `submit`, so it records no batch count,
+        // latency or SLO sample — only the request-level counters.
         let serving = self.serving_guard();
-        let mut scratch = ScalarScratch::new(&serving.model);
-        let mut stats = BatchStats::default();
-        let s = self.shard_index(request.stream());
-        let response = {
-            let mut shard = self.lock(&self.shards[s]);
-            self.process(
-                &serving.model,
-                &mut shard,
-                &request,
-                &mut scratch,
-                &mut stats,
-            )
-        };
+        let requests = std::slice::from_ref(&request);
+        let groups = ShardGroups::build(requests, self.shards.len(), self.shard_bits);
+        let shard = [self.shard_index(request.stream())];
+        let mut response = None;
+        let stats = self.run_task(&serving, &groups, &shard, requests, &mut |_, r| {
+            response = Some(r);
+        });
         if self.obs.enabled() {
             self.fold_counters(&stats);
             self.lock_fleet().absorb_stats(&stats);
         }
         self.commit_tick();
-        response
+        response.expect("a one-request task emits its response")
     }
 
     /// Read-only view of a stream's filter state (live or parked);

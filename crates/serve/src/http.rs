@@ -432,14 +432,14 @@ fn handle_connection(
                 // (header, exemplar label, this URL). An unknown id is a
                 // 200 with an empty body — "no spans here" is a valid
                 // answer the router's federation relies on.
-                return match u64::from_str_radix(hex, 16) {
-                    Ok(id) if id != 0 => respond(
+                return match hom_obs::parse_trace_id(hex) {
+                    Some(id) => respond(
                         conn,
                         "200 OK",
                         "application/x-ndjson",
                         &telemetry.traces().slice_jsonl(id, DUMP_CAP),
                     ),
-                    _ => respond(conn, "400 Bad Request", "text/plain", "bad trace id\n"),
+                    None => respond(conn, "400 Bad Request", "text/plain", "bad trace id\n"),
                 };
             }
             if let Some(id) = path.strip_prefix("/streams/") {

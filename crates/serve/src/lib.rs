@@ -88,7 +88,7 @@ mod shard;
 
 pub use engine::{
     ConceptAnalytics, ConfigError, ServeEngine, ServeOptions, StreamInfo, SwapError, SwapReport,
-    COMPILED_ENV, FANOUT_ENV, SHARDS_ENV, SLO_BATCH_US_ENV, SLO_TARGET_ENV, THREADS_ENV,
+    FANOUT_ENV, SHARDS_ENV, SLO_BATCH_US_ENV, SLO_TARGET_ENV, THREADS_ENV,
 };
 pub use http::{MetricsConfigError, MetricsServer, ServeTelemetry, METRICS_ADDR_ENV};
 pub use request::{Request, Response, StreamId};

@@ -1,18 +1,20 @@
 //! Differential proof of the batch-vectorized kernel: an engine serving
-//! through the compiled [`hom_core::CompiledModel`] path produces
-//! **bit-identical** predictions and posteriors to the scalar
-//! [`FilterState`] loop — on models mined from Stagger and Hyperplane
-//! streams, across batch sizes {1, 7, 64}, thread counts {1, 8}, and
-//! §III-C pruning both on and off. Batches deliberately contain
-//! duplicate records across streams so the kernel's record-dedup path
-//! (ψ evaluated once per *distinct* record per concept) is exercised,
-//! and `fanout: Some(1)` forces real multi-task fan-out at 8 threads.
+//! through the compiled [`hom_core::CompiledModel`] produces
+//! **bit-identical** predictions and posteriors to a dedicated scalar
+//! [`FilterState`] per stream — on tree models mined from Stagger and
+//! Hyperplane streams and on a naive-Bayes model (the kernel's dynamic
+//! dispatch fallback), across batch sizes {1, 7, 64}, thread counts
+//! {1, 8}, and §III-C pruning both on and off. Batches deliberately
+//! contain duplicate records across streams so the kernel's record-dedup
+//! path (ψ evaluated once per *distinct* record per concept) is
+//! exercised, and `fanout: Some(1)` forces real multi-task fan-out at 8
+//! threads.
 
 use std::sync::Arc;
 
-use hom_classifiers::DecisionTreeLearner;
+use hom_classifiers::{DecisionTreeLearner, Learner, NaiveBayesLearner};
 use hom_cluster::ClusterParams;
-use hom_core::{build, BuildParams, FilterState, HighOrderModel};
+use hom_core::{build, BuildParams, CompiledModel, FilterState, HighOrderModel};
 use hom_data::stream::collect;
 use hom_data::{StreamRecord, StreamSource};
 use hom_datagen::{HyperplaneParams, HyperplaneSource, StaggerParams, StaggerSource};
@@ -24,7 +26,9 @@ fn bits(p: &[f64]) -> Vec<u64> {
     p.iter().map(|v| v.to_bits()).collect()
 }
 
-fn stagger_fixture() -> (Arc<HighOrderModel>, Vec<StreamRecord>) {
+/// A model mined from a Stagger stream by `learner`, plus held-out test
+/// records from the same stream.
+fn stagger_fixture(learner: &dyn Learner) -> (Arc<HighOrderModel>, Vec<StreamRecord>) {
     let mut src = StaggerSource::new(StaggerParams {
         lambda: 0.01,
         ..Default::default()
@@ -32,7 +36,7 @@ fn stagger_fixture() -> (Arc<HighOrderModel>, Vec<StreamRecord>) {
     let (data, _) = collect(&mut src, 3000);
     let (model, _) = build(
         &data,
-        &DecisionTreeLearner::new(),
+        learner,
         &BuildParams {
             cluster: ClusterParams {
                 block_size: 10,
@@ -68,14 +72,28 @@ fn hyperplane_fixture() -> (Arc<HighOrderModel>, Vec<StreamRecord>) {
     (Arc::new(model), test)
 }
 
-fn engine(model: &Arc<HighOrderModel>, threads: usize, prune: bool, compiled: bool) -> ServeEngine {
+/// Both learners the Stagger grid runs over: trees serve through the
+/// kernel's flattened form, naive Bayes through its `Dyn` fallback.
+fn stagger_fixtures() -> Vec<(Arc<HighOrderModel>, Vec<StreamRecord>)> {
+    let fixtures = vec![
+        stagger_fixture(&DecisionTreeLearner::new()),
+        stagger_fixture(&NaiveBayesLearner),
+    ];
+    assert_eq!(
+        CompiledModel::compile(&fixtures[1].0).n_flattened(),
+        0,
+        "naive Bayes must exercise the kernel's dynamic-dispatch fallback"
+    );
+    fixtures
+}
+
+fn engine(model: &Arc<HighOrderModel>, threads: usize, prune: bool) -> ServeEngine {
     ServeEngine::with_options(
         Arc::clone(model),
         &ServeOptions {
             shards: Some(8),
             threads: Some(threads),
             prune,
-            compiled: Some(compiled),
             // Force real fan-out even on tiny batches, so the chunked
             // multi-task path is what this test actually exercises.
             fanout: Some(1),
@@ -173,15 +191,12 @@ fn assert_kernel_differential(
 ) {
     let requests = request_sequence(test, 96);
     let (expected, reference_states) = scalar_reference(model, &requests, prune);
-    let compiled = engine(model, threads, prune, true);
-    let scalar = engine(model, threads, prune, false);
-    assert!(compiled.compiled() && !scalar.compiled());
+    let engine = engine(model, threads, prune);
 
     let ctx = format!("batch={batch_size} threads={threads} prune={prune}");
     let mut at = 0;
     for chunk in requests.chunks(batch_size) {
-        let got = compiled.submit(chunk);
-        let got_scalar = scalar.submit(chunk);
+        let got = engine.submit(chunk);
         for (i, response) in got.iter().enumerate() {
             assert_eq!(
                 response.prediction,
@@ -190,40 +205,36 @@ fn assert_kernel_differential(
                 at + i
             );
         }
-        assert_eq!(got, got_scalar, "{ctx}: kernel on/off disagreed");
         at += chunk.len();
     }
 
     for s in 0..STREAMS {
         assert_eq!(
-            bits(&compiled.posterior(s).expect("stream exists")),
+            bits(&engine.posterior(s).expect("stream exists")),
             bits(reference_states[s as usize].posterior()),
             "{ctx}: final posterior of stream {s} (compiled vs scalar loop)"
-        );
-        assert_eq!(
-            bits(&scalar.posterior(s).expect("stream exists")),
-            bits(reference_states[s as usize].posterior()),
-            "{ctx}: final posterior of stream {s} (scalar engine)"
         );
     }
 }
 
 #[test]
 fn stagger_kernel_bit_identical_across_batch_sizes_and_threads() {
-    let (model, test) = stagger_fixture();
-    for batch_size in [1, 7, 64] {
-        for threads in [1, 8] {
-            assert_kernel_differential(&model, &test, batch_size, threads, true);
+    for (model, test) in stagger_fixtures() {
+        for batch_size in [1, 7, 64] {
+            for threads in [1, 8] {
+                assert_kernel_differential(&model, &test, batch_size, threads, true);
+            }
         }
     }
 }
 
 #[test]
 fn stagger_kernel_bit_identical_unpruned() {
-    let (model, test) = stagger_fixture();
-    for batch_size in [1, 7, 64] {
-        for threads in [1, 8] {
-            assert_kernel_differential(&model, &test, batch_size, threads, false);
+    for (model, test) in stagger_fixtures() {
+        for batch_size in [1, 7, 64] {
+            for threads in [1, 8] {
+                assert_kernel_differential(&model, &test, batch_size, threads, false);
+            }
         }
     }
 }

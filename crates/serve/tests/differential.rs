@@ -3,7 +3,8 @@
 //! and posteriors to the existing single-stream
 //! [`OnlinePredictor`] loop — on models mined from Stagger and
 //! Hyperplane streams, for thread counts 1 and 8, with §III-C pruning
-//! both on and off.
+//! both on and off, through every single-request entry point
+//! (`step`, `predict` + `observe`, `advance`) and through batches.
 
 use std::sync::Arc;
 
@@ -64,8 +65,10 @@ fn hyperplane_fixture() -> (Arc<HighOrderModel>, Vec<StreamRecord>) {
     (Arc::new(model), test)
 }
 
-/// One stream through the engine vs. the predictor's step loop, compared
-/// record by record: predictions and posteriors must match to the bit.
+/// One stream through the engine's single-request entry points vs. the
+/// predictor, compared record by record: predictions and posteriors must
+/// match to the bit. Most records go through `step`, every third through
+/// `predict` + `observe`, and every 16th is preceded by an `advance`.
 fn assert_single_stream_differential(
     model: &Arc<HighOrderModel>,
     test: &[StreamRecord],
@@ -84,8 +87,20 @@ fn assert_single_stream_differential(
     let mut reference = OnlinePredictor::new(Arc::clone(model));
     let stream = 42u64;
     for (t, r) in test.iter().enumerate() {
-        let got = engine.step(stream, &r.x, r.y);
-        // `step` always prunes; the unpruned reference is predict+observe.
+        if t % 16 == 15 {
+            let k = 1 + t % 3;
+            engine.advance(stream, k);
+            reference.advance_by(k);
+        }
+        let got = if t % 3 == 1 {
+            let p = engine.predict(stream, &r.x);
+            engine.observe(stream, &r.x, r.y);
+            p
+        } else {
+            engine.step(stream, &r.x, r.y)
+        };
+        // The predictor's `step` prunes; the unpruned reference is
+        // predict + observe.
         let want = if prune {
             reference.step(&r.x, r.y)
         } else {

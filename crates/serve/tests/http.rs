@@ -185,6 +185,22 @@ fn routes_serve_live_state_bit_for_bit() {
         "HTTP/1.1 404 Not Found"
     );
     assert_eq!(get(addr, "/bogus").0, "HTTP/1.1 404 Not Found");
+    // /trace/<id> takes exactly 16 lowercase hex digits, nonzero; an
+    // unknown canonical id is a 200 with no spans.
+    assert_eq!(get(addr, "/trace/00000000000000a1").0, "HTTP/1.1 200 OK");
+    for bad in [
+        "a1",
+        "+00000000000000a1",
+        "+0000000000000a1",
+        "00000000000000A1",
+        "0000000000000000",
+    ] {
+        assert_eq!(
+            get(addr, &format!("/trace/{bad}")).0,
+            "HTTP/1.1 400 Bad Request",
+            "/trace/{bad}"
+        );
+    }
     assert_eq!(
         request(addr, "POST", "/metrics").0,
         "HTTP/1.1 405 Method Not Allowed"

@@ -1,10 +1,10 @@
 //! Differential proof that **observing never changes results** and that
 //! the kernel's batch-amortized telemetry is exact: a fully-instrumented
-//! engine on the compiled path produces bit-identical predictions and
-//! posteriors to an uninstrumented scalar engine, and the counters it
-//! derives from per-task [`hom_core::BatchStats`] accumulators are
-//! integer-equal to both the scalar path's counters and a ground truth
-//! recomputed from dedicated per-stream filter states.
+//! engine produces bit-identical predictions and posteriors to an
+//! uninstrumented one and to dedicated per-stream filter states, the
+//! counters it derives from per-task [`hom_core::BatchStats`]
+//! accumulators are integer-equal to a ground truth recomputed from those
+//! states, and its fleet likelihood sum equals theirs bit for bit.
 
 use std::sync::Arc;
 
@@ -77,13 +77,20 @@ struct GroundTruth {
     consulted: u64,
 }
 
-fn scalar_reference(
-    model: &Arc<HighOrderModel>,
-    requests: &[Request],
-) -> (Vec<Option<u32>>, Vec<FilterState>, GroundTruth) {
+/// Expected responses, final states, counters and each request's Eq. 7
+/// likelihood (`None` for requests that absorb no label).
+type Reference = (
+    Vec<Option<u32>>,
+    Vec<FilterState>,
+    GroundTruth,
+    Vec<Option<f64>>,
+);
+
+fn scalar_reference(model: &Arc<HighOrderModel>, requests: &[Request]) -> Reference {
     let mut states: Vec<FilterState> = (0..STREAMS).map(|_| FilterState::new(model)).collect();
     let mut expected = Vec::with_capacity(requests.len());
     let mut truth = GroundTruth::default();
+    let mut likelihoods = Vec::with_capacity(requests.len());
     for request in requests {
         match request {
             Request::Step { stream, x, y } => {
@@ -95,24 +102,25 @@ fn scalar_reference(
                 state.observe(model, x, *y);
                 truth.observed += 1;
                 expected.push(Some(pred));
+                likelihoods.push(Some(state.last_likelihood()));
             }
             Request::Advance { stream, k } => {
                 states[*stream as usize].advance_by(model, *k);
                 expected.push(None);
+                likelihoods.push(None);
             }
             _ => unreachable!("sequence holds only Step and Advance"),
         }
     }
-    (expected, states, truth)
+    (expected, states, truth, likelihoods)
 }
 
-fn engine(model: &Arc<HighOrderModel>, threads: usize, compiled: bool, sink: Obs) -> ServeEngine {
+fn engine(model: &Arc<HighOrderModel>, threads: usize, shards: usize, sink: Obs) -> ServeEngine {
     ServeEngine::with_options(
         Arc::clone(model),
         &ServeOptions {
-            shards: Some(8),
+            shards: Some(shards),
             threads: Some(threads),
-            compiled: Some(compiled),
             fanout: Some(1),
             sink,
             ..Default::default()
@@ -135,31 +143,24 @@ fn assert_observed_kernel_exact(
     threads: usize,
 ) {
     let requests = request_sequence(test, ROUNDS);
-    let (expected, reference_states, truth) = scalar_reference(model, &requests);
+    let (expected, reference_states, truth, likelihoods) = scalar_reference(model, &requests);
 
     let instrumented = Arc::new(Recorder::new());
-    let scalar_recorder = Arc::new(Recorder::new());
+    let ordered_recorder = Arc::new(Recorder::new());
     let ctx = format!("threads={threads}");
 
-    let (fleet_compiled, fleet_scalar) = {
-        // A: compiled kernel, fully instrumented.
-        let compiled = engine(model, threads, true, Obs::new(Arc::clone(&instrumented)));
-        // B: scalar path, uninstrumented — the bit-identity baseline.
-        let dark = engine(model, threads, false, Obs::none());
-        // C: scalar path, instrumented — the counter baseline.
-        let scalar = engine(
-            model,
-            threads,
-            false,
-            Obs::new(Arc::clone(&scalar_recorder)),
-        );
-        assert!(compiled.compiled() && !dark.compiled() && !scalar.compiled());
+    let (fleet_observed, fleet_ordered) = {
+        // A: fully instrumented.
+        let observed = engine(model, threads, 8, Obs::new(Arc::clone(&instrumented)));
+        // B: uninstrumented — the "telemetry changed nothing" baseline.
+        let dark = engine(model, threads, 8, Obs::none());
+        // C: instrumented on one shard, so it runs each batch as one task
+        // in batch order — the order the fleet likelihood reference sums in.
+        let ordered = engine(model, threads, 1, Obs::new(Arc::clone(&ordered_recorder)));
 
         let mut at = 0;
         for chunk in requests.chunks(BATCH) {
-            let got = compiled.submit(chunk);
-            let got_dark = dark.submit(chunk);
-            let got_scalar = scalar.submit(chunk);
+            let got = observed.submit(chunk);
             for (i, response) in got.iter().enumerate() {
                 assert_eq!(
                     response.prediction,
@@ -168,68 +169,77 @@ fn assert_observed_kernel_exact(
                     at + i
                 );
             }
-            assert_eq!(got, got_dark, "{ctx}: telemetry changed a response");
-            assert_eq!(got, got_scalar, "{ctx}: kernel on/off disagreed observed");
+            assert_eq!(
+                got,
+                dark.submit(chunk),
+                "{ctx}: telemetry changed a response"
+            );
+            assert_eq!(
+                got,
+                ordered.submit(chunk),
+                "{ctx}: shard count changed a response"
+            );
             at += chunk.len();
         }
 
         for s in 0..STREAMS {
             let want = bits(reference_states[s as usize].posterior());
-            assert_eq!(
-                bits(&compiled.posterior(s).expect("stream exists")),
-                want,
-                "{ctx}: posterior of stream {s} (instrumented compiled)"
-            );
-            assert_eq!(
-                bits(&dark.posterior(s).expect("stream exists")),
-                want,
-                "{ctx}: posterior of stream {s} (uninstrumented scalar)"
-            );
+            for (name, e) in [
+                ("instrumented", &observed),
+                ("dark", &dark),
+                ("one-shard", &ordered),
+            ] {
+                assert_eq!(
+                    bits(&e.posterior(s).expect("stream exists")),
+                    want,
+                    "{ctx}: posterior of stream {s} ({name})"
+                );
+            }
         }
-        (compiled.fleet_evidence(), scalar.fleet_evidence())
+        (observed.fleet_evidence(), ordered.fleet_evidence())
         // engines drop here: final flush lands in the recorders
     };
 
-    // Kernel-derived counters are integer-exact: equal to the scalar
-    // path's and to the recomputed ground truth.
-    let from_kernel = counters(&instrumented);
-    let from_scalar = counters(&scalar_recorder);
-    assert_eq!(from_kernel, truth, "{ctx}: kernel counters vs ground truth");
-    assert_eq!(from_scalar, truth, "{ctx}: scalar counters vs ground truth");
-
-    // The cumulative fleet evidence (Σ Eq. 7 likelihood, absorbed) is
-    // accumulated per task in the same shard grouping on both paths, so
-    // it matches bit-for-bit, not approximately.
+    // Kernel-derived counters are integer-exact: equal to the recomputed
+    // ground truth whatever the shard grouping.
     assert_eq!(
-        fleet_compiled.0.to_bits(),
-        fleet_scalar.0.to_bits(),
-        "{ctx}: fleet likelihood sum (compiled vs scalar)"
-    );
-    assert_eq!(fleet_compiled.1, truth.observed, "{ctx}: absorbed count");
-
-    // Stage histograms are a compiled-kernel feature: the instrumented
-    // kernel run must have them, the scalar run must not.
-    assert!(
-        instrumented.merged_hist("serve.stage_intern_ns").count() > 0,
-        "{ctx}: compiled run emits intern-stage durations"
-    );
-    assert!(
-        instrumented.merged_hist("serve.stage_evaluate_ns").count() > 0,
-        "{ctx}: compiled run emits evaluate-stage durations"
-    );
-    assert!(
-        instrumented.merged_hist("serve.stage_apply_ns").count() > 0,
-        "{ctx}: compiled run emits apply-stage durations"
+        counters(&instrumented),
+        truth,
+        "{ctx}: counters vs ground truth"
     );
     assert_eq!(
-        scalar_recorder.merged_hist("serve.stage_intern_ns").count(),
-        0,
-        "{ctx}: scalar path has no intern stage"
+        counters(&ordered_recorder),
+        truth,
+        "{ctx}: one-shard counters vs ground truth"
     );
-    assert!(
-        scalar_recorder.merged_hist("serve.stage_apply_ns").count() > 0,
-        "{ctx}: scalar run still emits apply durations"
+
+    // The cumulative fleet evidence (Σ Eq. 7 likelihood) sums per task
+    // and then per batch. On one shard a batch is one task in batch order,
+    // so the reference states' likelihoods, summed the same way, must
+    // match bit for bit, not approximately.
+    let reference_sum = likelihoods.chunks(BATCH).fold(0.0, |fleet, batch| {
+        fleet + batch.iter().flatten().fold(0.0, |task, l| task + l)
+    });
+    assert_eq!(
+        fleet_ordered.0.to_bits(),
+        reference_sum.to_bits(),
+        "{ctx}: fleet likelihood sum (one-shard engine vs reference states)"
     );
+    assert_eq!(fleet_observed.1, truth.observed, "{ctx}: absorbed count");
+    assert_eq!(
+        fleet_ordered.1, truth.observed,
+        "{ctx}: one-shard absorbed count"
+    );
+
+    for stage in ["intern", "evaluate", "apply"] {
+        assert!(
+            instrumented
+                .merged_hist(&format!("serve.stage_{stage}_ns"))
+                .count()
+                > 0,
+            "{ctx}: instrumented run emits {stage}-stage durations"
+        );
+    }
 }
 
 #[test]

@@ -696,7 +696,7 @@ fn report_serving(events: &[OwnedEvent]) {
     }
 
     // Kernel stage taxonomy: per-task durations of the compiled hot
-    // path's three stages. The scalar path only times `apply`.
+    // path's three stages.
     for (name, label) in [
         ("serve.stage_intern_ns", "stage: intern (ns/task)"),
         ("serve.stage_evaluate_ns", "stage: evaluate (ns/task)"),
