@@ -26,9 +26,10 @@
 //!
 //! The pieces, bottom-up:
 //!
-//! * [`http`] — the dependency-free HTTP/1.1 plumbing (blocking client
-//!   with deadlines and a keep-alive connection pool, threaded server).
-//!   A dead worker is a typed error within the timeout, never a hang.
+//! * [`hom_serve::transport`] — the dependency-free HTTP/1.1 plumbing
+//!   this crate shares with `hom-serve` (blocking client with deadlines
+//!   and a keep-alive connection pool, threaded server). A dead worker
+//!   is a typed error within the timeout, never a hang.
 //! * [`wire`] — JSONL request/response codec mirroring
 //!   [`hom_serve::Request`], with shortest-round-trip float rendering
 //!   so attribute values cross the wire **bit-exactly** (the same
@@ -128,13 +129,11 @@
 
 #![warn(missing_docs)]
 
-pub mod http;
 pub mod ring;
 pub mod router;
 pub mod wire;
 pub mod worker;
 
-pub use http::{http_request, HttpError, HttpRequest, HttpResponse, HttpServer};
 pub use ring::{HashRing, DEFAULT_VNODES};
 pub use router::{
     ClusterConfig, ClusterConfigError, ClusterError, RebalanceReport, Router, RouterServer,

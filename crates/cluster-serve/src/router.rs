@@ -50,14 +50,14 @@
 //!
 //! Every worker exchange funnels into [`ClusterError`] — a typed,
 //! prompt error naming the worker. Exchanges ride persistent
-//! connections from the router's pool (see [`crate::http`]); a pooled
-//! connection is checked alive before a byte is written, and a request
-//! that reached a socket is never resent. A batch is **all or nothing**: if
-//! any sub-batch fails, [`Router::submit`] returns the error and no
-//! partial `Vec` (the sub-batches that did land have mutated those
-//! workers' streams, which the error reports so an operator can decide
-//! between retry and recovery — the safe default is to restart the
-//! worker from its durable store and retry the batch).
+//! connections from the router's pool (see [`hom_serve::transport`]);
+//! a pooled connection is checked alive before a byte is written, and a
+//! request that reached a socket is never resent. A batch is **all or
+//! nothing**: if any sub-batch fails, [`Router::submit`] returns the
+//! error and no partial `Vec` (the sub-batches that did land have
+//! mutated those workers' streams, which the error reports so an
+//! operator can decide between retry and recovery — the safe default is
+//! to restart the worker from its durable store and retry the batch).
 
 use std::fmt;
 use std::net::SocketAddr;
@@ -68,9 +68,9 @@ use std::time::{Duration, Instant};
 use hom_core::model_epoch;
 use hom_obs::trace::DUMP_CAP;
 use hom_obs::{trace_sample_from_env, Obs, TraceBuffer, TraceContext};
+use hom_serve::transport::{ConnPool, HttpConn, HttpRequest, HttpResponse, HttpServer};
 use hom_serve::{Request, Response, StreamId};
 
-use crate::http::{ConnPool, HttpConn, HttpRequest, HttpResponse, HttpServer};
 use crate::ring::{HashRing, DEFAULT_VNODES};
 use crate::wire;
 
@@ -398,9 +398,10 @@ impl Router {
         self.exchange_at(worker, topology.workers[worker], method, path, body)
     }
 
-    /// [`Self::exchange`] stamping a [`crate::http::TRACE_HEADER`] so
-    /// the worker's spans join the router's trace (`ctx.parent_span_id`
-    /// names the router span the worker's work hangs under).
+    /// [`Self::exchange`] stamping a
+    /// [`hom_serve::transport::TRACE_HEADER`] so the worker's spans join
+    /// the router's trace (`ctx.parent_span_id` names the router span
+    /// the worker's work hangs under).
     fn exchange_traced(
         &self,
         topology: &Topology,
@@ -452,8 +453,8 @@ impl Router {
 
     /// The first half of an exchange: write the request to worker
     /// `worker` at `addr` on a pooled connection, stamping a
-    /// [`crate::http::TRACE_HEADER`] for an active `ctx`. Every socket
-    /// operation of the exchange is bounded by `deadline`.
+    /// [`hom_serve::transport::TRACE_HEADER`] for an active `ctx`. Every
+    /// socket operation of the exchange is bounded by `deadline`.
     #[allow(clippy::too_many_arguments)]
     fn send(
         &self,
@@ -1058,7 +1059,7 @@ fn route(router: &Router, req: &HttpRequest) -> HttpResponse {
             Err(e) => bad_gateway(&e),
         },
         ("GET", "/metrics") => match router.metrics() {
-            Ok(text) => HttpResponse::ok("text/plain; version=0.0.4", text),
+            Ok(text) => HttpResponse::ok(hom_obs::export::CONTENT_TYPE, text),
             Err(e) => bad_gateway(&e),
         },
         ("GET", "/cluster") => {

@@ -21,13 +21,12 @@
 //! | `/swap/commit` | POST | `{"epoch":N}` → flips the staged model into the engine iff the target epoch matches; `{"epoch":N}` confirms |
 //! | `/quiesce` | POST | parks every live stream and commits the durable store → `{"parked":N}` |
 //! | `/healthz` | GET | JSON liveness: epoch, live/parked stream counts |
-//! | `/metrics` | GET | Prometheus text from the engine's [`ServeTelemetry`] aggregates — the router federates these |
 //! | `/cluster/info` | GET | JSON epoch + full stream-id census ([`ServeEngine::stream_ids`]) — the rebalancer's input |
 //! | `/posterior/<id>` | GET | the stream's posterior, shortest round-trip floats (bit-exact scrape) |
-//! | `/trace/<id>` | GET | this worker's span slice of distributed trace `<id>` (fixed-width lowercase hex) as JSONL; unknown ids answer 200 with an empty body — the router federates these into the stitched tree |
+//! | any other path | GET | a single node's introspection routes ([`hom_serve::http::introspect`]): `/metrics` (the router federates these), `/trace/<id>` (this worker's span slice; the router stitches these), `/streams/<id>`, `/shards`, `/flight`, `/concepts`, `/slo`, `/store` |
 //!
 //! Every route the router forwards carries an optional `X-HOM-Trace`
-//! header ([`crate::http::TRACE_HEADER`]); when present and
+//! header ([`hom_serve::transport::TRACE_HEADER`]); when present and
 //! well-formed, the worker's handler spans — `cluster.submit` (with
 //! `cluster.decode`/`serve.batch`/`cluster.encode` under it), the
 //! `cluster.migrate_*` phases, `cluster.swap_*`, `cluster.healthz` —
@@ -46,13 +45,12 @@ use std::net::SocketAddr;
 use std::sync::{Arc, Mutex};
 
 use hom_core::{decode_model, HighOrderModel};
-use hom_obs::export::to_prometheus;
 use hom_obs::jsonl::push_f64;
-use hom_obs::trace::DUMP_CAP;
 use hom_obs::TraceContext;
+use hom_serve::http::introspect;
+use hom_serve::transport::{HttpRequest, HttpResponse, HttpServer};
 use hom_serve::{ServeEngine, ServeTelemetry, StreamId};
 
-use crate::http::{HttpRequest, HttpResponse, HttpServer};
 use crate::wire::{self, Field};
 
 /// A worker's engine plus the HTTP listener speaking the cluster
@@ -157,35 +155,14 @@ fn dispatch(
             let _s = span("cluster.healthz");
             healthz(engine)
         }
-        ("GET", "/metrics") => {
-            engine.flush_trace();
-            HttpResponse::ok(
-                "text/plain; version=0.0.4",
-                to_prometheus(&telemetry.agg().snapshot()),
-            )
-        }
         ("GET", "/cluster/info") => cluster_info(engine),
         ("GET", path) if path.starts_with("/posterior/") => {
             posterior(engine, &path["/posterior/".len()..])
         }
-        ("GET", path) if path.starts_with("/trace/") => {
-            trace_slice(telemetry, &path["/trace/".len()..])
-        }
+        // Every other GET is a node route: /metrics, /trace/<id>,
+        // /streams/<id>, /shards, /flight, /concepts, /slo, /store.
+        ("GET", _) => introspect(engine, telemetry, req),
         _ => HttpResponse::not_found("unknown route"),
-    }
-}
-
-/// This worker's span slice of one distributed trace, as JSONL. An
-/// unknown id is a **200 with an empty body** — "no spans here" is a
-/// valid answer the router's federation must be able to aggregate, not
-/// an error that would fail the whole stitched fetch.
-fn trace_slice(telemetry: &ServeTelemetry, hex: &str) -> HttpResponse {
-    match hom_obs::parse_trace_id(hex) {
-        Some(id) => HttpResponse::ok(
-            "application/x-ndjson",
-            telemetry.traces().slice_jsonl(id, DUMP_CAP),
-        ),
-        None => HttpResponse::bad_request("bad trace id"),
     }
 }
 

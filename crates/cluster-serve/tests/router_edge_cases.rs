@@ -14,15 +14,13 @@ use std::time::{Duration, Instant};
 
 use hom_classifiers::{Classifier, DecisionTreeLearner, MajorityClassifier};
 use hom_cluster::ClusterParams;
-use hom_cluster_serve::{
-    http_request, wire, ClusterError, Router, RouterServer, WorkerServer, DEFAULT_VNODES,
-};
+use hom_cluster_serve::{wire, ClusterError, Router, RouterServer, WorkerServer, DEFAULT_VNODES};
 use hom_core::{build, encode_model, BuildParams, HighOrderModel};
 use hom_data::stream::collect;
 use hom_data::{StreamRecord, StreamSource};
 use hom_datagen::{StaggerParams, StaggerSource};
 use hom_obs::Obs;
-use hom_serve::{Request, ServeEngine, ServeOptions, ServeTelemetry, StreamStore};
+use hom_serve::{http_request, Request, ServeEngine, ServeOptions, ServeTelemetry, StreamStore};
 use hom_store::{FsIo, StoreOptions};
 
 fn bits(p: &[f64]) -> Vec<u64> {

@@ -29,6 +29,10 @@
 use crate::agg::AggSnapshot;
 use crate::hist::{Histogram, N_BUCKETS};
 
+/// The `Content-Type` of every Prometheus text body a node serves
+/// (`/metrics`, `/concepts`, `/slo`, the router's federated `/metrics`).
+pub const CONTENT_TYPE: &str = "text/plain; version=0.0.4; charset=utf-8";
+
 /// A Prometheus metric name from an event name: `hom_` prefix, invalid
 /// characters replaced by `_`.
 pub fn prom_name(event_name: &str) -> String {

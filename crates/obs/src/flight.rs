@@ -1,4 +1,5 @@
-//! The flight recorder: a bounded ring of the most recent events.
+//! The flight recorder: a bounded ring of the most recent events, and
+//! the [`EventRing`] it shares with [`crate::TraceBuffer`].
 //!
 //! Aggregation ([`crate::AggSink`]) answers "how much, how fast"; a
 //! drift incident needs "what *exactly* happened just before the
@@ -16,6 +17,10 @@
 //! Because eviction is per-stripe, a dump retains *roughly* the last
 //! `capacity` events overall (a chatty thread can only evict within its
 //! own stripe, never another thread's tail).
+//!
+//! The ring is [`EventRing`]; its one parameter is the admission rule.
+//! [`FlightRecorder`] admits every event, [`crate::TraceBuffer`] only
+//! span events that carry a trace id.
 
 use std::collections::VecDeque;
 use std::sync::Mutex;
@@ -28,38 +33,49 @@ use crate::sink::Sink;
 /// Stripe count; see `agg.rs` for the rationale.
 const STRIPES: usize = 32;
 
-/// A fixed-capacity, thread-striped ring buffer sink (see the
-/// [module docs](self)).
-pub struct FlightRecorder {
+/// A fixed-capacity, thread-striped ring of recent events (see the
+/// [module docs](self)). With `TRACED_ONLY` it admits only span events
+/// carrying a nonzero trace id ([`crate::TraceBuffer`]); without, every
+/// event ([`FlightRecorder`]).
+pub struct EventRing<const TRACED_ONLY: bool> {
     rings: Vec<Mutex<VecDeque<OwnedEvent>>>,
     per_stripe: usize,
 }
 
-impl std::fmt::Debug for FlightRecorder {
+/// The flight recorder: an [`EventRing`] that keeps every event.
+pub type FlightRecorder = EventRing<false>;
+
+impl<const TRACED_ONLY: bool> std::fmt::Debug for EventRing<TRACED_ONLY> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FlightRecorder")
-            .field("capacity", &(self.per_stripe * self.rings.len()))
+        let name = if TRACED_ONLY {
+            "TraceBuffer"
+        } else {
+            "FlightRecorder"
+        };
+        f.debug_struct(name)
+            .field("capacity", &self.capacity())
             .finish()
     }
 }
 
-impl Default for FlightRecorder {
+impl<const TRACED_ONLY: bool> Default for EventRing<TRACED_ONLY> {
     fn default() -> Self {
-        FlightRecorder::new(Self::DEFAULT_CAPACITY)
+        EventRing::new(Self::DEFAULT_CAPACITY)
     }
 }
 
-impl FlightRecorder {
+impl<const TRACED_ONLY: bool> EventRing<TRACED_ONLY> {
     /// Default total capacity: enough to hold several `hom-adapt`
-    /// evidence windows plus the serving traffic around them.
+    /// evidence windows plus the serving traffic around them, or several
+    /// full batch traces per node.
     pub const DEFAULT_CAPACITY: usize = 4096;
 
-    /// A recorder retaining (approximately) the last `capacity` events.
-    /// The capacity is split evenly across the internal stripes, with a
-    /// minimum of one event per stripe.
+    /// A ring retaining (approximately) the last `capacity` admitted
+    /// events. The capacity is split evenly across the internal stripes,
+    /// with a minimum of one event per stripe.
     pub fn new(capacity: usize) -> Self {
         let per_stripe = capacity.div_ceil(STRIPES).max(1);
-        FlightRecorder {
+        EventRing {
             rings: (0..STRIPES)
                 .map(|_| Mutex::new(VecDeque::with_capacity(per_stripe)))
                 .collect(),
@@ -86,17 +102,35 @@ impl FlightRecorder {
         self.len() == 0
     }
 
+    /// Drop all retained events.
+    pub fn clear(&self) {
+        for ring in &self.rings {
+            ring.lock().unwrap_or_else(|e| e.into_inner()).clear();
+        }
+    }
+
+    /// Every retained event `keep` accepts, merged across the stripes
+    /// and ordered by event timestamp (`t_us`; stable, so
+    /// same-timestamp events keep their per-stripe arrival order).
+    /// Timestamps are per-process offsets — the order means nothing
+    /// across nodes.
+    pub(crate) fn collect(&self, keep: impl Fn(&OwnedEvent) -> bool) -> Vec<OwnedEvent> {
+        let mut events: Vec<OwnedEvent> = Vec::new();
+        for ring in &self.rings {
+            let ring = ring.lock().unwrap_or_else(|e| e.into_inner());
+            events.extend(ring.iter().filter(|e| keep(e)).cloned());
+        }
+        events.sort_by_key(t_us_of);
+        events
+    }
+}
+
+impl FlightRecorder {
     /// Merge every stripe's ring into one list ordered by event
     /// timestamp (`t_us`; stable, so same-timestamp events keep their
     /// per-stripe arrival order).
     pub fn dump(&self) -> Vec<OwnedEvent> {
-        let mut events: Vec<OwnedEvent> = Vec::new();
-        for ring in &self.rings {
-            let ring = ring.lock().unwrap_or_else(|e| e.into_inner());
-            events.extend(ring.iter().cloned());
-        }
-        events.sort_by_key(t_us_of);
-        events
+        self.collect(|_| true)
     }
 
     /// The dump rendered as JSONL — one [`crate::jsonl`] line per event,
@@ -104,12 +138,7 @@ impl FlightRecorder {
     /// [`crate::jsonl::parse_line`] and renderable by
     /// `examples/trace_report.rs`.
     pub fn dump_jsonl(&self) -> String {
-        let mut out = String::new();
-        for event in self.dump() {
-            out.push_str(&jsonl::to_line(&event.as_event()));
-            out.push('\n');
-        }
-        out
+        self.dump_jsonl_capped(usize::MAX)
     }
 
     /// [`Self::dump_jsonl`] keeping at most `max_events` (the newest).
@@ -117,20 +146,41 @@ impl FlightRecorder {
     /// count event carrying the drop count — a scrape endpoint serving
     /// this can bound its response body without truncating silently.
     pub fn dump_jsonl_capped(&self, max_events: usize) -> String {
-        crate::trace::render_capped(&self.dump(), max_events, "flight.truncated")
+        render_capped(&self.dump(), max_events, "flight.truncated")
     }
 
     /// Write the JSONL dump to `path` (created or truncated).
     pub fn write_jsonl(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
         std::fs::write(path, self.dump_jsonl())
     }
+}
 
-    /// Drop all retained events.
-    pub fn clear(&self) {
-        for ring in &self.rings {
-            ring.lock().unwrap_or_else(|e| e.into_inner()).clear();
-        }
+/// Render `events` as JSONL keeping the newest `max_events`; report any
+/// drop as a trailing count event named `truncated_name`.
+pub(crate) fn render_capped(
+    events: &[OwnedEvent],
+    max_events: usize,
+    truncated_name: &'static str,
+) -> String {
+    let max = max_events.max(1);
+    let dropped = events.len().saturating_sub(max);
+    let kept = &events[dropped..];
+    let mut out = String::with_capacity(kept.len() * 96);
+    for event in kept {
+        out.push_str(&jsonl::to_line(&event.as_event()));
+        out.push('\n');
     }
+    if dropped > 0 {
+        let t_us = kept.last().map(t_us_of).unwrap_or(0);
+        out.push_str(&jsonl::to_line(&Event::Count {
+            span: 0,
+            name: truncated_name,
+            n: dropped as u64,
+            t_us,
+        }));
+        out.push('\n');
+    }
+    out
 }
 
 fn t_us_of(event: &OwnedEvent) -> u64 {
@@ -144,8 +194,16 @@ fn t_us_of(event: &OwnedEvent) -> u64 {
     }
 }
 
-impl Sink for FlightRecorder {
+impl<const TRACED_ONLY: bool> Sink for EventRing<TRACED_ONLY> {
     fn record(&self, event: &Event<'_>) {
+        // A trace buffer is an index from trace id to span slice, not a
+        // second flight recorder: untraced events (the overwhelming
+        // majority on a busy node) are dropped before any allocation.
+        if TRACED_ONLY
+            && !matches!(event, Event::SpanStart { trace, .. } | Event::SpanEnd { trace, .. } if *trace != 0)
+        {
+            return;
+        }
         let i = thread_stripe(self.rings.len());
         let mut ring = self.rings[i].lock().unwrap_or_else(|e| e.into_inner());
         if ring.len() == self.per_stripe {

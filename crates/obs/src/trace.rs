@@ -4,11 +4,11 @@
 //! Where [`crate::FlightRecorder`] keeps *everything recent* for
 //! incident dumps, [`TraceBuffer`] keeps only span events that carry a
 //! nonzero trace id (see [`crate::TraceContext`]) — the raw material of
-//! the `/trace/<id>` endpoints. The write path is identical to the
-//! flight recorder's: thread-striped rings, per-stripe oldest-first
-//! eviction, no global lock, memory bounded by construction. Untraced
-//! events (the overwhelming majority on a busy node) cost one match arm
-//! and are dropped before any allocation.
+//! the `/trace/<id>` endpoints. It is the flight recorder's
+//! [`EventRing`] with a narrower admission rule: thread-striped rings,
+//! per-stripe oldest-first eviction, no global lock, memory bounded by
+//! construction. Untraced events (the overwhelming majority on a busy
+//! node) cost one match arm and are dropped before any allocation.
 //!
 //! [`TraceBuffer::slice_jsonl`] renders one trace's spans as JSONL —
 //! the same line format as `HOM_TRACE` — capped at a caller-chosen
@@ -17,16 +17,8 @@
 //! dropped, so a renderer (and an operator) can tell a complete tree
 //! from a clipped one.
 
-use std::collections::VecDeque;
-use std::sync::Mutex;
-
-use crate::agg::thread_stripe;
-use crate::event::{Event, OwnedEvent};
-use crate::jsonl;
-use crate::sink::Sink;
-
-/// Stripe count; see `agg.rs` for the rationale.
-const STRIPES: usize = 32;
+use crate::event::OwnedEvent;
+use crate::flight::{render_capped, EventRing};
 
 /// Default cap on events per rendered `/trace` or `/flight` dump —
 /// bounds the response body a scrape of a hot node can build,
@@ -35,41 +27,9 @@ pub const DUMP_CAP: usize = 4096;
 
 /// A bounded, thread-striped ring of traced span events (see the
 /// [module docs](self)).
-pub struct TraceBuffer {
-    rings: Vec<Mutex<VecDeque<OwnedEvent>>>,
-    per_stripe: usize,
-}
-
-impl std::fmt::Debug for TraceBuffer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TraceBuffer")
-            .field("capacity", &self.capacity())
-            .finish()
-    }
-}
-
-impl Default for TraceBuffer {
-    fn default() -> Self {
-        TraceBuffer::new(Self::DEFAULT_CAPACITY)
-    }
-}
+pub type TraceBuffer = EventRing<true>;
 
 impl TraceBuffer {
-    /// Default total span capacity: several full batch traces per node.
-    pub const DEFAULT_CAPACITY: usize = 4096;
-
-    /// A buffer retaining (approximately) the last `capacity` traced
-    /// span events, split evenly across the internal stripes.
-    pub fn new(capacity: usize) -> Self {
-        let per_stripe = capacity.div_ceil(STRIPES).max(1);
-        TraceBuffer {
-            rings: (0..STRIPES)
-                .map(|_| Mutex::new(VecDeque::with_capacity(per_stripe)))
-                .collect(),
-            per_stripe,
-        }
-    }
-
     /// A buffer sized by `$HOM_TRACE_BUFFER`
     /// ([`crate::ctx::trace_buffer_from_env`]); unset means
     /// [`Self::DEFAULT_CAPACITY`], set-but-malformed is the typed
@@ -78,43 +38,14 @@ impl TraceBuffer {
         Ok(TraceBuffer::new(crate::ctx::trace_buffer_from_env()?))
     }
 
-    /// Total span capacity (rounded up to a stripe multiple).
-    pub fn capacity(&self) -> usize {
-        self.per_stripe * self.rings.len()
-    }
-
-    /// Traced span events currently retained, across all traces.
-    pub fn len(&self) -> usize {
-        self.rings
-            .iter()
-            .map(|r| r.lock().unwrap_or_else(|e| e.into_inner()).len())
-            .sum()
-    }
-
-    /// Whether nothing is retained.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drop all retained events.
-    pub fn clear(&self) {
-        for ring in &self.rings {
-            ring.lock().unwrap_or_else(|e| e.into_inner()).clear();
-        }
-    }
-
     /// Every retained span event of `trace_id`, ordered by this node's
     /// event timestamp (stable, so same-timestamp events keep arrival
     /// order). Timestamps are per-process offsets — order is meaningful
     /// within one node's slice, never across nodes.
     pub fn slice(&self, trace_id: u64) -> Vec<OwnedEvent> {
-        let mut events: Vec<OwnedEvent> = Vec::new();
-        for ring in &self.rings {
-            let ring = ring.lock().unwrap_or_else(|e| e.into_inner());
-            events.extend(ring.iter().filter(|e| trace_of(e) == trace_id).cloned());
-        }
-        events.sort_by_key(t_us_of);
-        events
+        self.collect(|e| {
+            matches!(*e, OwnedEvent::SpanStart { trace, .. } | OwnedEvent::SpanEnd { trace, .. } if trace == trace_id)
+        })
     }
 
     /// [`Self::slice`] rendered as JSONL, keeping at most `max_events`
@@ -122,72 +53,7 @@ impl TraceBuffer {
     /// needs). When spans were dropped, the final line is a
     /// `trace.truncated` count event carrying the drop count.
     pub fn slice_jsonl(&self, trace_id: u64, max_events: usize) -> String {
-        let events = self.slice(trace_id);
-        render_capped(&events, max_events, "trace.truncated")
-    }
-}
-
-/// Render `events` as JSONL keeping the newest `max_events`; report any
-/// drop as a trailing count event named `truncated_name`. Shared with
-/// [`crate::FlightRecorder::dump_jsonl_capped`].
-pub(crate) fn render_capped(
-    events: &[OwnedEvent],
-    max_events: usize,
-    truncated_name: &'static str,
-) -> String {
-    let max = max_events.max(1);
-    let dropped = events.len().saturating_sub(max);
-    let kept = &events[dropped..];
-    let mut out = String::with_capacity(kept.len() * 96);
-    for event in kept {
-        out.push_str(&jsonl::to_line(&event.as_event()));
-        out.push('\n');
-    }
-    if dropped > 0 {
-        let t_us = kept.last().map(t_us_of).unwrap_or(0);
-        out.push_str(&jsonl::to_line(&Event::Count {
-            span: 0,
-            name: truncated_name,
-            n: dropped as u64,
-            t_us,
-        }));
-        out.push('\n');
-    }
-    out
-}
-
-fn trace_of(event: &OwnedEvent) -> u64 {
-    match *event {
-        OwnedEvent::SpanStart { trace, .. } | OwnedEvent::SpanEnd { trace, .. } => trace,
-        _ => 0,
-    }
-}
-
-fn t_us_of(event: &OwnedEvent) -> u64 {
-    match *event {
-        OwnedEvent::SpanStart { t_us, .. }
-        | OwnedEvent::SpanEnd { t_us, .. }
-        | OwnedEvent::Count { t_us, .. }
-        | OwnedEvent::Gauge { t_us, .. }
-        | OwnedEvent::Series { t_us, .. }
-        | OwnedEvent::Hist { t_us, .. } => t_us,
-    }
-}
-
-impl Sink for TraceBuffer {
-    fn record(&self, event: &Event<'_>) {
-        // Only traced span events are retained: the buffer is an index
-        // from trace id to span slice, not a second flight recorder.
-        match event {
-            Event::SpanStart { trace, .. } | Event::SpanEnd { trace, .. } if *trace != 0 => {}
-            _ => return,
-        }
-        let i = thread_stripe(self.rings.len());
-        let mut ring = self.rings[i].lock().unwrap_or_else(|e| e.into_inner());
-        if ring.len() == self.per_stripe {
-            ring.pop_front();
-        }
-        ring.push_back(event.to_owned());
+        render_capped(&self.slice(trace_id), max_events, "trace.truncated")
     }
 }
 

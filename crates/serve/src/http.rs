@@ -1,11 +1,14 @@
 //! The live introspection listener: Prometheus `/metrics` plus a JSON
 //! API over a running [`ServeEngine`].
 //!
-//! Deliberately dependency-free — a blocking [`std::net::TcpListener`]
-//! accept loop on one spawned thread, HTTP/1.1 with `Content-Length`
-//! and `Connection: close`, one request per connection. That is all a
-//! Prometheus scraper or a `curl` needs, and it keeps the workspace's
-//! no-new-dependencies stance intact.
+//! [`MetricsServer`] is an [`HttpServer`] (see [`crate::transport`])
+//! that answers every request with [`introspect`]: keep-alive HTTP/1.1
+//! with `Content-Length` framing, a thread per connection behind a
+//! 64-connection cap (`503` beyond it), a 16 KiB head cap and a 30 s
+//! idle deadline, so one silent or slow client never stalls another's
+//! scrape. A client that reads a response to EOF sends
+//! `Connection: close`. `hom-cluster-serve`'s workers serve the same
+//! routes through [`introspect`], after their own.
 //!
 //! | route | payload |
 //! |---|---|
@@ -38,11 +41,8 @@
 //! no-silent-fallback convention as `HOM_SERVE_SHARDS` and `HOM_TRACE`.
 
 use std::fmt;
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::SocketAddr;
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 use hom_obs::exemplar::push_exemplars;
 use hom_obs::jsonl::push_f64;
@@ -51,6 +51,7 @@ use hom_obs::{export, AggSink, Fanout, FlightRecorder, Histogram, Obs, TraceBuff
 
 use crate::engine::ServeEngine;
 use crate::request::StreamId;
+use crate::transport::{HttpRequest, HttpResponse, HttpServer};
 
 /// The environment variable [`MetricsServer::from_env`] reads: the
 /// `ip:port` to serve the metrics/introspection API on.
@@ -216,21 +217,13 @@ impl ServeTelemetry {
     }
 }
 
-/// The blocking HTTP listener (see the [module docs](self)). Binding
-/// spawns one accept-loop thread; dropping the server (or calling
-/// [`Self::shutdown`]) stops the loop and joins it.
+/// The introspection listener (see the [module docs](self)): an
+/// [`HttpServer`] answering every request with [`introspect`]. Dropping
+/// the server (or calling [`Self::shutdown`]) stops it and joins its
+/// threads.
+#[derive(Debug)]
 pub struct MetricsServer {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
-}
-
-impl fmt::Debug for MetricsServer {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("MetricsServer")
-            .field("addr", &self.addr)
-            .finish()
-    }
+    server: HttpServer,
 }
 
 impl MetricsServer {
@@ -273,158 +266,79 @@ impl MetricsServer {
                 from_env,
                 source,
             })?;
-        let listener =
-            TcpListener::bind(addr).map_err(|source| MetricsConfigError::Bind { addr, source })?;
-        let addr = listener
-            .local_addr()
-            .map_err(|source| MetricsConfigError::Bind { addr, source })?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let loop_stop = Arc::clone(&stop);
-        let handle = std::thread::Builder::new()
-            .name("hom-metrics".into())
-            .spawn(move || accept_loop(listener, engine, telemetry, loop_stop))
-            .expect("spawning the metrics thread");
-        Ok(MetricsServer {
+        let server = HttpServer::bind(
             addr,
-            stop,
-            handle: Some(handle),
-        })
+            "hom-metrics",
+            Arc::new(move |req: &HttpRequest| introspect(&engine, &telemetry, req)),
+        )
+        .map_err(|source| MetricsConfigError::Bind { addr, source })?;
+        Ok(MetricsServer { server })
     }
 
     /// The address actually bound — what to scrape, and where the
     /// OS-chosen port of a `:0` bind shows up.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.server.addr()
     }
 
-    /// Stop accepting, join the listener thread. Equivalent to dropping
-    /// the server, but explicit at call sites that care about ordering.
-    pub fn shutdown(mut self) {
-        self.stop_and_join();
-    }
-
-    fn stop_and_join(&mut self) {
-        let Some(handle) = self.handle.take() else {
-            return;
-        };
-        self.stop.store(true, Ordering::Release);
-        // Wake the blocking accept with a throwaway connection.
-        let _ = TcpStream::connect(self.addr);
-        let _ = handle.join();
+    /// Stop serving and join the listener's threads. Equivalent to
+    /// dropping the server, but explicit at call sites that care about
+    /// ordering.
+    pub fn shutdown(self) {
+        drop(self.server);
     }
 }
 
-impl Drop for MetricsServer {
-    fn drop(&mut self) {
-        self.stop_and_join();
-    }
-}
-
-fn accept_loop(
-    listener: TcpListener,
-    engine: Arc<ServeEngine>,
-    telemetry: ServeTelemetry,
-    stop: Arc<AtomicBool>,
-) {
-    for conn in listener.incoming() {
-        if stop.load(Ordering::Acquire) {
-            break;
-        }
-        let Ok(mut conn) = conn else { continue };
-        // One request per connection; any I/O error just drops the
-        // connection — introspection must never take serving down.
-        let _ = handle_connection(&mut conn, &engine, &telemetry);
-    }
-}
-
-fn handle_connection(
-    conn: &mut TcpStream,
+/// Answer one introspection request: the routes in the
+/// [module docs](self), and `405` for anything but `GET`.
+pub fn introspect(
     engine: &ServeEngine,
     telemetry: &ServeTelemetry,
-) -> std::io::Result<()> {
-    let mut reader = BufReader::new(conn.try_clone()?);
-    let mut request_line = String::new();
-    reader.read_line(&mut request_line)?;
-    // Drain the headers so well-behaved clients see a clean close.
-    let mut header = String::new();
-    loop {
-        header.clear();
-        let n = reader.read_line(&mut header)?;
-        if n == 0 || header == "\r\n" || header == "\n" {
-            break;
-        }
+    req: &HttpRequest,
+) -> HttpResponse {
+    if req.method != "GET" {
+        return HttpResponse {
+            status: "405 Method Not Allowed",
+            content_type: "text/plain",
+            body: b"only GET is served\n".to_vec(),
+        };
     }
-
-    let mut parts = request_line.split_whitespace();
-    let (method, target) = match (parts.next(), parts.next()) {
-        (Some(m), Some(t)) => (m, t),
-        _ => return respond(conn, "400 Bad Request", "text/plain", "bad request\n"),
-    };
-    if method != "GET" {
-        return respond(
-            conn,
-            "405 Method Not Allowed",
-            "text/plain",
-            "only GET is served\n",
-        );
-    }
-    let path = target.split('?').next().unwrap_or(target);
-
+    let path = req.path.as_str();
     match path {
         "/metrics" => {
             // Move the engine's accumulated counters/histograms into the
             // aggregation sink so the scrape reflects the latest traffic.
             engine.flush_trace();
-            let body = export::to_prometheus(&telemetry.agg().snapshot());
-            respond(
-                conn,
-                "200 OK",
-                "text/plain; version=0.0.4; charset=utf-8",
-                &body,
+            HttpResponse::ok(
+                export::CONTENT_TYPE,
+                export::to_prometheus(&telemetry.agg().snapshot()),
             )
         }
         "/concepts" => {
             // Flush so the cumulative aggregates behind /metrics and the
             // fold below describe the same traffic.
             engine.flush_trace();
-            respond(
-                conn,
-                "200 OK",
-                "text/plain; version=0.0.4; charset=utf-8",
-                &concepts_prom(engine),
-            )
+            HttpResponse::ok(export::CONTENT_TYPE, concepts_prom(engine))
         }
         "/slo" => {
             // Flush first: the SLO is computed over the *cumulative*
             // batch-latency histogram in the aggregation sink, which
             // only sees the latest interval after a flush.
             engine.flush_trace();
-            respond(
-                conn,
-                "200 OK",
-                "text/plain; version=0.0.4; charset=utf-8",
-                &slo_prom(engine, telemetry),
-            )
+            HttpResponse::ok(export::CONTENT_TYPE, slo_prom(engine, telemetry))
         }
-        "/healthz" => respond(conn, "200 OK", "application/json", &healthz_json(engine)),
-        "/shards" => respond(conn, "200 OK", "application/json", &shards_json(engine)),
+        "/healthz" => HttpResponse::ok("application/json", healthz_json(engine)),
+        "/shards" => HttpResponse::ok("application/json", shards_json(engine)),
         "/store" => match engine.store() {
-            Some(store) => respond(conn, "200 OK", "application/json", &store_json(store)),
-            None => respond(
-                conn,
-                "404 Not Found",
-                "text/plain",
-                "no durable store configured\n",
-            ),
+            Some(store) => HttpResponse::ok("application/json", store_json(store)),
+            None => HttpResponse::not_found("no durable store configured"),
         },
-        "/flight" => respond(
-            conn,
-            "200 OK",
+        "/flight" => HttpResponse::ok(
             "application/x-ndjson",
             // Capped: a hot node's ring must not translate into an
             // unbounded response body. A clipped dump ends with a
             // `flight.truncated` count event.
-            &telemetry.flight().dump_jsonl_capped(DUMP_CAP),
+            telemetry.flight().dump_jsonl_capped(DUMP_CAP),
         ),
         _ => {
             if let Some(hex) = path.strip_prefix("/trace/") {
@@ -433,13 +347,11 @@ fn handle_connection(
                 // 200 with an empty body — "no spans here" is a valid
                 // answer the router's federation relies on.
                 return match hom_obs::parse_trace_id(hex) {
-                    Some(id) => respond(
-                        conn,
-                        "200 OK",
+                    Some(id) => HttpResponse::ok(
                         "application/x-ndjson",
-                        &telemetry.traces().slice_jsonl(id, DUMP_CAP),
+                        telemetry.traces().slice_jsonl(id, DUMP_CAP),
                     ),
-                    None => respond(conn, "400 Bad Request", "text/plain", "bad trace id\n"),
+                    None => HttpResponse::bad_request("bad trace id"),
                 };
             }
             if let Some(id) = path.strip_prefix("/streams/") {
@@ -448,28 +360,13 @@ fn handle_connection(
                     .ok()
                     .and_then(|id| engine.stream_info(id).map(|info| stream_json(id, &info)))
                 {
-                    Some(body) => respond(conn, "200 OK", "application/json", &body),
-                    None => respond(conn, "404 Not Found", "text/plain", "no such stream\n"),
+                    Some(body) => HttpResponse::ok("application/json", body),
+                    None => HttpResponse::not_found("no such stream"),
                 };
             }
-            respond(conn, "404 Not Found", "text/plain", "no such route\n")
+            HttpResponse::not_found("no such route")
         }
     }
-}
-
-fn respond(
-    conn: &mut TcpStream,
-    status: &str,
-    content_type: &str,
-    body: &str,
-) -> std::io::Result<()> {
-    write!(
-        conn,
-        "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
-        body.len()
-    )?;
-    conn.write_all(body.as_bytes())?;
-    conn.flush()
 }
 
 fn healthz_json(engine: &ServeEngine) -> String {

@@ -41,7 +41,9 @@
 //!   incident dumps, `/concepts` fleet concept analytics and `/slo`
 //!   batch-latency SLO compliance with deterministic slow-batch
 //!   exemplars — none of which changes a prediction (see the [`http`]
-//!   module).
+//!   module). The listener is a [`transport::HttpServer`], the same
+//!   keep-alive HTTP/1.1 stack `hom-cluster-serve`'s router and
+//!   workers run on.
 //!
 //! Per stream, the engine is proven (differential tests) bit-identical
 //! to a dedicated [`hom_core::OnlinePredictor`] — sharding, batching,
@@ -85,6 +87,7 @@ pub mod engine;
 pub mod http;
 pub mod request;
 mod shard;
+pub mod transport;
 
 pub use engine::{
     ConceptAnalytics, ConfigError, ServeEngine, ServeOptions, StreamInfo, SwapError, SwapReport,
@@ -92,6 +95,7 @@ pub use engine::{
 };
 pub use http::{MetricsConfigError, MetricsServer, ServeTelemetry, METRICS_ADDR_ENV};
 pub use request::{Request, Response, StreamId};
+pub use transport::{http_request, HttpError, HttpRequest, HttpResponse, HttpServer};
 // The durable-tier types an engine embedder needs: construct a store for
 // [`ServeOptions::store`], read its health/status through
 // [`ServeEngine::store`]. The full API (I/O seam, codec) is `hom_store`.

@@ -1,12 +1,11 @@
-//! The cluster's HTTP/1.1 plumbing: a blocking client with deadlines
-//! and a small threaded server, both dependency-free.
+//! The one HTTP/1.1 stack in the tree: a blocking client with deadlines
+//! and a small threaded server, both dependency-free. Every listener is
+//! built on [`HttpServer`] — a node's introspection API
+//! ([`crate::MetricsServer`]) and `hom-cluster-serve`'s router and
+//! workers — and the router's worker calls go through [`ConnPool`].
 //!
-//! Same idiom as `hom-serve`'s `MetricsServer` — a
-//! [`std::net::TcpListener`] accept loop and `Content-Length` framing —
-//! extended with the things the router/worker protocol needs beyond a
-//! metrics scrape:
-//!
-//! * **POST bodies** (request batches, snapshots, model blobs).
+//! * **Bodies** both ways (request batches, snapshots, model blobs),
+//!   framed by `Content-Length` only; `Transfer-Encoding` is refused.
 //! * **Persistent connections.** The server serves requests on a
 //!   connection in a loop until the peer sends `Connection: close`,
 //!   hangs up, errs, or idles past the read deadline. The router keeps
@@ -18,6 +17,8 @@
 //! * **Per-connection threads** on the server: a slow or idle client
 //!   ties up only its own thread, bounded by the read deadline and a
 //!   connection cap — never the accept loop or other requests.
+//! * **Bounded input**: a 16 KiB head, a 64 MiB body, 64 connections
+//!   (the next is answered `503` and closed).
 //!
 //! Every message, either direction, leaves in one vectored write of its
 //! rendered head and its body (no copy of the body), on a socket with
@@ -345,7 +346,7 @@ impl Write for Timed {
 /// A client connection: the socket, its peer, and the read buffer that
 /// outlives each exchange on it.
 #[derive(Debug)]
-pub(crate) struct HttpConn {
+pub struct HttpConn {
     peer: SocketAddr,
     reader: BufReader<Timed>,
 }
@@ -373,7 +374,7 @@ impl HttpConn {
     }
 
     /// The server this connection talks to.
-    pub(crate) fn peer(&self) -> SocketAddr {
+    pub fn peer(&self) -> SocketAddr {
         self.peer
     }
 
@@ -474,7 +475,7 @@ impl HttpConn {
 /// reached a socket is never resent: a failure after that point is the
 /// caller's error to report, and the connection is dropped.
 #[derive(Debug, Default)]
-pub(crate) struct ConnPool {
+pub struct ConnPool {
     idle: Mutex<HashMap<SocketAddr, Vec<(Instant, HttpConn)>>>,
 }
 
@@ -482,7 +483,7 @@ impl ConnPool {
     /// Write one request to `peer`, every socket operation of the
     /// exchange bounded by `deadline`. The returned connection carries
     /// the request; hand it to [`Self::receive`] for the reply.
-    pub(crate) fn send(
+    pub fn send(
         &self,
         peer: SocketAddr,
         method: &str,
@@ -504,7 +505,7 @@ impl ConnPool {
 
     /// Read the reply to the request [`Self::send`] wrote on `conn`,
     /// then pool the connection if the server keeps it open.
-    pub(crate) fn receive(&self, mut conn: HttpConn) -> Result<(u16, Vec<u8>), HttpError> {
+    pub fn receive(&self, mut conn: HttpConn) -> Result<(u16, Vec<u8>), HttpError> {
         let reply = conn.read_response(false)?;
         if reply.keep_alive {
             let mut idle = lock(&self.idle);
@@ -814,6 +815,39 @@ mod tests {
             t0.elapsed() < Duration::from_secs(5),
             "request queued behind the idle connection"
         );
+    }
+
+    #[test]
+    fn connections_beyond_the_cap_are_shed_with_503_until_one_hangs_up() {
+        let server = echo_server();
+        // Accepts are served in connect order, so the idle peers hold
+        // every slot before the next connection arrives.
+        let mut idle: Vec<TcpStream> = (0..MAX_CONNECTIONS)
+            .map(|_| TcpStream::connect(server.addr()).expect("connects"))
+            .collect();
+        let mut shed = TcpStream::connect(server.addr()).expect("connects");
+        shed.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let mut reply = String::new();
+        shed.read_to_string(&mut reply)
+            .expect("answered, then closed");
+        assert!(reply.starts_with("HTTP/1.1 503 "), "{reply:?}");
+        assert!(reply.contains("Connection: close\r\n"), "{reply:?}");
+
+        // One idle peer hangs up; its slot frees once the server sees EOF.
+        drop(idle.pop());
+        let deadline = Instant::now() + Duration::from_secs(5);
+        loop {
+            let (status, body) =
+                http_request(server.addr(), "GET", "/hello", &[], Duration::from_secs(5))
+                    .expect("the node answers");
+            if status == 200 {
+                assert_eq!(body, b"GET ok");
+                break;
+            }
+            assert_eq!(status, 503);
+            assert!(Instant::now() < deadline, "the freed slot was never reused");
+            std::thread::sleep(Duration::from_millis(10));
+        }
     }
 
     #[test]

@@ -6,6 +6,7 @@
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use hom_classifiers::DecisionTreeLearner;
 use hom_cluster::ClusterParams;
@@ -48,7 +49,11 @@ fn get(addr: SocketAddr, path: &str) -> (String, String) {
 
 fn request(addr: SocketAddr, method: &str, path: &str) -> (String, String) {
     let mut conn = TcpStream::connect(addr).expect("listener accepts");
-    write!(conn, "{method} {path} HTTP/1.1\r\nHost: test\r\n\r\n").unwrap();
+    write!(
+        conn,
+        "{method} {path} HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n"
+    )
+    .unwrap();
     let mut response = String::new();
     conn.read_to_string(&mut response).expect("whole response");
     let (head, body) = response
@@ -394,4 +399,118 @@ fn store_route_reports_tier_status_and_404s_without_one() {
         "recovery block missing: {body}"
     );
     server.shutdown();
+}
+
+/// A listener over a lightly trafficked engine.
+fn served() -> (MetricsServer, Arc<ServeEngine>) {
+    let (model, test) = fixture();
+    let telemetry = ServeTelemetry::new();
+    let engine = Arc::new(ServeEngine::with_options(
+        model,
+        &ServeOptions {
+            shards: Some(2),
+            sink: telemetry.obs(),
+            ..Default::default()
+        },
+    ));
+    for (i, r) in test.iter().take(50).enumerate() {
+        engine.step((i % 4) as u64, &r.x, r.y);
+    }
+    let server =
+        MetricsServer::bind(Arc::clone(&engine), telemetry, "127.0.0.1:0").expect("port 0 binds");
+    (server, engine)
+}
+
+/// Write `bytes` on a fresh connection and read until the server hangs
+/// up; a reply that has not ended within `within` fails the test rather
+/// than hanging it. A server that rejects a request closes with unread
+/// bytes pending, so a write may fail and the close may arrive as a
+/// reset; both end the exchange.
+fn exchange(addr: SocketAddr, bytes: &[u8], within: Duration) -> String {
+    let mut conn = TcpStream::connect(addr).expect("listener accepts");
+    conn.set_read_timeout(Some(within)).unwrap();
+    let _ = conn.write_all(bytes);
+    let mut reply = Vec::new();
+    match conn.read_to_end(&mut reply) {
+        Ok(_) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
+        Err(e) => panic!("no complete reply within {within:?}: {e}"),
+    }
+    String::from_utf8(reply).expect("UTF-8 reply")
+}
+
+/// `(status line, body)` of every `Content-Length`-framed response in
+/// `raw`, in order.
+fn responses(mut raw: &str) -> Vec<(String, String)> {
+    let mut out = Vec::new();
+    while let Some((head, rest)) = raw.split_once("\r\n\r\n") {
+        let len: usize = head
+            .lines()
+            .find_map(|l| l.strip_prefix("Content-Length: "))
+            .expect("framed response")
+            .parse()
+            .expect("numeric length");
+        let status = head.lines().next().unwrap_or("").to_string();
+        out.push((status, rest[..len].to_string()));
+        raw = &rest[len..];
+    }
+    out
+}
+
+#[test]
+fn an_idle_connection_does_not_stall_scrapes() {
+    let (server, _engine) = served();
+    // A peer that connects and never sends a byte…
+    let _idle = TcpStream::connect(server.addr()).expect("listener accepts");
+    // …must not hold up anyone else's scrape.
+    for path in ["/metrics", "/healthz"] {
+        let t0 = Instant::now();
+        let request = format!("GET {path} HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n");
+        let reply = exchange(server.addr(), request.as_bytes(), Duration::from_secs(2));
+        let replies = responses(&reply);
+        assert_eq!(replies.len(), 1, "{reply:?}");
+        assert_eq!(replies[0].0, "HTTP/1.1 200 OK", "{path}");
+        assert!(t0.elapsed() < Duration::from_secs(2), "{path} stalled");
+    }
+}
+
+#[test]
+fn an_endless_header_line_is_rejected_not_buffered() {
+    let (server, _engine) = served();
+    // Far more header bytes than the 16 KiB head cap, with no line end.
+    let mut request = b"GET /healthz HTTP/1.1\r\nX-Junk: ".to_vec();
+    request.extend(vec![b'a'; 32 << 10]);
+    let reply = exchange(server.addr(), &request, Duration::from_secs(5));
+    assert!(
+        reply.starts_with("HTTP/1.1 400 Bad Request\r\n"),
+        "{reply:?}"
+    );
+}
+
+#[test]
+fn pipelined_requests_share_one_keep_alive_connection() {
+    let (server, engine) = served();
+    let reply = exchange(
+        server.addr(),
+        b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n\
+          GET /shards HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n",
+        Duration::from_secs(5),
+    );
+    let replies = responses(&reply);
+    assert_eq!(replies.len(), 2, "{reply:?}");
+    assert_eq!(replies[0].0, "HTTP/1.1 200 OK");
+    assert!(
+        replies[0]
+            .1
+            .contains(&format!("\"live_streams\":{}", engine.live_streams())),
+        "{}",
+        replies[0].1
+    );
+    assert_eq!(replies[1].0, "HTTP/1.1 200 OK");
+    assert_eq!(
+        replies[1].1.matches("\"shard\":").count(),
+        2,
+        "{}",
+        replies[1].1
+    );
 }

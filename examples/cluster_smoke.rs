@@ -45,14 +45,13 @@ use std::time::{Duration, Instant};
 use high_order_models::classifiers::{Classifier, DecisionTreeLearner, MajorityClassifier};
 use high_order_models::cluster::ClusterParams;
 use high_order_models::cluster_serve::{
-    http_request, ClusterConfig, Router, RouterServer, WorkerServer, CLUSTER_WORKERS_ENV,
-    WORKER_ADDR_ENV,
+    ClusterConfig, Router, RouterServer, WorkerServer, CLUSTER_WORKERS_ENV, WORKER_ADDR_ENV,
 };
 use high_order_models::core::{build, encode_model, fnv1a, BuildParams, HighOrderModel};
 use high_order_models::data::stream::collect;
 use high_order_models::data::{StreamRecord, StreamSource};
 use high_order_models::datagen::{StaggerParams, StaggerSource};
-use high_order_models::serve::{Request, ServeEngine, ServeOptions, ServeTelemetry};
+use high_order_models::serve::{http_request, Request, ServeEngine, ServeOptions, ServeTelemetry};
 
 /// Set only in self-spawned worker children; carries the worker tag.
 const CHILD_ENV: &str = "HOM_CLUSTER_SMOKE_WORKER";

@@ -27,16 +27,16 @@
 //! HOM_THREADS=8 cargo run --release --example serve_smoke
 //! ```
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::sync::Arc;
+use std::time::Duration;
 
 use high_order_models::adapt::IncidentDump;
 use high_order_models::data::StreamRecord;
 use high_order_models::datagen::stagger::{stagger_label, NOVEL_CONCEPT};
 use high_order_models::obs::jsonl;
 use high_order_models::prelude::*;
-use high_order_models::serve::{MetricsServer, ServeTelemetry};
+use high_order_models::serve::{http_request, MetricsServer, ServeTelemetry};
 
 const STREAMS: u64 = 1_000;
 const REQUESTS: usize = 10_000;
@@ -380,19 +380,10 @@ fn posterior_bits(engine: &ServeEngine) -> Vec<Vec<u64>> {
 /// One HTTP/1.1 GET against the introspection listener; asserts 200 and
 /// returns the body.
 fn get(addr: SocketAddr, path: &str) -> String {
-    let mut conn = TcpStream::connect(addr).expect("listener accepts");
-    write!(conn, "GET {path} HTTP/1.1\r\nHost: smoke\r\n\r\n").expect("request writes");
-    let mut response = String::new();
-    conn.read_to_string(&mut response).expect("whole response");
-    let (head, body) = response
-        .split_once("\r\n\r\n")
-        .expect("header/body separator");
-    assert!(
-        head.starts_with("HTTP/1.1 200"),
-        "GET {path}: {}",
-        head.lines().next().unwrap_or(head)
-    );
-    body.to_string()
+    let (status, body) = http_request(addr, "GET", path, b"", Duration::from_secs(10))
+        .unwrap_or_else(|e| panic!("GET {path}: {e}"));
+    assert_eq!(status, 200, "GET {path}");
+    String::from_utf8(body).expect("UTF-8 body")
 }
 
 /// The `"key":[floats]` array inside a JSON body, parsed back to f64s.
