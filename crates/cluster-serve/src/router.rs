@@ -66,6 +66,7 @@ use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
 
 use hom_core::model_epoch;
+use hom_obs::json;
 use hom_obs::trace::DUMP_CAP;
 use hom_obs::{trace_sample_from_env, Obs, TraceBuffer, TraceContext};
 use hom_serve::transport::{ConnPool, HttpConn, HttpRequest, HttpResponse, HttpServer};
@@ -797,7 +798,7 @@ impl Router {
             hop,
         )?;
         let text = std::str::from_utf8(&out).unwrap_or("");
-        let snapshot = wire::fields(text, ["snapshot"])
+        let snapshot = json::fields(text, ["snapshot"])
             .and_then(|[snapshot]| snapshot.str())
             .map_err(|what| ClusterError::BadResponse {
                 worker: from,
@@ -890,7 +891,7 @@ impl Router {
                 let counts = health.ok().and_then(|body| {
                     let text = std::str::from_utf8(&body).ok()?;
                     let [epoch, live, parked] =
-                        wire::fields(text, ["epoch", "live", "parked"]).ok()?;
+                        json::fields(text, ["epoch", "live", "parked"]).ok()?;
                     Some((
                         epoch.u64().ok()? as u32,
                         live.u64().ok()?,
@@ -980,12 +981,12 @@ fn annotate_node(jsonl: &str, node: &str) -> String {
 }
 
 fn parse_epoch(payload: &[u8]) -> Option<u32> {
-    let [epoch] = wire::fields(std::str::from_utf8(payload).ok()?, ["epoch"]).ok()?;
+    let [epoch] = json::fields(std::str::from_utf8(payload).ok()?, ["epoch"]).ok()?;
     Some(epoch.u64().ok()? as u32)
 }
 
 fn parse_streams(payload: &[u8]) -> Option<Vec<StreamId>> {
-    let [streams] = wire::fields(std::str::from_utf8(payload).ok()?, ["streams"]).ok()?;
+    let [streams] = json::fields(std::str::from_utf8(payload).ok()?, ["streams"]).ok()?;
     // Exact-integer parse: ids ≥ 2^53 must not round through f64, or
     // the rebalancer would migrate (or 404 on) the wrong stream.
     streams.u64_array().ok()

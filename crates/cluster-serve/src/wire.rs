@@ -27,29 +27,30 @@
 //! engine boundary, and this codec rejects them at encode time rather
 //! than silently shipping `null`.
 //!
-//! Decoding is one forward pass per line: a pull reader hands out each
-//! key as a borrowed slice and the caller reads the value straight into
-//! a typed slot (`x` into its `Vec<f64>`, ids as exact `u64`), so a
-//! request costs one allocation — its attribute vector — and a response
-//! none. Keys may come in any order, unknown keys are skipped, and the
-//! first occurrence of a duplicate key wins. Skipping never recurses:
-//! array nesting is a counter, capped at [`MAX_DEPTH`].
+//! Decoding is one forward pass per line over [`hom_obs::json`]'s pull
+//! reader, the tree's one JSON reader: it hands out each key as a
+//! borrowed slice and the caller reads the value straight into a typed
+//! slot (`x` into its `Vec<f64>`, ids as exact `u64`), so a request
+//! costs one allocation — its attribute vector — and a response none.
+//! Keys may come in any order, unknown keys are skipped, and the first
+//! occurrence of a duplicate key wins. Skipping never recurses: array
+//! nesting is a counter, capped at [`MAX_DEPTH`]. The control bodies
+//! (`/migrate/*`, `/swap/commit`, the census) are read with
+//! [`hom_obs::json::fields`].
 //!
 //! Decoding is total: malformed lines are a typed [`WireError`] naming
 //! the line, never a panic — a router must survive any bytes a confused
 //! client POSTs at it.
 
-use std::borrow::Cow;
 use std::fmt;
 
+use hom_obs::json::{field, Reader, NOT_ARRAY, NOT_INTEGER, NOT_STRING};
 use hom_obs::jsonl::push_f64;
 use hom_serve::{Request, Response, StreamId};
 
 /// Deepest array nesting the decoder walks through in a value it skips
-/// (an unknown key's, or a misshapen element of `x`). The wire itself
-/// nests one level; the cap bounds how far a hostile line can lead the
-/// reader before it answers.
-pub const MAX_DEPTH: usize = 64;
+/// (an unknown key's, or a misshapen element of `x`).
+pub use hom_obs::json::MAX_DEPTH;
 
 /// Why a wire payload failed to encode or decode.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -247,23 +248,6 @@ fn decode_lines<T>(
     Ok(out)
 }
 
-const NOT_STRING: &str = "missing or non-string field";
-const NOT_INTEGER: &str = "missing or non-integer field";
-const NOT_ARRAY: &str = "missing or non-array field";
-
-/// A value read into a typed slot: the value, or the shape error its
-/// field reports when asked for (`"missing or non-integer field"`, …).
-/// Shape errors wait until the whole line has parsed, so a syntax error
-/// anywhere on the line takes precedence, and a field the request's
-/// `op` never asks for can carry anything.
-type Slot<T> = Result<T, &'static str>;
-
-/// The slot's value, or its shape error; a key never seen reports the
-/// same error as a wrongly shaped one.
-fn field<T>(slot: Option<Slot<T>>, missing: &'static str) -> Result<T, &'static str> {
-    slot.unwrap_or(Err(missing))
-}
-
 fn request(line: &str) -> Result<Request, &'static str> {
     let mut r = Reader::new(line)?;
     let (mut op, mut stream, mut x, mut y, mut k) = (None, None, None, None, None);
@@ -316,349 +300,6 @@ fn response(line: &str) -> Result<Response, &'static str> {
         stream: field(stream, NOT_INTEGER)?,
         prediction: field(prediction, NOT_INTEGER)?.map(|v| v as u32),
     })
-}
-
-/// Walk a one-object JSON body (`{"stream":7}`, `{"epoch":3,"streams":[…]}`;
-/// surrounding whitespace ignored) — the protocol's control messages.
-/// Every value is syntax-checked; the first occurrence of each of
-/// `names` is kept as a [`Field`] to read with the shape the caller
-/// expects.
-pub(crate) fn fields<'a, const N: usize>(
-    text: &'a str,
-    names: [&str; N],
-) -> Result<[Field<'a>; N], &'static str> {
-    let mut r = Reader::new(text.trim())?;
-    let mut found = [None; N];
-    while let Some(key) = r.next_key()? {
-        if let Some(i) = names.iter().position(|&name| name == key) {
-            found[i].get_or_insert(r);
-        }
-        r.skip()?;
-    }
-    Ok(found.map(Field))
-}
-
-/// One field of a [`fields`] walk: a reader parked on its value, or
-/// `None` when the key was absent.
-#[derive(Clone, Copy)]
-pub(crate) struct Field<'a>(Option<Reader<'a>>);
-
-impl<'a> Field<'a> {
-    /// An exact unsigned integer (never rounded through `f64`).
-    pub(crate) fn u64(self) -> Result<u64, &'static str> {
-        self.read(NOT_INTEGER, Reader::u64_value)
-    }
-
-    /// A string, borrowed unless it carried escapes.
-    pub(crate) fn str(self) -> Result<Cow<'a, str>, &'static str> {
-        self.read(NOT_STRING, Reader::str_value)
-    }
-
-    /// Exact unsigned-integer array — the stream-id census path. Only
-    /// integer tokens that fit `u64` are accepted: an id that arrived
-    /// fractional, negative, or too large for `u64` (and therefore
-    /// rounded through `f64`) is a typed error, never a silently wrong
-    /// stream id handed to the migration protocol.
-    pub(crate) fn u64_array(self) -> Result<Vec<u64>, &'static str> {
-        self.read(NOT_ARRAY, Reader::u64_array)
-    }
-
-    fn read<T>(
-        self,
-        missing: &'static str,
-        value: impl FnOnce(&mut Reader<'a>) -> Result<Slot<T>, &'static str>,
-    ) -> Result<T, &'static str> {
-        let mut r = self.0.ok_or(missing)?;
-        value(&mut r)?
-    }
-}
-
-/// A forward-only reader over one line holding a single JSON object of
-/// the subset this wire speaks: string, number, `null` and array values.
-/// The object is walked with [`Reader::next_key`], after which the
-/// caller consumes the value with exactly one value read — typed
-/// (`u64_value`, `f64_array`, …) or [`Reader::skip`].
-///
-/// Value reads return `Err` for a syntax error, which ends the line, and
-/// `Ok(Err(shape))` for well-formed JSON of the wrong shape (see
-/// [`Slot`]).
-#[derive(Clone, Copy)]
-struct Reader<'a> {
-    text: &'a str,
-    at: usize,
-    /// No key read yet: the next token may not be a `,`.
-    first: bool,
-}
-
-impl<'a> Reader<'a> {
-    /// Open the object that must start `line`.
-    fn new(line: &'a str) -> Result<Self, &'static str> {
-        let mut r = Reader {
-            text: line,
-            at: 0,
-            first: true,
-        };
-        r.eat(b'{')?;
-        Ok(r)
-    }
-
-    fn byte(&self) -> Option<u8> {
-        self.text.as_bytes().get(self.at).copied()
-    }
-
-    /// Advance past the bytes `keep` accepts.
-    fn scan(&mut self, keep: impl Fn(u8) -> bool) {
-        let rest = &self.text.as_bytes()[self.at..];
-        self.at += rest.iter().position(|&b| !keep(b)).unwrap_or(rest.len());
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.byte(), Some(b' ' | b'\t' | b'\r' | b'\n')) {
-            self.at += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.byte()
-    }
-
-    fn eat(&mut self, b: u8) -> Result<(), &'static str> {
-        if self.peek() == Some(b) {
-            self.at += 1;
-            Ok(())
-        } else {
-            Err("unexpected character")
-        }
-    }
-
-    /// The next key, leaving the reader on its value; `None` once the
-    /// object closes, which must end the line.
-    fn next_key(&mut self) -> Result<Option<Cow<'a, str>>, &'static str> {
-        let first = std::mem::replace(&mut self.first, false);
-        match self.peek() {
-            Some(b'}') => {
-                self.at += 1;
-                self.skip_ws();
-                return if self.at == self.text.len() {
-                    Ok(None)
-                } else {
-                    Err("trailing bytes after object")
-                };
-            }
-            Some(b',') if !first => self.at += 1,
-            _ if !first => return Err("expected , or } in object"),
-            _ => {}
-        }
-        let key = self.string()?;
-        self.eat(b':')?;
-        Ok(Some(key))
-    }
-
-    /// Any value, checked and discarded. Iterative: only arrays nest,
-    /// so the open ones are a counter, not a stack.
-    fn skip(&mut self) -> Result<(), &'static str> {
-        let mut depth = 0usize;
-        loop {
-            match self.peek() {
-                None => return Err("unexpected end of line"),
-                Some(b'[') => {
-                    self.at += 1;
-                    depth += 1;
-                    if depth > MAX_DEPTH {
-                        return Err("nesting too deep");
-                    }
-                    if self.peek() != Some(b']') {
-                        continue;
-                    }
-                    self.at += 1;
-                    depth -= 1;
-                }
-                Some(b'"') => {
-                    self.string()?;
-                }
-                Some(b'n') => self.null()?,
-                Some(_) => {
-                    number(self.token()?)?;
-                }
-            }
-            // A value ended: close the arrays it completes, or move on
-            // to the next element.
-            loop {
-                if depth == 0 {
-                    return Ok(());
-                }
-                match self.peek() {
-                    Some(b',') => {
-                        self.at += 1;
-                        break;
-                    }
-                    Some(b']') => {
-                        self.at += 1;
-                        depth -= 1;
-                    }
-                    _ => return Err("expected , or ] in array"),
-                }
-            }
-        }
-    }
-
-    fn null(&mut self) -> Result<(), &'static str> {
-        if self.text[self.at..].starts_with("null") {
-            self.at += 4;
-            Ok(())
-        } else {
-            Err("bad literal")
-        }
-    }
-
-    /// A string's contents: a borrowed slice, or decoded when it
-    /// carries escapes.
-    fn string(&mut self) -> Result<Cow<'a, str>, &'static str> {
-        self.eat(b'"')?;
-        let start = self.at;
-        let mut decoded: Option<String> = None;
-        loop {
-            let run = self.at;
-            // '"' and '\\' are ASCII, so every stop is a char boundary.
-            self.scan(|b| b != b'"' && b != b'\\');
-            let Some(stop) = self.byte() else {
-                return Err("unterminated string");
-            };
-            if stop == b'"' {
-                self.at += 1;
-                return Ok(match decoded {
-                    None => Cow::Borrowed(&self.text[start..self.at - 1]),
-                    Some(mut s) => {
-                        s.push_str(&self.text[run..self.at - 1]);
-                        Cow::Owned(s)
-                    }
-                });
-            }
-            let s = decoded.get_or_insert_with(String::new);
-            s.push_str(&self.text[run..self.at]);
-            self.at += 1;
-            s.push(match self.byte().ok_or("unterminated escape")? {
-                b'"' => '"',
-                b'\\' => '\\',
-                b'/' => '/',
-                b'n' => '\n',
-                b't' => '\t',
-                b'r' => '\r',
-                _ => return Err("unsupported escape"),
-            });
-            self.at += 1;
-        }
-    }
-
-    /// The characters of a number token (not yet checked as a number).
-    fn token(&mut self) -> Result<&'a str, &'static str> {
-        self.skip_ws();
-        let start = self.at;
-        self.scan(|b| matches!(b, b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'));
-        if self.at == start {
-            return Err("expected a number");
-        }
-        Ok(&self.text[start..self.at])
-    }
-
-    fn str_value(&mut self) -> Result<Slot<Cow<'a, str>>, &'static str> {
-        if self.peek() == Some(b'"') {
-            Ok(Ok(self.string()?))
-        } else {
-            self.skip()?;
-            Ok(Err(NOT_STRING))
-        }
-    }
-
-    fn u64_value(&mut self) -> Result<Slot<u64>, &'static str> {
-        Ok(self.opt_u64_value()?.and_then(|v| v.ok_or(NOT_INTEGER)))
-    }
-
-    /// An exact integer, or `null` as `None`.
-    fn opt_u64_value(&mut self) -> Result<Slot<Option<u64>>, &'static str> {
-        match self.peek() {
-            Some(b'n') => {
-                self.null()?;
-                Ok(Ok(None))
-            }
-            Some(b'"' | b'[') | None => {
-                self.skip()?;
-                Ok(Err(NOT_INTEGER))
-            }
-            Some(_) => Ok(integer(self.token()?)?.map(Some).ok_or(NOT_INTEGER)),
-        }
-    }
-
-    fn f64_array(&mut self) -> Result<Slot<Vec<f64>>, &'static str> {
-        // A whole-valued f64 rendered without a fraction parses to the
-        // same bits whether read as an integer or a float: both round
-        // the exact decimal to the nearest f64.
-        self.number_array("non-numeric array element", |t| number(t).map(Some))
-    }
-
-    fn u64_array(&mut self) -> Result<Slot<Vec<u64>>, &'static str> {
-        self.number_array("non-integer array element", integer)
-    }
-
-    /// An array of numbers, each token converted by `element` (`None`:
-    /// a number of the wrong kind). A non-number element or a wrong
-    /// kind makes the slot `Err(bad_element)`.
-    fn number_array<T>(
-        &mut self,
-        bad_element: &'static str,
-        element: impl Fn(&str) -> Result<Option<T>, &'static str>,
-    ) -> Result<Slot<Vec<T>>, &'static str> {
-        if self.peek() != Some(b'[') {
-            self.skip()?;
-            return Ok(Err(NOT_ARRAY));
-        }
-        self.at += 1;
-        let mut out = Ok(Vec::new());
-        if self.peek() == Some(b']') {
-            self.at += 1;
-            return Ok(out);
-        }
-        loop {
-            let value = match self.peek() {
-                Some(b'"' | b'[' | b'n') | None => self.skip().map(|()| None)?,
-                Some(_) => element(self.token()?)?,
-            };
-            match (&mut out, value) {
-                (Ok(items), Some(v)) => items.push(v),
-                (Ok(_), None) => out = Err(bad_element),
-                (Err(_), _) => {}
-            }
-            match self.peek() {
-                Some(b',') => self.at += 1,
-                Some(b']') => {
-                    self.at += 1;
-                    return Ok(out);
-                }
-                _ => return Err("expected , or ] in array"),
-            }
-        }
-    }
-}
-
-/// A number token as `f64`.
-fn number(token: &str) -> Result<f64, &'static str> {
-    token.parse().map_err(|_| "bad number")
-}
-
-/// A number token as an exact `u64`: only digit-only tokens that fit
-/// (stream ids near `u64::MAX` must not round through `f64`). Any other
-/// valid number — fractions, signs, whole values too big for `u64` like
-/// 1e300's 301-digit rendering — is `None`.
-fn integer(token: &str) -> Result<Option<u64>, &'static str> {
-    let exact = token.bytes().try_fold(0u64, |acc, b| {
-        let digit = b.checked_sub(b'0').filter(|&d| d < 10)?;
-        acc.checked_mul(10)?.checked_add(u64::from(digit))
-    });
-    match exact {
-        Some(v) => Ok(Some(v)),
-        None => number(token).map(|_| None),
-    }
 }
 
 #[cfg(test)]
@@ -801,26 +442,6 @@ mod tests {
             decode_responses(two),
             Err(WireError::BadLine { line: 2, .. })
         ));
-    }
-
-    #[test]
-    fn u64_array_field_keeps_large_ids_exact() {
-        // u64::MAX exceeds f64's exact integer range: the census parse
-        // must keep it bit-exact, or the rebalancer migrates wrong ids.
-        let line = format!("{{\"streams\":[0,7,{}]}}", u64::MAX);
-        let [streams] = fields(&line, ["streams"]).unwrap();
-        assert_eq!(streams.u64_array().unwrap(), vec![0, 7, u64::MAX]);
-        // Fractional, negative, or u64-overflowing (rounded) elements
-        // are typed errors, never truncated ids.
-        for bad in [
-            "{\"streams\":[1.5]}",
-            "{\"streams\":[-1]}",
-            "{\"streams\":[99999999999999999999]}",
-            "{\"streams\":7}",
-        ] {
-            let [streams] = fields(bad, ["streams"]).unwrap();
-            assert!(streams.u64_array().is_err(), "{bad}");
-        }
     }
 
     #[test]

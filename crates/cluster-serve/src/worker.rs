@@ -45,13 +45,14 @@ use std::net::SocketAddr;
 use std::sync::{Arc, Mutex};
 
 use hom_core::{decode_model, HighOrderModel};
+use hom_obs::json;
 use hom_obs::jsonl::push_f64;
 use hom_obs::TraceContext;
 use hom_serve::http::introspect;
 use hom_serve::transport::{HttpRequest, HttpResponse, HttpServer};
 use hom_serve::{ServeEngine, ServeTelemetry, StreamId};
 
-use crate::wire::{self, Field};
+use crate::wire;
 
 /// A worker's engine plus the HTTP listener speaking the cluster
 /// protocol over it. Dropping the server stops the listener; the engine
@@ -189,9 +190,9 @@ fn submit(engine: &ServeEngine, body: &[u8], traced: bool, obs: &hom_obs::Obs) -
 fn body_fields<'a, const N: usize>(
     body: &'a [u8],
     names: [&str; N],
-) -> Result<[Field<'a>; N], &'static str> {
+) -> Result<[json::Field<'a>; N], &'static str> {
     let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8")?;
-    wire::fields(text, names)
+    json::fields(text, names)
 }
 
 /// Phase 1 of the router's two-phase migration: a **non-destructive**

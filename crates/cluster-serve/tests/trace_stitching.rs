@@ -23,7 +23,7 @@ use hom_core::{build, BuildParams, HighOrderModel};
 use hom_data::stream::collect;
 use hom_data::{StreamRecord, StreamSource};
 use hom_datagen::{StaggerParams, StaggerSource};
-use hom_obs::{jsonl, OwnedEvent, TraceContext};
+use hom_obs::{json, jsonl, OwnedEvent, TraceContext};
 use hom_serve::{Request, ServeEngine, ServeOptions, ServeTelemetry};
 
 fn fixture() -> (Arc<HighOrderModel>, Vec<StreamRecord>) {
@@ -63,13 +63,13 @@ fn spawn_worker(model: &Arc<HighOrderModel>) -> WorkerServer {
     WorkerServer::bind(addr, engine, telemetry).expect("worker binds")
 }
 
-/// The `"node":"…"` label [`Router::trace`] injects into each stitched
-/// line (not part of the event schema, so recovered from the raw text).
+/// The `"node"` label [`Router::trace`] injects into each stitched
+/// line (not part of the event schema, so read as a field of its own).
 fn node_of(line: &str) -> String {
-    const KEY: &str = "\"node\":\"";
-    let at = line.find(KEY).expect("stitched line carries a node label");
-    let rest = &line[at + KEY.len()..];
-    rest[..rest.find('"').expect("label closes")].to_string()
+    json::fields(line, ["node"])
+        .and_then(|[node]| node.str())
+        .expect("stitched line carries a node label")
+        .into_owned()
 }
 
 /// Parse a stitched JSONL document into `(node, event)` pairs.

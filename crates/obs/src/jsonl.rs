@@ -7,14 +7,19 @@
 //! serialized sparsely as `"buckets": [[bucket, count], …]` (non-zero
 //! buckets only) plus exact `count` / `sum` / `min` / `max`.
 //!
-//! [`parse_line`] is a self-contained JSON reader (the workspace's
-//! `serde_json` shim only writes), strict enough to catch format drift in
-//! CI but tolerant of unknown fields, so the format can grow.
+//! [`parse_line`] reads a line in one pass through [`crate::json`], the
+//! tree's one JSON reader (the workspace's `serde_json` shim only
+//! writes): strict enough to catch format drift in CI, tolerant of
+//! unknown fields so the format can grow, and total on hostile bytes —
+//! deep nesting, overflowing integers and long strings are a typed
+//! [`ParseError`] or a linear scan, never a panic.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 use crate::event::{Event, OwnedEvent};
 use crate::hist::Histogram;
+use crate::json::{field, Reader, Slot, NOT_ARRAY, NOT_INTEGER, NOT_NUMBER, NOT_STRING};
 
 /// Serialize one event as a single JSON line (no trailing newline).
 pub fn to_line(event: &Event<'_>) -> String {
@@ -190,356 +195,168 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-fn err<T>(reason: impl Into<String>) -> Result<T, ParseError> {
-    Err(ParseError {
-        reason: reason.into(),
-    })
-}
-
-/// A parsed JSON value (the subset the trace format uses).
-///
-/// Non-negative integers keep their exact `u64` value in [`Json::Int`]
-/// rather than passing through `f64`: trace ids are FNV-1a hashes near
-/// 2⁶³, where `f64` has a 1024-ulp grid — rounding one would silently
-/// re-key every span of a stitched trace.
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Int(u64),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn as_u64(&self) -> Option<u64> {
-        match *self {
-            Json::Int(n) => Some(n),
-            Json::Num(n) if n >= 0.0 && n.fract() == 0.0 => Some(n as u64),
-            _ => None,
-        }
-    }
-
-    fn as_f64(&self) -> Option<f64> {
-        match *self {
-            Json::Num(n) => Some(n),
-            Json::Int(n) => Some(n as f64),
-            Json::Null => Some(0.0),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), ParseError> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            err(format!("expected '{}' at byte {}", b as char, self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, ParseError> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            _ => err(format!("unexpected input at byte {}", self.pos)),
-        }
-    }
-
-    fn literal(&mut self, lit: &str, v: Json) -> Result<Json, ParseError> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(v)
-        } else {
-            err(format!("bad literal at byte {}", self.pos))
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, ParseError> {
-        let start = self.pos;
-        while self
-            .peek()
-            .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.pos += 1;
-        }
-        let text =
-            std::str::from_utf8(&self.bytes[start..self.pos]).expect("number bytes are ASCII");
-        // Plain non-negative integers stay exact (see [`Json::Int`]);
-        // anything with a sign, fraction or exponent is a float.
-        if let Ok(n) = text.parse::<u64>() {
-            return Ok(Json::Int(n));
-        }
-        match text.parse::<f64>() {
-            Ok(n) => Ok(Json::Num(n)),
-            Err(_) => err(format!("bad number {text:?} at byte {start}")),
-        }
-    }
-
-    fn string(&mut self) -> Result<String, ParseError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return err("unterminated string"),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex =
-                                self.bytes.get(self.pos + 1..self.pos + 5).ok_or_else(|| {
-                                    ParseError {
-                                        reason: "truncated \\u escape".into(),
-                                    }
-                                })?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| ParseError {
-                                    reason: "bad \\u escape".into(),
-                                })?,
-                                16,
-                            )
-                            .map_err(|_| ParseError {
-                                reason: "bad \\u escape".into(),
-                            })?;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        _ => return err("bad escape"),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Multi-byte UTF-8 sequences pass through unchanged.
-                    let rest =
-                        std::str::from_utf8(&self.bytes[self.pos..]).map_err(|_| ParseError {
-                            reason: "invalid UTF-8 in string".into(),
-                        })?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, ParseError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return err(format!("expected ',' or ']' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, ParseError> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let value = self.value()?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return err(format!("expected ',' or '}}' at byte {}", self.pos)),
-            }
-        }
-    }
-}
-
 /// Parse one trace line back into an [`OwnedEvent`].
 ///
-/// Unknown object fields are ignored (forward compatibility); a missing
-/// required field, a malformed value or an unknown `"ev"` kind is an
-/// error — `trace_report` runs in CI precisely to catch such drift.
+/// One forward pass over the line with [`crate::json::Reader`]: each
+/// key the format defines is read straight into a typed slot, and the
+/// event is assembled from the slots once the line has parsed. Unknown
+/// fields are skipped (forward compatibility); a missing required
+/// field, a malformed value or an unknown `"ev"` kind is an error —
+/// `trace_report` runs in CI precisely to catch such drift.
 pub fn parse_line(line: &str) -> Result<OwnedEvent, ParseError> {
-    let mut p = Parser {
-        bytes: line.as_bytes(),
-        pos: 0,
-    };
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return err(format!("trailing garbage at byte {}", p.pos));
-    }
-    let Json::Obj(fields) = v else {
-        return err("event line is not a JSON object");
-    };
-    let get = |key: &str| fields.iter().find(|(k, _)| k == key).map(|(_, v)| v);
-    let get_u64 = |key: &str| -> Result<u64, ParseError> {
-        get(key).and_then(Json::as_u64).ok_or_else(|| ParseError {
-            reason: format!("missing or non-integer field {key:?}"),
-        })
-    };
-    let get_f64 = |key: &str| -> Result<f64, ParseError> {
-        get(key).and_then(Json::as_f64).ok_or_else(|| ParseError {
-            reason: format!("missing or non-numeric field {key:?}"),
-        })
-    };
-    let get_str = |key: &str| -> Result<String, ParseError> {
-        match get(key) {
-            Some(Json::Str(s)) => Ok(s.clone()),
-            _ => err(format!("missing or non-string field {key:?}")),
-        }
-    };
+    let mut r = Reader::new(line).map_err(|what| ParseError {
+        reason: what.to_string(),
+    })?;
+    let mut slots = Slots::default();
+    slots.fill(&mut r).map_err(|what| ParseError {
+        reason: format!("{what} at byte {}", r.offset()),
+    })?;
+    slots.event().map_err(|reason| ParseError { reason })
+}
 
-    let ev = get_str("ev")?;
-    // Optional on the wire (omitted when 0 — pre-tracing lines have no
-    // trace field at all), so default rather than error.
-    let trace = get("trace").and_then(Json::as_u64).unwrap_or(0);
-    match ev.as_str() {
-        "span_start" => Ok(OwnedEvent::SpanStart {
-            id: get_u64("id")?,
-            parent: get_u64("parent")?,
-            trace,
-            name: get_str("name")?,
-            t_us: get_u64("t_us")?,
-        }),
-        "span_end" => Ok(OwnedEvent::SpanEnd {
-            id: get_u64("id")?,
-            parent: get_u64("parent")?,
-            trace,
-            name: get_str("name")?,
-            t_us: get_u64("t_us")?,
-            dur_us: get_u64("dur_us")?,
-        }),
-        "count" => Ok(OwnedEvent::Count {
-            span: get_u64("span")?,
-            name: get_str("name")?,
-            n: get_u64("n")?,
-            t_us: get_u64("t_us")?,
-        }),
-        "gauge" => Ok(OwnedEvent::Gauge {
-            span: get_u64("span")?,
-            name: get_str("name")?,
-            value: get_f64("value")?,
-            t_us: get_u64("t_us")?,
-        }),
-        "series" => {
-            let values = match get("values") {
-                Some(Json::Arr(items)) => items
-                    .iter()
-                    .map(|v| {
-                        v.as_f64().ok_or_else(|| ParseError {
-                            reason: "non-numeric series value".into(),
-                        })
-                    })
-                    .collect::<Result<Vec<f64>, _>>()?,
-                _ => return err("missing or non-array field \"values\""),
-            };
-            Ok(OwnedEvent::Series {
-                span: get_u64("span")?,
-                name: get_str("name")?,
-                index: get_u64("index")?,
-                values,
-                t_us: get_u64("t_us")?,
-            })
-        }
-        "hist" => {
-            let buckets = match get("buckets") {
-                Some(Json::Arr(items)) => items
-                    .iter()
-                    .map(|pair| match pair {
-                        Json::Arr(bc) if bc.len() == 2 => match (bc[0].as_u64(), bc[1].as_u64()) {
-                            (Some(b), Some(c)) => Ok((b as usize, c)),
-                            _ => err("non-integer bucket entry"),
-                        },
-                        _ => err("bucket entry is not a [bucket, count] pair"),
-                    })
-                    .collect::<Result<Vec<(usize, u64)>, _>>()?,
-                _ => return err("missing or non-array field \"buckets\""),
-            };
-            let count = get_u64("count")?;
-            let hist = Histogram::from_parts(
-                &buckets,
-                get_f64("sum")?,
-                get_f64("min").unwrap_or(f64::INFINITY),
-                get_f64("max").unwrap_or(f64::NEG_INFINITY),
-            );
-            if hist.count() != count {
-                return err(format!(
-                    "histogram count {count} disagrees with bucket total {}",
-                    hist.count()
-                ));
+/// One typed slot per key of the format; the first occurrence of a key
+/// wins.
+#[derive(Default)]
+struct Slots<'a> {
+    ev: Option<Slot<Cow<'a, str>>>,
+    name: Option<Slot<Cow<'a, str>>>,
+    id: Option<Slot<u64>>,
+    parent: Option<Slot<u64>>,
+    trace: Option<Slot<u64>>,
+    span: Option<Slot<u64>>,
+    t_us: Option<Slot<u64>>,
+    dur_us: Option<Slot<u64>>,
+    n: Option<Slot<u64>>,
+    index: Option<Slot<u64>>,
+    count: Option<Slot<u64>>,
+    value: Option<Slot<f64>>,
+    sum: Option<Slot<f64>>,
+    min: Option<Slot<f64>>,
+    max: Option<Slot<f64>>,
+    values: Option<Slot<Vec<f64>>>,
+    buckets: Option<Slot<Vec<(usize, u64)>>>,
+}
+
+impl<'a> Slots<'a> {
+    fn fill(&mut self, r: &mut Reader<'a>) -> Result<(), &'static str> {
+        while let Some(key) = r.next_key()? {
+            match &*key {
+                "ev" if self.ev.is_none() => self.ev = Some(r.str_value()?),
+                "name" if self.name.is_none() => self.name = Some(r.str_value()?),
+                "id" if self.id.is_none() => self.id = Some(r.u64_value()?),
+                "parent" if self.parent.is_none() => self.parent = Some(r.u64_value()?),
+                "trace" if self.trace.is_none() => self.trace = Some(r.u64_value()?),
+                "span" if self.span.is_none() => self.span = Some(r.u64_value()?),
+                "t_us" if self.t_us.is_none() => self.t_us = Some(r.u64_value()?),
+                "dur_us" if self.dur_us.is_none() => self.dur_us = Some(r.u64_value()?),
+                "n" if self.n.is_none() => self.n = Some(r.u64_value()?),
+                "index" if self.index.is_none() => self.index = Some(r.u64_value()?),
+                "count" if self.count.is_none() => self.count = Some(r.u64_value()?),
+                "value" if self.value.is_none() => self.value = Some(trace_f64(r)?),
+                "sum" if self.sum.is_none() => self.sum = Some(trace_f64(r)?),
+                "min" if self.min.is_none() => self.min = Some(trace_f64(r)?),
+                "max" if self.max.is_none() => self.max = Some(trace_f64(r)?),
+                "values" if self.values.is_none() => self.values = Some(r.array(trace_f64)?),
+                "buckets" if self.buckets.is_none() => self.buckets = Some(r.array(bucket)?),
+                _ => r.skip()?,
             }
-            Ok(OwnedEvent::Hist {
-                span: get_u64("span")?,
-                name: get_str("name")?,
-                hist: Box::new(hist),
-                t_us: get_u64("t_us")?,
-            })
         }
-        other => err(format!("unknown event kind {other:?}")),
+        Ok(())
     }
+
+    fn event(self) -> Result<OwnedEvent, String> {
+        let name = move || named(self.name, NOT_STRING, "name").map(Cow::into_owned);
+        let int = |slot, key| named(slot, NOT_INTEGER, key);
+        let ev = named(self.ev, NOT_STRING, "ev")?;
+        // Optional on the wire (omitted when 0 — pre-tracing lines have
+        // no trace field at all), so default rather than error.
+        let trace = int(self.trace.or(Some(Ok(0))), "trace")?;
+        Ok(match &*ev {
+            "span_start" => OwnedEvent::SpanStart {
+                id: int(self.id, "id")?,
+                parent: int(self.parent, "parent")?,
+                trace,
+                name: name()?,
+                t_us: int(self.t_us, "t_us")?,
+            },
+            "span_end" => OwnedEvent::SpanEnd {
+                id: int(self.id, "id")?,
+                parent: int(self.parent, "parent")?,
+                trace,
+                name: name()?,
+                t_us: int(self.t_us, "t_us")?,
+                dur_us: int(self.dur_us, "dur_us")?,
+            },
+            "count" => OwnedEvent::Count {
+                span: int(self.span, "span")?,
+                name: name()?,
+                n: int(self.n, "n")?,
+                t_us: int(self.t_us, "t_us")?,
+            },
+            "gauge" => OwnedEvent::Gauge {
+                span: int(self.span, "span")?,
+                name: name()?,
+                value: named(self.value, NOT_NUMBER, "value")?,
+                t_us: int(self.t_us, "t_us")?,
+            },
+            "series" => OwnedEvent::Series {
+                span: int(self.span, "span")?,
+                name: name()?,
+                index: int(self.index, "index")?,
+                values: named(self.values, NOT_ARRAY, "values")?,
+                t_us: int(self.t_us, "t_us")?,
+            },
+            "hist" => {
+                let buckets = named(self.buckets, NOT_ARRAY, "buckets")?;
+                let count = int(self.count, "count")?;
+                // Checked, so hostile counts cannot overflow the total.
+                let total = buckets.iter().try_fold(0u64, |t, &(_, c)| t.checked_add(c));
+                if total != Some(count) {
+                    return Err(format!(
+                        "histogram count {count} disagrees with bucket total {total:?}"
+                    ));
+                }
+                let hist = Histogram::from_parts(
+                    &buckets,
+                    named(self.sum, NOT_NUMBER, "sum")?,
+                    named(self.min.or(Some(Ok(f64::INFINITY))), NOT_NUMBER, "min")?,
+                    named(self.max.or(Some(Ok(f64::NEG_INFINITY))), NOT_NUMBER, "max")?,
+                );
+                OwnedEvent::Hist {
+                    span: int(self.span, "span")?,
+                    name: name()?,
+                    hist: Box::new(hist),
+                    t_us: int(self.t_us, "t_us")?,
+                }
+            }
+            other => return Err(format!("unknown event kind {other:?}")),
+        })
+    }
+}
+
+/// A required slot's value, or its error naming the key.
+fn named<T>(slot: Option<Slot<T>>, missing: &'static str, key: &str) -> Result<T, String> {
+    field(slot, missing).map_err(|what| format!("{what} {key:?}"))
+}
+
+/// A trace float: a number, or `null` — what [`push_f64`] writes for a
+/// non-finite value — as 0.0.
+fn trace_f64(r: &mut Reader<'_>) -> Result<Slot<f64>, &'static str> {
+    Ok(r.opt_f64_value()?.map(|v| v.unwrap_or(0.0)))
+}
+
+/// One sparse histogram entry: a `[bucket, count]` pair.
+fn bucket(r: &mut Reader<'_>) -> Result<Slot<(usize, u64)>, &'static str> {
+    Ok(r.u64_array()?.and_then(|pair| match pair[..] {
+        [b, c] => Ok((usize::try_from(b).unwrap_or(usize::MAX), c)),
+        _ => Err("bucket entry is not a [bucket, count] pair"),
+    }))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::MAX_DEPTH;
 
     /// Every event kind survives a write → parse round trip.
     #[test]
@@ -614,14 +431,16 @@ mod tests {
 
     #[test]
     fn escapes_names() {
-        let ev = OwnedEvent::Count {
-            span: 0,
-            name: "we\"ird\\na\nme".into(),
-            n: 1,
-            t_us: 0,
-        };
-        let line = to_line(&ev.as_event());
-        assert_eq!(parse_line(&line).unwrap(), ev);
+        for name in ["we\"ird\\na\nme", "a\u{1}b"] {
+            let ev = OwnedEvent::Count {
+                span: 0,
+                name: name.into(),
+                n: 1,
+                t_us: 0,
+            };
+            let line = to_line(&ev.as_event());
+            assert_eq!(parse_line(&line).unwrap(), ev);
+        }
     }
 
     #[test]
@@ -647,6 +466,29 @@ mod tests {
             "{\"ev\":\"count\",\"span\":0,\"name\":\"x\",\"n\":1,\"t_us\":0} extra"
         )
         .is_err());
+        // 20 nines overflow u64: an error, not a value saturated to
+        // u64::MAX.
+        assert!(parse_line(
+            "{\"ev\":\"count\",\"span\":0,\"name\":\"x\",\"n\":99999999999999999999,\"t_us\":0}"
+        )
+        .is_err());
+    }
+
+    /// Skipped values nest at most `MAX_DEPTH` arrays deep, and a line
+    /// of a million `[` is an error, not a stack overflow.
+    #[test]
+    fn deep_nesting_is_bounded() {
+        let nested = |depth: usize| {
+            format!(
+                "{{\"ev\":\"count\",\"span\":0,\"name\":\"x\",\"n\":1,\"t_us\":0,\"junk\":{}{}}}",
+                "[".repeat(depth),
+                "]".repeat(depth)
+            )
+        };
+        assert!(parse_line(&nested(MAX_DEPTH)).is_ok());
+        assert!(parse_line(&nested(MAX_DEPTH + 1)).is_err());
+        let hostile = format!("{{\"ev\":\"count\",\"junk\":{}", "[".repeat(1_000_000));
+        assert!(parse_line(&hostile).is_err());
     }
 
     #[test]

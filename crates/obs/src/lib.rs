@@ -80,6 +80,7 @@ pub mod exemplar;
 pub mod export;
 pub mod flight;
 pub mod hist;
+pub mod json;
 pub mod jsonl;
 pub mod sink;
 pub mod slo;

@@ -5,12 +5,18 @@
 //! end, so a merge must be indistinguishable from having recorded every
 //! sample into a single histogram.
 //!
+//! The trace-line battery holds the JSONL format to a bit-exact round
+//! trip for every event kind, and [`jsonl::parse_line`] to a typed
+//! answer — never a panic — on every truncation and single bit flip of
+//! a valid line.
+//!
 //! The `X-HOM-Trace` battery holds the trace-context parser to its
 //! canonical form: on any input it must not panic, and whatever it
 //! accepts must render back to exactly the input (so there is one
 //! spelling of every trace id, in headers and in `/trace/<id>` URLs).
 
 use hom_obs::{jsonl, parse_trace_id, Histogram, OwnedEvent, TraceContext};
+use proptest::collection::vec;
 use proptest::prelude::*;
 
 /// Characters the string properties draw from: every hex digit in both
@@ -20,6 +26,96 @@ const ALPHABET: &[char] = &[
     '0', '1', '2', '3', '4', '5', '6', '7', '8', '9', 'a', 'b', 'c', 'd', 'e', 'f', 'A', 'B', 'C',
     'D', 'E', 'F', 'g', 'x', '-', '+', ' ', '\t', '\n', '/', 'é',
 ];
+
+/// Characters event names draw from: every one the writer escapes
+/// (quote, backslash, a control character, newline) beside plain and
+/// multi-byte ones.
+const NAME_CHARS: &[char] = &['a', 'z', '.', '_', '/', '"', '\\', '\u{1}', '\n', 'é'];
+
+fn name() -> impl Strategy<Value = String> {
+    vec(0usize..NAME_CHARS.len(), 0..12)
+        .prop_map(|picks| picks.iter().map(|&i| NAME_CHARS[i]).collect())
+}
+
+/// Integer fields, weighted towards the ones `f64` cannot hold exactly.
+fn int() -> impl Strategy<Value = u64> {
+    (0usize..4, any::<u64>()).prop_map(|(pick, raw)| [0, (1 << 53) + 1, u64::MAX, raw][pick])
+}
+
+/// Finite floats, weighted towards the renderings that are easy to get
+/// wrong: negative zero, subnormals, huge and whole values.
+fn float() -> impl Strategy<Value = f64> {
+    (0usize..6, any::<u64>()).prop_map(|(pick, raw)| match pick {
+        0 => -0.0,
+        1 => f64::from_bits(raw % (1 << 52)),
+        2 => 1e300,
+        3 => (raw % 1_000_000) as f64,
+        _ => Some(f64::from_bits(raw))
+            .filter(|v| v.is_finite())
+            .unwrap_or(0.5),
+    })
+}
+
+/// An event of any kind; span trace ids range up to `u64::MAX`.
+fn event() -> impl Strategy<Value = OwnedEvent> {
+    (
+        0u8..6,
+        (int(), int(), int()),
+        name(),
+        (int(), int()),
+        vec(float(), 0..5),
+    )
+        .prop_map(
+            |(kind, (a, b, trace), name, (t_us, n), values)| match kind {
+                0 => OwnedEvent::SpanStart {
+                    id: a,
+                    parent: b,
+                    trace,
+                    name,
+                    t_us,
+                },
+                1 => OwnedEvent::SpanEnd {
+                    id: a,
+                    parent: b,
+                    trace,
+                    name,
+                    t_us,
+                    dur_us: n,
+                },
+                2 => OwnedEvent::Count {
+                    span: a,
+                    name,
+                    n,
+                    t_us,
+                },
+                3 => OwnedEvent::Gauge {
+                    span: a,
+                    name,
+                    value: values.first().copied().unwrap_or(-0.0),
+                    t_us,
+                },
+                4 => OwnedEvent::Series {
+                    span: a,
+                    name,
+                    index: n,
+                    values,
+                    t_us,
+                },
+                _ => {
+                    let mut hist = Histogram::new();
+                    for v in values {
+                        hist.record(v.abs() % 1e12);
+                    }
+                    OwnedEvent::Hist {
+                        span: a,
+                        name,
+                        hist: Box::new(hist),
+                        t_us,
+                    }
+                }
+            },
+        )
+}
 
 /// Parse `s` both ways and check the canonical-form contract: anything
 /// accepted renders back to the (trimmed) input.
@@ -105,6 +201,36 @@ proptest! {
         let line = jsonl::to_line(&ev.as_event());
         let back = jsonl::parse_line(&line).unwrap();
         prop_assert_eq!(back, ev);
+    }
+
+    /// Every event kind survives `to_line` → `parse_line`, and renders
+    /// back to the very same line (so floats keep their bits, `-0.0`
+    /// included).
+    #[test]
+    fn trace_lines_round_trip_bit_exactly(ev in event()) {
+        let line = jsonl::to_line(&ev.as_event());
+        let back = jsonl::parse_line(&line).map_err(|e| TestCaseError::fail(format!("{line}: {e}")))?;
+        prop_assert_eq!(jsonl::to_line(&back.as_event()), line);
+        prop_assert_eq!(back, ev);
+    }
+
+    /// Every truncation and every single bit flip of a valid line that
+    /// stays UTF-8 parses or fails with a typed error — never a panic.
+    #[test]
+    fn damaged_trace_lines_parse_or_fail_typed(ev in event()) {
+        let line = jsonl::to_line(&ev.as_event());
+        for cut in (0..line.len()).filter(|&cut| line.is_char_boundary(cut)) {
+            let _ = jsonl::parse_line(&line[..cut]);
+        }
+        for i in 0..line.len() {
+            for bit in 0..8 {
+                let mut flipped = line.as_bytes().to_vec();
+                flipped[i] ^= 1 << bit;
+                if let Ok(s) = String::from_utf8(flipped) {
+                    let _ = jsonl::parse_line(&s);
+                }
+            }
+        }
     }
 
     /// Every active context round-trips through its header, and its

@@ -58,6 +58,15 @@ const MAX_CONNECTIONS: usize = 64;
 /// request or of one in progress — before it is closed.
 const IDLE_TIMEOUT: Duration = Duration::from_secs(30);
 
+/// After a malformed head is answered `400`, the client's unread input
+/// is drained before the close — up to this many bytes, for at most
+/// [`LINGER_TIMEOUT`] — so the close is not a reset (see
+/// [`linger_close`]).
+const LINGER_BYTES: usize = 1 << 20;
+
+/// The time bound of [`linger_close`]'s drain.
+const LINGER_TIMEOUT: Duration = Duration::from_secs(2);
+
 /// A pooled connection idle longer than this is closed rather than
 /// reused, well before the server's [`IDLE_TIMEOUT`] can close it under
 /// a request.
@@ -653,7 +662,8 @@ fn accept_loop(listener: TcpListener, handler: Handler, stop: Arc<AtomicBool>) {
 }
 
 /// Serve requests on `conn` until the peer asks `Connection: close`,
-/// hangs up, sends a malformed head (answered `400`, then closed), or
+/// hangs up, sends a malformed head (answered `400`, then closed by
+/// [`linger_close`]), or
 /// idles past [`IDLE_TIMEOUT`].
 fn serve_connection(conn: &TcpStream, handler: &Handler) -> std::io::Result<()> {
     conn.set_read_timeout(Some(IDLE_TIMEOUT))?;
@@ -666,12 +676,37 @@ fn serve_connection(conn: &TcpStream, handler: &Handler) -> std::io::Result<()> 
             Err(ReadError::Closed) => return Ok(()),
             Err(ReadError::Io(e)) => return Err(e),
             Err(ReadError::Malformed(why)) => {
-                return write_response(conn, &HttpResponse::bad_request(why), true)
+                write_response(conn, &HttpResponse::bad_request(why), true)?;
+                linger_close(conn);
+                return Ok(());
             }
         };
         write_response(conn, &handler(&request), close)?;
         if close {
             return Ok(());
+        }
+    }
+}
+
+/// Close after a rejected request without a reset. Closing with the
+/// client's bytes unread makes the kernel answer with RST, which can
+/// discard the `400` before the client reads it. So stop writing (the
+/// client sees EOF after the response), then read and discard until the
+/// client hangs up — at most [`LINGER_BYTES`], for at most
+/// [`LINGER_TIMEOUT`].
+fn linger_close(mut conn: &TcpStream) {
+    let _ = conn.shutdown(Shutdown::Write);
+    let deadline = Instant::now() + LINGER_TIMEOUT;
+    let mut sink = [0u8; 8 << 10];
+    let mut drained = 0;
+    while drained < LINGER_BYTES {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || conn.set_read_timeout(Some(left)).is_err() {
+            return;
+        }
+        match conn.read(&mut sink) {
+            Ok(0) | Err(_) => return,
+            Ok(n) => drained += n,
         }
     }
 }

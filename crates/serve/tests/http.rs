@@ -63,16 +63,12 @@ fn request(addr: SocketAddr, method: &str, path: &str) -> (String, String) {
     (status, body.to_string())
 }
 
-/// The `"key":[floats]` array inside a JSON body, parsed back to f64s.
-fn json_f64_array(body: &str, key: &str) -> Vec<f64> {
-    let marker = format!("\"{key}\":[");
-    let start = body.find(&marker).expect("array present") + marker.len();
-    let end = start + body[start..].find(']').expect("array closes");
-    body[start..end]
-        .split(',')
-        .filter(|s| !s.is_empty())
-        .map(|s| s.parse().expect("float parses"))
-        .collect()
+/// The posterior array of a `/streams/<id>` body — shortest-round-trip
+/// floats, so the parse is bit-exact.
+fn posterior(body: &str) -> Vec<f64> {
+    hom_obs::json::fields(body, ["posterior"])
+        .and_then(|[posterior]| posterior.f64_array())
+        .expect("posterior parses")
 }
 
 #[test]
@@ -152,7 +148,7 @@ fn routes_serve_live_state_bit_for_bit() {
     let (status, body) = get(addr, "/streams/3");
     assert_eq!(status, "HTTP/1.1 200 OK");
     assert!(body.contains("\"live\":true"), "{body}");
-    let scraped = json_f64_array(&body, "posterior");
+    let scraped = posterior(&body);
     let truth = engine
         .peek(3, |s| s.posterior().to_vec())
         .expect("stream 3 lives");
@@ -169,7 +165,7 @@ fn routes_serve_live_state_bit_for_bit() {
     let (status, body) = get(addr, "/streams/5");
     assert_eq!(status, "HTTP/1.1 200 OK");
     assert!(body.contains("\"live\":false"), "{body}");
-    let scraped = json_f64_array(&body, "posterior");
+    let scraped = posterior(&body);
     for (a, b) in scraped.iter().zip(&truth) {
         assert_eq!(a.to_bits(), b.to_bits(), "parked posterior differs");
     }
@@ -423,19 +419,15 @@ fn served() -> (MetricsServer, Arc<ServeEngine>) {
 
 /// Write `bytes` on a fresh connection and read until the server hangs
 /// up; a reply that has not ended within `within` fails the test rather
-/// than hanging it. A server that rejects a request closes with unread
-/// bytes pending, so a write may fail and the close may arrive as a
-/// reset; both end the exchange.
+/// than hanging it, and so does a reset: the server closes cleanly even
+/// after rejecting a request.
 fn exchange(addr: SocketAddr, bytes: &[u8], within: Duration) -> String {
     let mut conn = TcpStream::connect(addr).expect("listener accepts");
     conn.set_read_timeout(Some(within)).unwrap();
-    let _ = conn.write_all(bytes);
+    conn.write_all(bytes).expect("request sent");
     let mut reply = Vec::new();
-    match conn.read_to_end(&mut reply) {
-        Ok(_) => {}
-        Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
-        Err(e) => panic!("no complete reply within {within:?}: {e}"),
-    }
+    conn.read_to_end(&mut reply)
+        .unwrap_or_else(|e| panic!("no clean end of reply within {within:?}: {e}"));
     String::from_utf8(reply).expect("UTF-8 reply")
 }
 
@@ -480,6 +472,8 @@ fn an_endless_header_line_is_rejected_not_buffered() {
     // Far more header bytes than the 16 KiB head cap, with no line end.
     let mut request = b"GET /healthz HTTP/1.1\r\nX-Junk: ".to_vec();
     request.extend(vec![b'a'; 32 << 10]);
+    // The server drains what it did not read before closing, so the
+    // 400 ends in a clean EOF, never a reset that could discard it.
     let reply = exchange(server.addr(), &request, Duration::from_secs(5));
     assert!(
         reply.starts_with("HTTP/1.1 400 Bad Request\r\n"),

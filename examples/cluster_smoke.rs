@@ -51,6 +51,7 @@ use high_order_models::core::{build, encode_model, fnv1a, BuildParams, HighOrder
 use high_order_models::data::stream::collect;
 use high_order_models::data::{StreamRecord, StreamSource};
 use high_order_models::datagen::{StaggerParams, StaggerSource};
+use high_order_models::obs::json;
 use high_order_models::serve::{http_request, Request, ServeEngine, ServeOptions, ServeTelemetry};
 
 /// Set only in self-spawned worker children; carries the worker tag.
@@ -161,12 +162,9 @@ fn scrape_posterior(addr: SocketAddr, stream: u64) -> Vec<f64> {
         .expect("posterior scrape");
     assert_eq!(status, 200, "stream {stream} missing from its ring owner");
     let text = std::str::from_utf8(&body).expect("posterior body is UTF-8");
-    let open = text.find('[').expect("posterior array");
-    let close = text.rfind(']').expect("posterior array close");
-    text[open + 1..close]
-        .split(',')
-        .map(|t| t.trim().parse::<f64>().expect("posterior float"))
-        .collect()
+    json::fields(text, ["posterior"])
+        .and_then(|[posterior]| posterior.f64_array())
+        .expect("posterior parses")
 }
 
 fn main() {

@@ -34,7 +34,7 @@ use std::time::Duration;
 use high_order_models::adapt::IncidentDump;
 use high_order_models::data::StreamRecord;
 use high_order_models::datagen::stagger::{stagger_label, NOVEL_CONCEPT};
-use high_order_models::obs::jsonl;
+use high_order_models::obs::{json, jsonl};
 use high_order_models::prelude::*;
 use high_order_models::serve::{http_request, MetricsServer, ServeTelemetry};
 
@@ -173,7 +173,9 @@ fn main() {
     // live.
     for stream in [0u64, 1, 42, STREAMS - 1] {
         let body = get(addr, &format!("/streams/{stream}"));
-        let scraped = json_f64_array(&body, "posterior");
+        let scraped = json::fields(&body, ["posterior"])
+            .and_then(|[posterior]| posterior.f64_array())
+            .expect("posterior parses");
         let truth = observed.posterior(stream).expect("stream was served");
         assert_eq!(scraped.len(), truth.len(), "stream {stream}: {body}");
         for (a, b) in scraped.iter().zip(&truth) {
@@ -384,18 +386,6 @@ fn get(addr: SocketAddr, path: &str) -> String {
         .unwrap_or_else(|e| panic!("GET {path}: {e}"));
     assert_eq!(status, 200, "GET {path}");
     String::from_utf8(body).expect("UTF-8 body")
-}
-
-/// The `"key":[floats]` array inside a JSON body, parsed back to f64s.
-fn json_f64_array(body: &str, key: &str) -> Vec<f64> {
-    let marker = format!("\"{key}\":[");
-    let start = body.find(&marker).expect("array present") + marker.len();
-    let end = start + body[start..].find(']').expect("array closes");
-    body[start..end]
-        .split(',')
-        .filter(|s| !s.is_empty())
-        .map(|s| s.parse().expect("float parses"))
-        .collect()
 }
 
 /// The value of an untyped/counter sample line `name <value>`.

@@ -44,7 +44,7 @@
 
 use std::collections::BTreeMap;
 
-use high_order_models::obs::jsonl;
+use high_order_models::obs::{json, jsonl};
 use high_order_models::obs::{Histogram, OwnedEvent};
 
 /// Every event name the instrumented pipeline emits — the executable
@@ -332,19 +332,14 @@ fn report_spans(events: &[OwnedEvent]) {
     print_level(&order, &aggs, None, 0);
 }
 
-/// The `"node":"…"` label the router's federated `/trace/<id>` endpoint
-/// injects into each stitched line, or `""` when absent. Node names are
-/// plain identifiers (`router`, `w0`, …), so no unescaping is needed;
-/// `jsonl::parse_line` tolerates-but-drops the field, hence the raw scan.
+/// The `"node"` label the router's federated `/trace/<id>` endpoint
+/// injects into each stitched line, or `""` when absent.
+/// `jsonl::parse_line` tolerates-but-drops the field, so it is read
+/// here as a field of its own (the line has already parsed).
 fn node_of(line: &str) -> String {
-    const KEY: &str = "\"node\":\"";
-    match line.find(KEY) {
-        Some(at) => {
-            let rest = &line[at + KEY.len()..];
-            rest[..rest.find('"').unwrap_or(0)].to_string()
-        }
-        None => String::new(),
-    }
+    json::fields(line, ["node"])
+        .and_then(|[node]| node.str())
+        .map_or_else(|_| String::new(), String::from)
 }
 
 /// Stitched distributed traces: one cross-process span tree per trace
