@@ -30,10 +30,11 @@
 //!   this crate shares with `hom-serve` (blocking client with deadlines
 //!   and a keep-alive connection pool, threaded server). A dead worker
 //!   is a typed error within the timeout, never a hang.
-//! * [`wire`] — JSONL request/response codec mirroring
-//!   [`hom_serve::Request`], with shortest-round-trip float rendering
-//!   so attribute values cross the wire **bit-exactly** (the same
-//!   property `hom-serve`'s introspection API relies on).
+//! * [`wire`] — the router↔worker binary frame mirroring
+//!   [`hom_serve::Request`] / [`hom_serve::Response`]: attribute values
+//!   travel as raw `f64` bits, so they cross the hop **bit-exactly** by
+//!   construction; and [`wire::jsonl`], the JSONL codec of the router's
+//!   client-facing `/submit`.
 //! * [`ring`] — the consistent-hash ring (FNV-1a, virtual nodes).
 //!   Deterministic placement; a worker join moves only the streams the
 //!   new worker now owns.

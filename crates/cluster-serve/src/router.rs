@@ -210,8 +210,9 @@ pub enum ClusterError {
         /// The transport-level failure.
         what: String,
     },
-    /// A worker answered, but with a non-200 status or a payload the
-    /// router could not parse.
+    /// A worker answered, but with a non-200 status, a payload the
+    /// router could not parse, or a reply that does not answer its
+    /// sub-batch request for request.
     BadResponse {
         /// Ring index of the worker.
         worker: usize,
@@ -580,7 +581,7 @@ impl Router {
             let forward = traced.then(|| self.obs.span_under("cluster.forward", route_id));
             let hop = forward.as_ref().map(|s| ctx.child(s.id()));
             let addr = topology.workers[*w];
-            let conn = self.send(*w, addr, "POST", "/submit", body.as_bytes(), hop, deadline)?;
+            let conn = self.send(*w, addr, "POST", "/submit", body, hop, deadline)?;
             in_flight.push((forward, conn));
         }
         let mut payloads = Vec::with_capacity(in_flight.len());
@@ -591,26 +592,26 @@ impl Router {
         let _merge_span = traced.then(|| self.obs.span("cluster.merge"));
         let mut out: Vec<Option<Response>> = vec![None; batch.len()];
         for ((w, idx, _), payload) in sub_batches.iter().zip(payloads) {
-            let text = String::from_utf8(payload).map_err(|_| ClusterError::BadResponse {
-                worker: *w,
-                what: "non-UTF-8 submit response".to_string(),
-            })?;
-            let responses =
-                wire::decode_responses(&text).map_err(|e| ClusterError::BadResponse {
-                    worker: *w,
-                    what: e.to_string(),
-                })?;
+            let bad = |what: String| ClusterError::BadResponse { worker: *w, what };
+            let responses = wire::decode_responses(&payload).map_err(|e| bad(e.to_string()))?;
             if responses.len() != idx.len() {
-                return Err(ClusterError::BadResponse {
-                    worker: *w,
-                    what: format!(
-                        "submit returned {} responses for {} requests",
-                        responses.len(),
-                        idx.len()
-                    ),
-                });
+                return Err(bad(format!(
+                    "submit returned {} responses for {} requests",
+                    responses.len(),
+                    idx.len()
+                )));
             }
+            // A reply must answer the sub-batch in order: a response
+            // filed under the wrong request would be a silently wrong
+            // prediction for some other stream.
             for (&i, r) in idx.iter().zip(responses) {
+                let asked = batch[i].stream();
+                if r.stream != asked {
+                    return Err(bad(format!(
+                        "submit answered stream {} where stream {asked} was asked",
+                        r.stream
+                    )));
+                }
                 out[i] = Some(r);
             }
         }
@@ -892,11 +893,7 @@ impl Router {
                     let text = std::str::from_utf8(&body).ok()?;
                     let [epoch, live, parked] =
                         json::fields(text, ["epoch", "live", "parked"]).ok()?;
-                    Some((
-                        epoch.u64().ok()? as u32,
-                        live.u64().ok()?,
-                        parked.u64().ok()?,
-                    ))
+                    Some((epoch.u32().ok()?, live.u64().ok()?, parked.u64().ok()?))
                 });
                 let (epoch, live, parked) = counts.unwrap_or_default();
                 WorkerStatus {
@@ -982,7 +979,7 @@ fn annotate_node(jsonl: &str, node: &str) -> String {
 
 fn parse_epoch(payload: &[u8]) -> Option<u32> {
     let [epoch] = json::fields(std::str::from_utf8(payload).ok()?, ["epoch"]).ok()?;
-    Some(epoch.u64().ok()? as u32)
+    epoch.u32().ok()
 }
 
 fn parse_streams(payload: &[u8]) -> Option<Vec<StreamId>> {
@@ -1044,14 +1041,15 @@ fn route(router: &Router, req: &HttpRequest) -> HttpResponse {
             let Ok(text) = std::str::from_utf8(&req.body) else {
                 return HttpResponse::bad_request("submit body is not UTF-8");
             };
-            let batch = match wire::decode_requests(text) {
+            let batch = match wire::jsonl::decode_requests(text) {
                 Ok(b) => b,
                 Err(e) => return HttpResponse::bad_request(&e.to_string()),
             };
             match router.submit(&batch) {
-                Ok(responses) => {
-                    HttpResponse::ok("application/jsonl", wire::encode_responses(&responses))
-                }
+                Ok(responses) => HttpResponse::ok(
+                    "application/jsonl",
+                    wire::jsonl::encode_responses(&responses),
+                ),
                 Err(e) => bad_gateway(&e),
             }
         }

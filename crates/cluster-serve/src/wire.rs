@@ -1,70 +1,98 @@
-//! The router↔worker wire format: request batches and responses as
-//! JSONL, snapshots as hex — human-readable with `curl`, parseable
-//! without a JSON dependency, and bit-exact where it matters.
+//! The router↔worker wire: request batches and their responses as
+//! length-prefixed binary frames, control-body snapshots as hex.
 //!
-//! One request per line, `op` discriminated — mirroring
-//! `hom-serve`'s [`Request`] variants one-to-one:
+//! The frame is the internal hop only — router [`crate::Router::submit`]
+//! → worker `POST /submit` → router merge. Where a person or an outside
+//! client speaks (the router's own `/submit` edge), the format is
+//! JSONL, in [`jsonl`]; `examples/wire_frame.rs` converts between the
+//! two for `curl`-level debugging of a worker.
 //!
-//! ```text
-//! {"op":"predict","stream":7,"x":[1,0.5]}
-//! {"op":"observe","stream":7,"x":[1,0.5],"y":1}
-//! {"op":"step","stream":9,"x":[0,0.25],"y":0}
-//! {"op":"advance","stream":9,"k":3}
-//! ```
+//! ## Request frame (version 1, little-endian)
 //!
-//! and one response per line, in request order:
+//! | bytes | field |
+//! |---|---|
+//! | 4 | magic `HOMQ` |
+//! | 2 | frame version (1) |
+//! | 4 | request count |
+//! | 1 | per request: op tag — 0 predict, 1 observe, 2 step, 3 advance |
+//! | 8 | stream id |
+//! | 4 + 8·d | predict / observe / step: attribute count `d`, then each value's [`f64::to_bits`] |
+//! | 4 | observe / step: label `y` |
+//! | 8 | advance: step count `k` |
 //!
-//! ```text
-//! {"stream":7,"prediction":1}
-//! {"stream":9,"prediction":null}
-//! ```
+//! ## Response frame (version 1, little-endian)
 //!
-//! Attribute values render with the shortest round-trip decimal
-//! ([`hom_obs::jsonl::push_f64`]), so a finite `f64` parses back
-//! **bit-identically** on the worker — the cluster differential bar
-//! depends on it. Non-finite attributes are unrepresentable here by
-//! design: the schema's row validation already rejects them at the
-//! engine boundary, and this codec rejects them at encode time rather
-//! than silently shipping `null`.
+//! | bytes | field |
+//! |---|---|
+//! | 4 | magic `HOMP` |
+//! | 2 | frame version (1) |
+//! | 4 | response count, in request order |
+//! | 8 | per response: stream id |
+//! | 1 | prediction tag — 0 none, 1 a label follows |
+//! | 4 | the label, when the tag is 1 |
 //!
-//! Decoding is one forward pass per line over [`hom_obs::json`]'s pull
-//! reader, the tree's one JSON reader: it hands out each key as a
-//! borrowed slice and the caller reads the value straight into a typed
-//! slot (`x` into its `Vec<f64>`, ids as exact `u64`), so a request
-//! costs one allocation — its attribute vector — and a response none.
-//! Keys may come in any order, unknown keys are skipped, and the first
-//! occurrence of a duplicate key wins. Skipping never recurses: array
-//! nesting is a counter, capped at [`MAX_DEPTH`]. The control bodies
-//! (`/migrate/*`, `/swap/commit`, the census) are read with
-//! [`hom_obs::json::fields`].
+//! Attribute values travel as raw bits, so a value reaches the worker
+//! bit-identically by construction — the cluster differential bar
+//! depends on it. Non-finite attributes are refused at both ends: the
+//! JSONL edge cannot carry them either, so the cluster serves exactly
+//! the batches a client can send it.
 //!
-//! Decoding is total: malformed lines are a typed [`WireError`] naming
-//! the line, never a panic — a router must survive any bytes a confused
-//! client POSTs at it.
+//! Decoding is total and bounded: it reads through
+//! [`hom_data::codec::Reader`], so any byte string yields a batch or a
+//! typed [`WireError::BadFrame`] naming the offset where decoding
+//! stopped, never a panic, and a declared count is believed only when
+//! the bytes that remain can hold that many elements. A JSONL body sent
+//! to a worker fails the magic check; it is never misread as a frame.
 
 use std::fmt;
 
-use hom_obs::json::{field, Reader, NOT_ARRAY, NOT_INTEGER, NOT_STRING};
-use hom_obs::jsonl::push_f64;
-use hom_serve::{Request, Response, StreamId};
+use hom_data::codec::{Reader, Writer};
+use hom_serve::{Request, Response};
 
-/// Deepest array nesting the decoder walks through in a value it skips
-/// (an unknown key's, or a misshapen element of `x`).
-pub use hom_obs::json::MAX_DEPTH;
+pub mod jsonl;
+
+/// Magic prefix of a request frame.
+pub const REQUEST_MAGIC: [u8; 4] = *b"HOMQ";
+/// Magic prefix of a response frame.
+pub const RESPONSE_MAGIC: [u8; 4] = *b"HOMP";
+/// Current frame version, of both directions.
+pub const FRAME_VERSION: u16 = 1;
+
+/// Magic, version and count.
+const HEADER_BYTES: usize = 4 + 2 + 4;
+/// The shortest request: a predict with no attributes.
+const MIN_REQUEST_BYTES: usize = 1 + 8 + 4;
+/// The shortest response: one without a prediction.
+const MIN_RESPONSE_BYTES: usize = 8 + 1;
+
+const OP_PREDICT: u8 = 0;
+const OP_OBSERVE: u8 = 1;
+const OP_STEP: u8 = 2;
+const OP_ADVANCE: u8 = 3;
 
 /// Why a wire payload failed to encode or decode.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WireError {
-    /// A line (1-based) did not parse as the expected JSON shape.
+    /// A JSONL line (1-based) did not parse as the expected JSON shape.
     BadLine {
         /// 1-based line number within the payload.
         line: usize,
         /// What was wrong.
         what: &'static str,
     },
-    /// Encode-side: an attribute value was NaN or infinite — the JSONL
-    /// wire cannot carry it (and the engine would reject it anyway).
+    /// A binary frame did not decode.
+    BadFrame {
+        /// Byte offset at which decoding stopped.
+        at: usize,
+        /// What was wrong.
+        what: &'static str,
+    },
+    /// Encode-side: an attribute value was NaN or infinite — neither
+    /// wire carries it (and the JSONL edge could not have received it).
     NonFiniteAttribute,
+    /// Encode-side: a batch or an attribute vector longer than a `u32`
+    /// count can declare.
+    TooLong,
     /// A hex string had a non-hex digit or odd length.
     BadHex,
 }
@@ -73,9 +101,11 @@ impl fmt::Display for WireError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             WireError::BadLine { line, what } => write!(f, "wire line {line}: {what}"),
+            WireError::BadFrame { at, what } => write!(f, "wire frame byte {at}: {what}"),
             WireError::NonFiniteAttribute => {
                 write!(f, "non-finite attribute value cannot be encoded")
             }
+            WireError::TooLong => write!(f, "too many elements for a u32 count"),
             WireError::BadHex => write!(f, "invalid hex string"),
         }
     }
@@ -83,124 +113,208 @@ impl fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// Decimal digits of `v`, without a `to_string` allocation.
-fn push_u64(out: &mut String, mut v: u64) {
-    let mut digits = [0u8; 20];
-    let mut at = digits.len();
-    loop {
-        at -= 1;
-        digits[at] = b'0' + (v % 10) as u8;
-        v /= 10;
-        if v == 0 {
-            break;
-        }
-    }
-    for &d in &digits[at..] {
-        out.push(char::from(d));
+fn u32_len(n: usize) -> Result<u32, WireError> {
+    u32::try_from(n).map_err(|_| WireError::TooLong)
+}
+
+/// Encoded length of one request.
+fn request_len(r: &Request) -> usize {
+    match r {
+        Request::Predict { x, .. } => MIN_REQUEST_BYTES + 8 * x.len(),
+        Request::Observe { x, .. } | Request::Step { x, .. } => MIN_REQUEST_BYTES + 8 * x.len() + 4,
+        Request::Advance { .. } => 1 + 8 + 8,
     }
 }
 
-fn push_xs(out: &mut String, x: &[f64]) -> Result<(), WireError> {
-    out.push('[');
-    for (i, &v) in x.iter().enumerate() {
+fn put_xs(out: &mut Writer, x: &[f64]) -> Result<(), WireError> {
+    out.put_u32(u32_len(x.len())?);
+    for &v in x {
         if !v.is_finite() {
             return Err(WireError::NonFiniteAttribute);
         }
-        if i > 0 {
-            out.push(',');
-        }
-        push_f64(out, v);
+        out.put_f64(v);
     }
-    out.push(']');
     Ok(())
 }
 
-fn push_request(out: &mut String, r: &Request) -> Result<(), WireError> {
+fn put_request(out: &mut Writer, r: &Request) -> Result<(), WireError> {
     match r {
         Request::Predict { stream, x } => {
-            out.push_str("{\"op\":\"predict\",\"stream\":");
-            push_u64(out, *stream);
-            out.push_str(",\"x\":");
-            push_xs(out, x)?;
+            out.put_u8(OP_PREDICT);
+            out.put_u64(*stream);
+            put_xs(out, x)?;
         }
-        Request::Observe { stream, x, y } => {
-            out.push_str("{\"op\":\"observe\",\"stream\":");
-            push_u64(out, *stream);
-            out.push_str(",\"x\":");
-            push_xs(out, x)?;
-            out.push_str(",\"y\":");
-            push_u64(out, u64::from(*y));
-        }
-        Request::Step { stream, x, y } => {
-            out.push_str("{\"op\":\"step\",\"stream\":");
-            push_u64(out, *stream);
-            out.push_str(",\"x\":");
-            push_xs(out, x)?;
-            out.push_str(",\"y\":");
-            push_u64(out, u64::from(*y));
+        Request::Observe { stream, x, y } | Request::Step { stream, x, y } => {
+            let op = if matches!(r, Request::Observe { .. }) {
+                OP_OBSERVE
+            } else {
+                OP_STEP
+            };
+            out.put_u8(op);
+            out.put_u64(*stream);
+            put_xs(out, x)?;
+            out.put_u32(*y);
         }
         Request::Advance { stream, k } => {
-            out.push_str("{\"op\":\"advance\",\"stream\":");
-            push_u64(out, *stream);
-            out.push_str(",\"k\":");
-            push_u64(out, *k as u64);
+            out.put_u8(OP_ADVANCE);
+            out.put_u64(*stream);
+            out.put_u64(*k as u64);
         }
     }
-    out.push_str("}\n");
     Ok(())
 }
 
-/// Encode a request batch as JSONL (one request per line, batch order).
-pub fn encode_requests(batch: &[Request]) -> Result<String, WireError> {
+fn put_header(out: &mut Writer, magic: &[u8; 4], count: usize) -> Result<(), WireError> {
+    out.put_bytes(magic);
+    out.put_u16(FRAME_VERSION);
+    out.put_u32(u32_len(count)?);
+    Ok(())
+}
+
+/// Encode a request batch as one request frame (batch order).
+pub fn encode_requests(batch: &[Request]) -> Result<Vec<u8>, WireError> {
     encode_request_refs(batch.iter())
 }
 
 /// [`encode_requests`] over borrowed requests — how the router encodes
 /// each worker's sub-batch straight out of the client's batch.
 pub(crate) fn encode_request_refs<'r>(
-    mut batch: impl ExactSizeIterator<Item = &'r Request>,
-) -> Result<String, WireError> {
-    let mut out = String::new();
-    if let Some(first) = batch.next() {
-        push_request(&mut out, first)?;
-        // Size the body from its first line: one allocation when the
-        // lines are alike, as they are in a batch of one schema.
-        out.reserve(out.len() * batch.len());
-    }
+    batch: impl ExactSizeIterator<Item = &'r Request> + Clone,
+) -> Result<Vec<u8>, WireError> {
+    let len = HEADER_BYTES + batch.clone().map(request_len).sum::<usize>();
+    let mut out = Writer::with_capacity(len);
+    put_header(&mut out, &REQUEST_MAGIC, batch.len())?;
     for r in batch {
-        push_request(&mut out, r)?;
+        put_request(&mut out, r)?;
     }
+    Ok(out.into_bytes())
+}
+
+/// Encode responses as one response frame, in batch order.
+///
+/// # Panics
+///
+/// On more than `u32::MAX` responses, which no request frame can ask
+/// for.
+pub fn encode_responses(responses: &[Response]) -> Vec<u8> {
+    let mut out = Writer::with_capacity(HEADER_BYTES + responses.len() * (MIN_RESPONSE_BYTES + 4));
+    put_header(&mut out, &RESPONSE_MAGIC, responses.len()).expect("at most u32::MAX responses");
+    for r in responses {
+        out.put_u64(r.stream);
+        match r.prediction {
+            Some(label) => {
+                out.put_u8(1);
+                out.put_u32(label);
+            }
+            None => out.put_u8(0),
+        }
+    }
+    out.into_bytes()
+}
+
+/// Decode one frame with `body`, which reads the elements after the
+/// header. A failure becomes [`WireError::BadFrame`] at the offset where
+/// decoding stopped; the frame must be consumed exactly.
+fn decode_frame<T>(
+    bytes: &[u8],
+    magic: &[u8; 4],
+    what_magic: &'static str,
+    body: impl FnOnce(&mut Reader<'_>) -> Result<T, &'static str>,
+) -> Result<T, WireError> {
+    if !bytes.starts_with(magic) {
+        return Err(WireError::BadFrame {
+            at: 0,
+            what: what_magic,
+        });
+    }
+    let mut r = Reader::new(bytes);
+    read_frame(&mut r, body).map_err(|what| WireError::BadFrame {
+        at: r.offset(),
+        what,
+    })
+}
+
+fn read_frame<'a, T>(
+    r: &mut Reader<'a>,
+    body: impl FnOnce(&mut Reader<'a>) -> Result<T, &'static str>,
+) -> Result<T, &'static str> {
+    r.take(4)?;
+    if r.take_u16()? != FRAME_VERSION {
+        return Err("unsupported frame version");
+    }
+    let out = body(r)?;
+    r.finish()?;
     Ok(out)
 }
 
-/// Decode a JSONL request batch (the worker's `/submit` input).
-pub fn decode_requests(text: &str) -> Result<Vec<Request>, WireError> {
-    decode_lines(text, request)
-}
-
-/// Encode responses as JSONL, one per line in batch order.
-pub fn encode_responses(responses: &[Response]) -> String {
-    let mut out = String::with_capacity(responses.len() * 32);
-    for r in responses {
-        out.push_str("{\"stream\":");
-        push_u64(&mut out, r.stream);
-        out.push_str(",\"prediction\":");
-        match r.prediction {
-            Some(c) => push_u64(&mut out, u64::from(c)),
-            None => out.push_str("null"),
-        }
-        out.push_str("}\n");
+fn take_request(r: &mut Reader<'_>) -> Result<Request, &'static str> {
+    let op = r.take_u8()?;
+    let stream = r.take_u64()?;
+    if op == OP_ADVANCE {
+        let k = usize::try_from(r.take_u64()?).map_err(|_| "step count out of range")?;
+        return Ok(Request::Advance { stream, k });
     }
-    out
+    if op > OP_ADVANCE {
+        return Err("unknown op tag");
+    }
+    let d = r.count(8)?;
+    let mut x = Vec::with_capacity(d);
+    let mut finite = true;
+    for bits in r.take(8 * d)?.chunks_exact(8) {
+        let v = f64::from_bits(u64::from_le_bytes(bits.try_into().expect("8-byte chunk")));
+        finite &= v.is_finite();
+        x.push(v);
+    }
+    if !finite {
+        return Err("non-finite attribute");
+    }
+    Ok(match op {
+        OP_PREDICT => Request::Predict { stream, x },
+        OP_OBSERVE => Request::Observe {
+            stream,
+            x,
+            y: r.take_u32()?,
+        },
+        _ => Request::Step {
+            stream,
+            x,
+            y: r.take_u32()?,
+        },
+    })
 }
 
-/// Decode a JSONL response payload (the router's `/submit` result).
-pub fn decode_responses(text: &str) -> Result<Vec<Response>, WireError> {
-    decode_lines(text, response)
+/// Decode a request frame (the worker's `/submit` input).
+pub fn decode_requests(bytes: &[u8]) -> Result<Vec<Request>, WireError> {
+    decode_frame(bytes, &REQUEST_MAGIC, "not a request frame", |r| {
+        let n = r.count(MIN_REQUEST_BYTES)?;
+        let mut batch = Vec::with_capacity(n);
+        for _ in 0..n {
+            batch.push(take_request(r)?);
+        }
+        Ok(batch)
+    })
+}
+
+/// Decode a response frame (the router's view of a worker's reply).
+pub fn decode_responses(bytes: &[u8]) -> Result<Vec<Response>, WireError> {
+    decode_frame(bytes, &RESPONSE_MAGIC, "not a response frame", |r| {
+        let n = r.count(MIN_RESPONSE_BYTES)?;
+        let mut responses = Vec::with_capacity(n);
+        for _ in 0..n {
+            let stream = r.take_u64()?;
+            let prediction = match r.take_u8()? {
+                0 => None,
+                1 => Some(r.take_u32()?),
+                _ => return Err("unknown prediction tag"),
+            };
+            responses.push(Response { stream, prediction });
+        }
+        Ok(responses)
+    })
 }
 
 /// Snapshot bytes as lowercase hex (the migration payload — snapshots
-/// are binary, JSONL lines are text).
+/// are binary, the control bodies are JSON).
 pub fn to_hex(bytes: &[u8]) -> String {
     const NIBBLES: &[u8; 16] = b"0123456789abcdef";
     let mut out = String::with_capacity(bytes.len() * 2);
@@ -233,157 +347,42 @@ pub fn from_hex(text: &str) -> Result<Vec<u8>, WireError> {
     Ok(out)
 }
 
-/// Decode every non-blank line of `text` with `parse`, numbering errors.
-fn decode_lines<T>(
-    text: &str,
-    parse: impl Fn(&str) -> Result<T, &'static str>,
-) -> Result<Vec<T>, WireError> {
-    let mut out = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        out.push(parse(line).map_err(|what| WireError::BadLine { line: i + 1, what })?);
-    }
-    Ok(out)
-}
-
-fn request(line: &str) -> Result<Request, &'static str> {
-    let mut r = Reader::new(line)?;
-    let (mut op, mut stream, mut x, mut y, mut k) = (None, None, None, None, None);
-    while let Some(key) = r.next_key()? {
-        match &*key {
-            "op" if op.is_none() => op = Some(r.str_value()?),
-            "stream" if stream.is_none() => stream = Some(r.u64_value()?),
-            "x" if x.is_none() => x = Some(r.f64_array()?),
-            "y" if y.is_none() => y = Some(r.u64_value()?),
-            "k" if k.is_none() => k = Some(r.u64_value()?),
-            _ => r.skip()?,
-        }
-    }
-    let op = field(op, NOT_STRING)?;
-    let stream: StreamId = field(stream, NOT_INTEGER)?;
-    Ok(match &*op {
-        "predict" => Request::Predict {
-            stream,
-            x: field(x, NOT_ARRAY)?,
-        },
-        "observe" => Request::Observe {
-            stream,
-            x: field(x, NOT_ARRAY)?,
-            y: field(y, NOT_INTEGER)? as u32,
-        },
-        "step" => Request::Step {
-            stream,
-            x: field(x, NOT_ARRAY)?,
-            y: field(y, NOT_INTEGER)? as u32,
-        },
-        "advance" => Request::Advance {
-            stream,
-            k: field(k, NOT_INTEGER)? as usize,
-        },
-        _ => return Err("unknown op"),
-    })
-}
-
-fn response(line: &str) -> Result<Response, &'static str> {
-    let mut r = Reader::new(line)?;
-    let (mut stream, mut prediction) = (None, None);
-    while let Some(key) = r.next_key()? {
-        match &*key {
-            "stream" if stream.is_none() => stream = Some(r.u64_value()?),
-            "prediction" if prediction.is_none() => prediction = Some(r.opt_u64_value()?),
-            _ => r.skip()?,
-        }
-    }
-    Ok(Response {
-        stream: field(stream, NOT_INTEGER)?,
-        prediction: field(prediction, NOT_INTEGER)?.map(|v| v as u32),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn requests_round_trip_bit_exactly() {
-        let batch = vec![
-            Request::Predict {
-                stream: 7,
-                x: vec![1.0, 0.5],
-            },
-            Request::Observe {
-                stream: 8,
-                x: vec![0.1 + 0.2, f64::MIN_POSITIVE],
-                y: 1,
-            },
+    fn a_request_frame_has_the_documented_layout() {
+        let batch = [
             Request::Step {
-                stream: u64::from(u32::MAX),
-                x: vec![-0.0, 1e300],
-                y: 0,
+                stream: 7,
+                x: vec![1.0, -0.0],
+                y: 4,
             },
-            // u64::MAX exceeds f64's exact range — the id must survive.
             Request::Advance {
                 stream: u64::MAX,
                 k: 3,
             },
         ];
-        let text = encode_requests(&batch).expect("finite batch encodes");
-        let back = decode_requests(&text).expect("own encoding decodes");
-        assert_eq!(back.len(), batch.len());
-        for (a, b) in batch.iter().zip(&back) {
-            match (a, b) {
-                (
-                    Request::Predict { stream: s1, x: x1 },
-                    Request::Predict { stream: s2, x: x2 },
-                ) => {
-                    assert_eq!(s1, s2);
-                    assert_eq!(bits(x1), bits(x2));
-                }
-                (
-                    Request::Observe {
-                        stream: s1,
-                        x: x1,
-                        y: y1,
-                    },
-                    Request::Observe {
-                        stream: s2,
-                        x: x2,
-                        y: y2,
-                    },
-                )
-                | (
-                    Request::Step {
-                        stream: s1,
-                        x: x1,
-                        y: y1,
-                    },
-                    Request::Step {
-                        stream: s2,
-                        x: x2,
-                        y: y2,
-                    },
-                ) => {
-                    assert_eq!((s1, y1), (s2, y2));
-                    assert_eq!(bits(x1), bits(x2), "attribute bits diverged");
-                }
-                (
-                    Request::Advance { stream: s1, k: k1 },
-                    Request::Advance { stream: s2, k: k2 },
-                ) => assert_eq!((s1, k1), (s2, k2)),
-                other => panic!("variant mismatch: {other:?}"),
-            }
-        }
-    }
-
-    fn bits(x: &[f64]) -> Vec<u64> {
-        x.iter().map(|v| v.to_bits()).collect()
+        let frame = encode_requests(&batch).expect("finite batch encodes");
+        let mut want = b"HOMQ\x01\x00\x02\x00\x00\x00".to_vec();
+        want.push(OP_STEP);
+        want.extend_from_slice(&7u64.to_le_bytes());
+        want.extend_from_slice(&2u32.to_le_bytes());
+        want.extend_from_slice(&1.0f64.to_bits().to_le_bytes());
+        want.extend_from_slice(&(-0.0f64).to_bits().to_le_bytes());
+        want.extend_from_slice(&4u32.to_le_bytes());
+        want.push(OP_ADVANCE);
+        want.extend_from_slice(&u64::MAX.to_le_bytes());
+        want.extend_from_slice(&3u64.to_le_bytes());
+        assert_eq!(frame, want);
+        let back = decode_requests(&frame).expect("own frame");
+        assert_eq!(format!("{back:?}"), format!("{batch:?}"));
     }
 
     #[test]
-    fn responses_round_trip() {
-        let responses = vec![
+    fn a_response_frame_has_the_documented_layout() {
+        let responses = [
             Response {
                 stream: 7,
                 prediction: Some(1),
@@ -393,55 +392,73 @@ mod tests {
                 prediction: None,
             },
         ];
-        let text = encode_responses(&responses);
-        assert_eq!(
-            text,
-            "{\"stream\":7,\"prediction\":1}\n{\"stream\":9,\"prediction\":null}\n"
-        );
-        assert_eq!(decode_responses(&text).unwrap(), responses);
+        let frame = encode_responses(&responses);
+        let mut want = b"HOMP\x01\x00\x02\x00\x00\x00".to_vec();
+        want.extend_from_slice(&7u64.to_le_bytes());
+        want.extend_from_slice(&[1, 1, 0, 0, 0]);
+        want.extend_from_slice(&9u64.to_le_bytes());
+        want.push(0);
+        assert_eq!(frame, want);
+        assert_eq!(decode_responses(&frame).expect("own frame"), responses);
     }
 
     #[test]
-    fn non_finite_attributes_are_rejected_at_encode() {
+    fn non_finite_attributes_are_rejected_at_both_ends() {
         for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
             let batch = vec![Request::Predict {
                 stream: 1,
                 x: vec![bad],
             }];
             assert_eq!(encode_requests(&batch), Err(WireError::NonFiniteAttribute));
+            let mut frame = encode_requests(&[Request::Predict {
+                stream: 1,
+                x: vec![0.0],
+            }])
+            .unwrap();
+            let at = frame.len() - 8;
+            frame[at..].copy_from_slice(&bad.to_bits().to_le_bytes());
+            assert_eq!(
+                decode_requests(&frame).err(),
+                Some(WireError::BadFrame {
+                    at: frame.len(),
+                    what: "non-finite attribute"
+                })
+            );
         }
     }
 
     #[test]
-    fn malformed_lines_are_typed_errors() {
-        for (text, what) in [
-            (
-                "{\"op\":\"predict\",\"stream\":1}",
-                "missing or non-array field",
-            ),
-            ("{\"op\":\"dance\",\"stream\":1,\"x\":[]}", "unknown op"),
-            ("{\"stream\":1,\"x\":[1]}", "missing or non-string field"),
-            ("not json", "unexpected character"),
-            (
-                "{\"op\":\"advance\",\"stream\":1,\"k\":2} trailing",
-                "trailing bytes after object",
-            ),
-            // 20 nines overflow u64, fall back to f64 — and a rounded
-            // stream id must be rejected, not silently truncated.
-            (
-                "{\"op\":\"advance\",\"stream\":99999999999999999999,\"k\":1}",
-                "missing or non-integer field",
-            ),
-        ] {
-            let err = decode_requests(text).expect_err(text);
-            assert_eq!(err, WireError::BadLine { line: 1, what }, "{text}");
-        }
-        // Line numbers point at the offender.
-        let two = "{\"stream\":1,\"prediction\":null}\nbroken\n";
-        assert!(matches!(
-            decode_responses(two),
-            Err(WireError::BadLine { line: 2, .. })
-        ));
+    fn foreign_bodies_are_typed_errors() {
+        let jsonl = b"{\"op\":\"advance\",\"stream\":1,\"k\":2}\n";
+        assert_eq!(
+            decode_requests(jsonl).err(),
+            Some(WireError::BadFrame {
+                at: 0,
+                what: "not a request frame"
+            })
+        );
+        // A response frame is not a request frame, nor the reverse.
+        let responses = encode_responses(&[]);
+        assert!(decode_requests(&responses).is_err());
+        assert!(decode_responses(&encode_requests(&[]).unwrap()).is_err());
+        let mut future = encode_requests(&[]).unwrap();
+        future[4] = 2;
+        assert_eq!(
+            decode_requests(&future).err(),
+            Some(WireError::BadFrame {
+                at: 6,
+                what: "unsupported frame version"
+            })
+        );
+        let mut long = encode_requests(&[]).unwrap();
+        long.push(0);
+        assert_eq!(
+            decode_requests(&long).err(),
+            Some(WireError::BadFrame {
+                at: 10,
+                what: "trailing bytes"
+            })
+        );
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!
 //! | route | method | payload |
 //! |---|---|---|
-//! | `/submit` | POST | JSONL request batch in, JSONL responses out, order preserved ([`crate::wire`]) |
+//! | `/submit` | POST | binary request frame in, response frame out, order preserved ([`crate::wire`]); any other body is a 400 naming the byte where decoding stopped |
 //! | `/migrate/snapshot` | POST | `{"stream":N}` → `{"stream":N,"snapshot":"<hex>"}`; a **non-destructive** copy ([`ServeEngine::snapshot`]) — phase 1 of the router's two-phase migration |
 //! | `/migrate/in` | POST | `{"stream":N,"snapshot":"<hex>"}` → installs the state ([`ServeEngine::restore`]; older-epoch snapshots migrate forward on arrival) — phase 2 |
 //! | `/migrate/evict` | POST | `{"stream":N}` → removes every local trace of the stream ([`ServeEngine::extract`], bytes discarded) — phase 3, sent only after the target acks `/migrate/in` |
@@ -170,20 +170,21 @@ fn dispatch(
 fn submit(engine: &ServeEngine, body: &[u8], traced: bool, obs: &hom_obs::Obs) -> HttpResponse {
     let decoded = {
         let _s = traced.then(|| obs.span("cluster.decode"));
-        std::str::from_utf8(body)
-            .map_err(|_| "submit body is not UTF-8".to_string())
-            .and_then(|text| wire::decode_requests(text).map_err(|e| e.to_string()))
+        wire::decode_requests(body)
     };
     let batch = match decoded {
         Ok(batch) => batch,
-        Err(e) => return HttpResponse::bad_request(&e),
+        Err(e) => return HttpResponse::bad_request(&e.to_string()),
     };
     // `engine.submit` opens its own `serve.batch` span under the active
     // trace (the engine records into the same `Obs`), so the trace
     // shows decode / batch / encode as siblings under `cluster.submit`.
     let responses = engine.submit(&batch);
     let _s = traced.then(|| obs.span("cluster.encode"));
-    HttpResponse::ok("application/jsonl", wire::encode_responses(&responses))
+    HttpResponse::ok(
+        "application/octet-stream",
+        wire::encode_responses(&responses),
+    )
 }
 
 /// The `names` fields of a one-line JSON body like `{"stream":7,...}`.
@@ -287,8 +288,8 @@ fn swap_prepare(engine: &ServeEngine, staged: &Mutex<Option<Staged>>, body: &[u8
 }
 
 fn swap_commit(engine: &ServeEngine, staged: &Mutex<Option<Staged>>, body: &[u8]) -> HttpResponse {
-    let epoch = match body_fields(body, ["epoch"]).and_then(|[epoch]| epoch.u64()) {
-        Ok(e) => e as u32,
+    let epoch = match body_fields(body, ["epoch"]).and_then(|[epoch]| epoch.u32()) {
+        Ok(e) => e,
         Err(what) => return HttpResponse::bad_request(what),
     };
     let mut slot = staged.lock().unwrap_or_else(|e| e.into_inner());

@@ -3,7 +3,9 @@
 //! route deterministically, parked and store-tiered streams migrate
 //! over the wire, and an older-epoch snapshot arriving *after* a
 //! cluster-wide swap migrates forward on restore. Hostile bodies are a
-//! 400 from the node they hit, which keeps serving. The transport keeps
+//! 400 from the node they hit, which keeps serving, and a worker reply
+//! that answers out of request order fails the batch rather than
+//! merging wrongly. The transport keeps
 //! one persistent connection per worker, notices a worker that went
 //! away under it without resending, and bounds a batch by one deadline.
 
@@ -20,7 +22,10 @@ use hom_data::stream::collect;
 use hom_data::{StreamRecord, StreamSource};
 use hom_datagen::{StaggerParams, StaggerSource};
 use hom_obs::Obs;
-use hom_serve::{http_request, Request, ServeEngine, ServeOptions, ServeTelemetry, StreamStore};
+use hom_serve::transport::{HttpResponse, HttpServer};
+use hom_serve::{
+    http_request, Request, Response, ServeEngine, ServeOptions, ServeTelemetry, StreamStore,
+};
 use hom_store::{FsIo, StoreOptions};
 
 fn bits(p: &[f64]) -> Vec<u64> {
@@ -251,13 +256,12 @@ fn parked_and_store_tiered_streams_migrate_over_the_wire() {
             target.addr(),
             "POST",
             "/submit",
-            body.as_bytes(),
+            &body,
             Duration::from_secs(5),
         )
         .expect("target serves");
         assert_eq!(status, 200);
-        let responses =
-            wire::decode_responses(std::str::from_utf8(&payload).expect("utf-8")).expect("decodes");
+        let responses = wire::decode_responses(&payload).expect("decodes");
         let want = reference.step(stream, &r.x, r.y);
         assert_eq!(responses[0].prediction, Some(want));
     }
@@ -396,13 +400,12 @@ fn older_epoch_snapshot_arriving_after_swap_migrates_forward() {
             workers[1].addr(),
             "POST",
             "/submit",
-            body.as_bytes(),
+            &body,
             Duration::from_secs(5),
         )
         .expect("target serves");
         assert_eq!(status, 200);
-        let responses =
-            wire::decode_responses(std::str::from_utf8(&payload).expect("utf-8")).expect("decodes");
+        let responses = wire::decode_responses(&payload).expect("decodes");
         assert_eq!(responses[0].prediction, Some(want));
     }
 }
@@ -495,18 +498,37 @@ fn deeply_nested_submit_is_a_bad_request_not_an_abort() {
 
     // A million open brackets where the attributes belong: a decoder
     // that recursed per bracket would overflow its connection thread's
-    // stack and abort the whole process.
+    // stack and abort the whole process. The router's JSONL edge finds
+    // the nesting too deep; a worker, which speaks only frames, refuses
+    // the body at its magic and never reads the brackets.
     let mut hostile = b"{\"op\":\"predict\",\"stream\":1,\"x\":".to_vec();
     hostile.resize(hostile.len() + 1_000_000, b'[');
-    for addr in [workers[0].addr(), server.addr()] {
-        let (status, body) =
-            http_request(addr, "POST", "/submit", &hostile, t).expect("node answers");
-        let reason = String::from_utf8_lossy(&body);
+    // A frame declaring u32::MAX requests over a megabyte of brackets:
+    // the count is refused before anything is reserved from it.
+    let mut hostile_frame = wire::encode_requests(&[]).expect("encodes");
+    hostile_frame[6..10].copy_from_slice(&u32::MAX.to_le_bytes());
+    hostile_frame.resize(hostile_frame.len() + 1_000_000, b'[');
+    for (addr, body, why) in [
+        (server.addr(), &hostile, "wire line 1: nesting too deep"),
+        (
+            workers[0].addr(),
+            &hostile,
+            "wire frame byte 0: not a request frame",
+        ),
+        (
+            workers[0].addr(),
+            &hostile_frame,
+            "wire frame byte 10: truncated",
+        ),
+    ] {
+        let (status, reply) = http_request(addr, "POST", "/submit", body, t).expect("node answers");
+        let reason = String::from_utf8_lossy(&reply);
         assert_eq!(status, 400, "{reason}");
-        assert!(reason.contains("nesting too deep"), "{reason}");
+        assert_eq!(reason.trim(), why);
     }
 
-    // Both nodes keep serving the next ordinary batch.
+    // Both nodes keep serving the next ordinary batch, each in its own
+    // format.
     let batch: Vec<Request> = test[..8]
         .iter()
         .enumerate()
@@ -516,16 +538,64 @@ fn deeply_nested_submit_is_a_bad_request_not_an_abort() {
             y: r.y,
         })
         .collect();
-    let body = wire::encode_requests(&batch).expect("encodes");
-    for addr in [workers[0].addr(), server.addr()] {
-        let (status, payload) =
-            http_request(addr, "POST", "/submit", body.as_bytes(), t).expect("node serves");
-        assert_eq!(status, 200);
-        let responses =
-            wire::decode_responses(std::str::from_utf8(&payload).expect("utf-8")).expect("decodes");
+    let frame = wire::encode_requests(&batch).expect("encodes");
+    let (status, payload) =
+        http_request(workers[0].addr(), "POST", "/submit", &frame, t).expect("worker serves");
+    assert_eq!(status, 200);
+    let from_worker = wire::decode_responses(&payload).expect("decodes");
+    let text = wire::jsonl::encode_requests(&batch).expect("encodes");
+    let (status, payload) =
+        http_request(server.addr(), "POST", "/submit", text.as_bytes(), t).expect("router serves");
+    assert_eq!(status, 200);
+    let from_router = wire::jsonl::decode_responses(std::str::from_utf8(&payload).expect("utf-8"))
+        .expect("decodes");
+    for responses in [from_worker, from_router] {
         assert_eq!(responses.len(), batch.len());
         assert!(responses.iter().all(|r| r.prediction.is_some()));
     }
+}
+
+#[test]
+fn a_reply_out_of_request_order_is_a_bad_response_not_a_wrong_merge() {
+    // A worker that answers every request, but in reverse order: the
+    // lengths agree, so only the stream check can tell.
+    let reversing = HttpServer::bind(
+        "127.0.0.1:0".parse().expect("loopback"),
+        "reversing-worker",
+        Arc::new(|req| {
+            let batch = wire::decode_requests(&req.body).expect("a frame from the router");
+            let mut responses: Vec<Response> = batch
+                .iter()
+                .map(|r| Response {
+                    stream: r.stream(),
+                    prediction: Some(0),
+                })
+                .collect();
+            responses.reverse();
+            HttpResponse::ok(
+                "application/octet-stream",
+                wire::encode_responses(&responses),
+            )
+        }),
+    )
+    .expect("stub binds");
+    let router = Router::new(
+        vec![reversing.addr()],
+        DEFAULT_VNODES,
+        Duration::from_secs(5),
+    )
+    .expect("router");
+    let batch: Vec<Request> = (1..=3)
+        .map(|stream| Request::Advance { stream, k: 1 })
+        .collect();
+    match router.submit(&batch) {
+        Err(ClusterError::BadResponse { worker: 0, what }) => {
+            assert!(what.contains("stream 3 where stream 1 was asked"), "{what}")
+        }
+        other => panic!("expected a bad response, got {other:?}"),
+    }
+    // One request cannot be out of order.
+    assert!(router.submit(&batch[..1]).is_ok());
 }
 
 /// A forwarding TCP proxy in front of a worker that counts the

@@ -152,6 +152,23 @@ fn take_f64(bytes: &[u8], at: &mut usize) -> Result<f64, ModelCodecError> {
     Ok(f64::from_bits(take_u64(bytes, at)?))
 }
 
+/// A declared element count, believed only when `n` elements of at
+/// least `min_bytes` each fit in the bytes left after `at` — the rule of
+/// `hom_data::codec::Reader::count` — so nothing sized from it can
+/// reserve more than the input could hold.
+fn take_count(bytes: &[u8], at: &mut usize, min_bytes: usize) -> Result<usize, ModelCodecError> {
+    let n = take_u32(bytes, at)? as usize;
+    fits(bytes, *at, n, min_bytes)
+}
+
+/// `n` itself when `n` elements of `min_bytes` fit in `bytes[at..]`.
+fn fits(bytes: &[u8], at: usize, n: usize, min_bytes: usize) -> Result<usize, ModelCodecError> {
+    match n.checked_mul(min_bytes) {
+        Some(need) if need <= bytes.len() - at => Ok(n),
+        _ => Err(ModelCodecError::Truncated),
+    }
+}
+
 fn take_str(bytes: &[u8], at: &mut usize) -> Result<String, ModelCodecError> {
     let len = take_u32(bytes, at)? as usize;
     let raw = take(bytes, at, len)?;
@@ -246,7 +263,8 @@ pub fn decode_model(bytes: &[u8]) -> Result<(Arc<HighOrderModel>, u32), ModelCod
     }
     let epoch = take_u32(payload, at)?;
 
-    let n_attrs = take_u32(payload, at)? as usize;
+    // An attribute is at least a name length and a kind byte.
+    let n_attrs = take_count(payload, at, 4 + 1)?;
     if n_attrs == 0 {
         return Err(ModelCodecError::Corrupt("schema with no attributes"));
     }
@@ -256,13 +274,13 @@ pub fn decode_model(bytes: &[u8]) -> Result<(Arc<HighOrderModel>, u32), ModelCod
         match take(payload, at, 1)?[0] {
             0 => attrs.push(Attribute::numeric(name)),
             1 => {
-                let n_values = take_u32(payload, at)? as usize;
+                let n_values = take_count(payload, at, 4)?;
                 if n_values == 0 {
                     return Err(ModelCodecError::Corrupt(
                         "categorical attribute with no values",
                     ));
                 }
-                let mut values = Vec::with_capacity(n_values.min(1024));
+                let mut values = Vec::with_capacity(n_values);
                 for _ in 0..n_values {
                     values.push(take_str(payload, at)?);
                 }
@@ -271,13 +289,13 @@ pub fn decode_model(bytes: &[u8]) -> Result<(Arc<HighOrderModel>, u32), ModelCod
             _ => return Err(ModelCodecError::Corrupt("unknown attribute kind")),
         }
     }
-    let n_classes = take_u32(payload, at)? as usize;
+    let n_classes = take_count(payload, at, 4)?;
     if n_classes < 2 {
         return Err(ModelCodecError::Corrupt(
             "schema with fewer than two classes",
         ));
     }
-    let mut classes = Vec::with_capacity(n_classes.min(1024));
+    let mut classes = Vec::with_capacity(n_classes);
     for _ in 0..n_classes {
         classes.push(take_str(payload, at)?);
     }
@@ -287,7 +305,12 @@ pub fn decode_model(bytes: &[u8]) -> Result<(Arc<HighOrderModel>, u32), ModelCod
     if n_concepts == 0 {
         return Err(ModelCodecError::Corrupt("model with no concepts"));
     }
-    let mut concepts = Vec::with_capacity(n_concepts.min(1024));
+    // Each concept owns at least its three header words, its `Len` and
+    // `Freq` entries and a χ row of `n_concepts` f64s: a count whose
+    // smallest encoding overruns the blob is refused before anything
+    // is reserved from it (χ alone would be 8·n² bytes).
+    fits(payload, *at, n_concepts, 8 * (5 + n_concepts))?;
+    let mut concepts = Vec::with_capacity(n_concepts);
     for id in 0..n_concepts {
         let err = take_f64(payload, at)?;
         let n_records = take_u64(payload, at)? as usize;
@@ -514,6 +537,48 @@ mod tests {
                 "flip at byte {i} decoded"
             );
         }
+    }
+
+    #[test]
+    fn a_concept_count_the_blob_cannot_hold_is_refused_before_reserving() {
+        // 200,000 minimal concepts with their `Len` and `Freq` rows and a
+        // valid trailer fit in 17 MiB, but their χ would be 8·n² =
+        // 320 GB: the declared count must fail typed, not abort on the
+        // reservation.
+        let one = |n: usize| {
+            let concepts = (0..n)
+                .map(|id| Concept {
+                    id,
+                    model: Arc::new(MajorityClassifier::from_counts(&[1, 1])) as Arc<_>,
+                    err: 0.5,
+                    n_records: 1,
+                    n_occurrences: 1,
+                })
+                .collect();
+            let runs: Vec<(usize, usize)> = (0..n).map(|c| (c, 10)).collect();
+            let stats = TransitionStats::from_occurrences(n, &runs);
+            let model = HighOrderModel::from_parts(schema(), concepts, stats);
+            encode_model(&model, 1).expect("encodes")
+        };
+        let (single, double) = (one(1), one(2));
+        // A second concept adds its bytes, a `Len` and a `Freq` entry and
+        // three χ entries.
+        let concept_len = double.len() - single.len() - 5 * 8;
+        let concepts_at = single.len() - 8 - 3 * 8 - concept_len;
+        let n = 200_000usize;
+        let mut blob = single[..concepts_at - 4].to_vec();
+        blob.extend_from_slice(&(n as u32).to_le_bytes());
+        for _ in 0..n {
+            blob.extend_from_slice(&single[concepts_at..concepts_at + concept_len]);
+        }
+        for _ in 0..2 * n {
+            blob.extend_from_slice(&1.0f64.to_bits().to_le_bytes());
+        }
+        let sum = fnv1a(&blob);
+        blob.extend_from_slice(&sum.to_le_bytes());
+        assert_eq!(decode_model(&blob).err(), Some(ModelCodecError::Truncated));
+        // The honest one-concept blob still decodes.
+        assert!(decode_model(&single).is_ok());
     }
 
     #[test]

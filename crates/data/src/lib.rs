@@ -21,7 +21,10 @@
 //!   error used by the WCE baseline.
 //! * [`rng`] — deterministic seeding helpers so every experiment is
 //!   reproducible from a single `u64` seed.
+//! * [`codec`] — the checked little-endian [`codec::Writer`] /
+//!   [`codec::Reader`] pair binary formats are built on.
 
+pub mod codec;
 pub mod dataset;
 pub mod io;
 pub mod metrics;

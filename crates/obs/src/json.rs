@@ -1,7 +1,7 @@
 //! The one JSON reader in the tree: a forward-only pull reader over a
 //! single JSON object. The trace format ([`crate::jsonl::parse_line`]),
-//! the cluster's router↔worker wire and control bodies
-//! (`hom_cluster_serve::wire`) and the scrapes of the introspection
+//! the cluster router's JSONL edge and control bodies
+//! (`hom_cluster_serve::wire::jsonl`) and the scrapes of the introspection
 //! routes all read through it.
 //!
 //! It reads the subset those bodies are written in: one flat object
@@ -84,6 +84,13 @@ impl<'a> Field<'a> {
     /// An exact unsigned integer (never rounded through `f64`).
     pub fn u64(self) -> Result<u64, &'static str> {
         self.read(NOT_INTEGER, Reader::u64_value)
+    }
+
+    /// An exact integer that fits a `u32`; a larger one is the same
+    /// shape error as a missing one, never a silently narrowed value.
+    pub fn u32(self) -> Result<u32, &'static str> {
+        self.u64()
+            .and_then(|v| u32::try_from(v).map_err(|_| NOT_INTEGER))
     }
 
     /// A string, borrowed unless it carried escapes.

@@ -74,7 +74,6 @@
 
 pub mod agg;
 pub mod ctx;
-mod dtoa;
 pub mod event;
 pub mod exemplar;
 pub mod export;
