@@ -1,5 +1,6 @@
 //! Object-safe classifier and learner traits.
 
+use hom_data::codec::Writer;
 use hom_data::{ClassId, Instances};
 
 use crate::flat::FlatTree;
@@ -40,7 +41,7 @@ pub trait Classifier: Send + Sync {
     }
 
     /// Append this classifier's wire blob (tag + payload, see
-    /// [`crate::wire`]) to `out`, returning whether the classifier has a
+    /// [`crate::wire`]) to `w`, returning whether the classifier has a
     /// wire form at all. On `false` nothing is written.
     ///
     /// Contract: the classifier decoded from the written bytes
@@ -52,11 +53,11 @@ pub trait Classifier: Send + Sync {
     /// dedicated encoding (Hoeffding trees) or stay node-local (naive
     /// Bayes returns `false`, and a model containing one is rejected by
     /// the model codec with a typed error).
-    fn wire_encode(&self, out: &mut Vec<u8>) -> bool {
+    fn wire_encode(&self, w: &mut Writer<'_>) -> bool {
         match self.flatten() {
             Some(flat) => {
-                out.push(crate::wire::WIRE_TAG_FLAT);
-                flat.wire_encode_into(out);
+                w.put_u8(crate::wire::WIRE_TAG_FLAT);
+                flat.wire_encode_into(w);
                 true
             }
             None => false,

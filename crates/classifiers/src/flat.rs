@@ -29,11 +29,12 @@
 //! (`hom-core`'s `CompiledModel` falls back to dynamic dispatch for
 //! classifiers that return `None`, e.g. naive Bayes).
 
+use hom_data::codec::{Reader, Writer};
 use hom_data::ClassId;
 
 use crate::api::Classifier;
 use crate::decision_tree::{DecisionTree, NodeKind};
-use crate::wire::{put_f64, put_u32, take_f64, take_u32, take_u8, ClassifierWireError};
+use crate::wire::ClassifierWireError;
 
 /// Discriminant of one flattened node. `u8`-sized so the kind array
 /// stays dense.
@@ -148,91 +149,76 @@ impl FlatTree {
         &self.proba[at..at + self.n_classes]
     }
 
-    /// Append this tree's wire payload to `out` (the tag byte is the
+    /// Append this tree's wire payload to `w` (the tag byte is the
     /// caller's job — see [`crate::wire`]): class count, node count,
     /// then the parallel arrays in declaration order. All integers are
     /// little-endian; f64s are raw bits, so the decoded tree's
     /// probability rows are bit-identical to this one's.
-    pub fn wire_encode_into(&self, out: &mut Vec<u8>) {
-        put_u32(out, self.n_classes as u32);
-        put_u32(out, self.n_nodes() as u32);
+    pub fn wire_encode_into(&self, w: &mut Writer<'_>) {
+        w.put_u32(self.n_classes as u32);
+        w.put_u32(self.n_nodes() as u32);
         for &k in &self.kind {
-            out.push(k as u8);
+            w.put_u8(k as u8);
         }
         for &a in &self.attr {
-            put_u32(out, a);
+            w.put_u32(a);
         }
         for &t in &self.threshold {
-            put_f64(out, t);
+            w.put_f64(t);
         }
-        for &c in &self.first_child {
-            put_u32(out, c);
-        }
-        for &n in &self.n_children {
-            put_u32(out, n);
-        }
-        for &m in &self.majority {
-            put_u32(out, m);
+        for words in [&self.first_child, &self.n_children, &self.majority] {
+            for &v in words {
+                w.put_u32(v);
+            }
         }
         for &p in &self.proba {
-            put_f64(out, p);
+            w.put_f64(p);
         }
     }
 
-    /// Decode a wire payload written by [`Self::wire_encode_into`],
-    /// advancing `*at`. Validates the structure exhaustively — class
-    /// count against `n_classes`, split attributes against `n_attrs`,
-    /// and **forward-only child edges** (`first_child > id`, children in
+    /// Decode a wire payload written by [`Self::wire_encode_into`] from
+    /// `r`. Validates the structure exhaustively — class count against
+    /// `n_classes`, split attributes against `n_attrs`, and
+    /// **forward-only child edges** (`first_child > id`, children in
     /// range) so [`Self::descend`] provably terminates on any input —
     /// and returns a typed error on anything malformed: corrupt bytes
     /// must never panic (or hang) a serving node.
     pub fn wire_decode(
-        bytes: &[u8],
-        at: &mut usize,
+        r: &mut Reader<'_>,
         n_attrs: usize,
         n_classes: usize,
     ) -> Result<Self, ClassifierWireError> {
-        let k = take_u32(bytes, at)? as usize;
+        let k = r.take_u32()? as usize;
         if k != n_classes {
             return Err(ClassifierWireError::Corrupt("class count mismatch"));
         }
-        let n_nodes = take_u32(bytes, at)? as usize;
+        // A node is its kind byte, four u32 fields, a threshold and a
+        // probability row.
+        let n_nodes = r.count(1 + 4 * 4 + 8 + 8 * n_classes)?;
         if n_nodes == 0 {
             return Err(ClassifierWireError::Corrupt("empty tree"));
         }
-        let mut kind = Vec::new();
-        for _ in 0..n_nodes {
-            kind.push(match take_u8(bytes, at)? {
-                0 => FlatKind::Leaf,
-                1 => FlatKind::Num,
-                2 => FlatKind::Cat,
-                _ => return Err(ClassifierWireError::Corrupt("unknown node kind")),
-            });
-        }
-        let mut attr = Vec::new();
-        for _ in 0..n_nodes {
-            attr.push(take_u32(bytes, at)?);
-        }
-        let mut threshold = Vec::new();
-        for _ in 0..n_nodes {
-            threshold.push(take_f64(bytes, at)?);
-        }
-        let mut first_child = Vec::new();
-        for _ in 0..n_nodes {
-            first_child.push(take_u32(bytes, at)?);
-        }
-        let mut n_children = Vec::new();
-        for _ in 0..n_nodes {
-            n_children.push(take_u32(bytes, at)?);
-        }
-        let mut majority = Vec::new();
-        for _ in 0..n_nodes {
-            majority.push(take_u32(bytes, at)?);
-        }
-        let mut proba = Vec::new();
-        for _ in 0..n_nodes * n_classes {
-            proba.push(take_f64(bytes, at)?);
-        }
+        let kind = (0..n_nodes)
+            .map(|_| match r.take_u8()? {
+                0 => Ok(FlatKind::Leaf),
+                1 => Ok(FlatKind::Num),
+                2 => Ok(FlatKind::Cat),
+                _ => Err(ClassifierWireError::Corrupt("unknown node kind")),
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        let u32s = |r: &mut Reader<'_>| {
+            (0..n_nodes)
+                .map(|_| r.take_u32())
+                .collect::<Result<Vec<_>, _>>()
+        };
+        let f64s =
+            |r: &mut Reader<'_>, n| (0..n).map(|_| r.take_f64()).collect::<Result<Vec<_>, _>>();
+        let attr = u32s(r)?;
+        let threshold = f64s(r, n_nodes)?;
+        let first_child = u32s(r)?;
+        let n_children = u32s(r)?;
+        let majority = u32s(r)?;
+        let proba = f64s(r, n_nodes * n_classes)?;
         for id in 0..n_nodes {
             let fc = first_child[id] as usize;
             match kind[id] {

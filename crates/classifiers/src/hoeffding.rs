@@ -16,13 +16,11 @@
 
 use std::sync::Arc;
 
+use hom_data::codec::{Reader, Writer};
 use hom_data::{AttrKind, ClassId, Schema};
 
 use crate::api::{argmax, Classifier};
-use crate::wire::{
-    put_f64, put_u32, put_u64, take_f64, take_u32, take_u64, take_u8, ClassifierWireError,
-    WIRE_TAG_HOEFFDING,
-};
+use crate::wire::{ClassifierWireError, WIRE_TAG_HOEFFDING};
 
 /// Hyper-parameters of the Hoeffding tree.
 #[derive(Debug, Clone)]
@@ -53,7 +51,7 @@ impl Default for HoeffdingParams {
 }
 
 /// Per-leaf sufficient statistics.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct LeafStats {
     class_counts: Vec<u64>,
     since_eval: usize,
@@ -134,6 +132,11 @@ impl HoeffdingTree {
             let HKind::Leaf(stats) = &mut node.kind else {
                 unreachable!("descend returns leaves");
             };
+            // A decoded leaf allocates its observers on first training, so
+            // decoding many leaves over a wide schema stays cheap.
+            if stats.class_counts.is_empty() {
+                *stats = LeafStats::new(&self.schema);
+            }
             stats.observe(x, y);
             (
                 stats.since_eval >= self.params.grace_period,
@@ -189,7 +192,7 @@ impl HoeffdingTree {
         }
     }
 
-    /// Append this tree's **frozen** wire payload to `out` (the tag
+    /// Append this tree's **frozen** wire payload to `w` (the tag
     /// byte is the caller's job — see [`crate::wire`]): per node the
     /// split structure plus the `majority_counts` that
     /// [`Classifier::predict`] / [`Classifier::predict_proba`] read.
@@ -198,19 +201,19 @@ impl HoeffdingTree {
     /// bit-identically but, if ever trained further, restarts its leaf
     /// statistics from zero — cluster nodes only serve wire-distributed
     /// models, they never grow them.
-    pub fn wire_encode_into(&self, out: &mut Vec<u8>) {
+    pub fn wire_encode_into(&self, w: &mut Writer<'_>) {
         let n_classes = self.schema.n_classes();
-        put_u32(out, n_classes as u32);
-        put_u32(out, self.nodes.len() as u32);
+        w.put_u32(n_classes as u32);
+        w.put_u32(self.nodes.len() as u32);
         for node in &self.nodes {
             match &node.kind {
-                HKind::Leaf(_) => out.push(0),
+                HKind::Leaf(_) => w.put_u8(0),
                 HKind::Cat { attr, children } => {
-                    out.push(1);
-                    put_u32(out, *attr as u32);
-                    put_u32(out, children.len() as u32);
+                    w.put_u8(1);
+                    w.put_u32(*attr as u32);
+                    w.put_u32(children.len() as u32);
                     for &c in children {
-                        put_u32(out, c);
+                        w.put_u32(c);
                     }
                 }
                 HKind::Num {
@@ -219,44 +222,44 @@ impl HoeffdingTree {
                     left,
                     right,
                 } => {
-                    out.push(2);
-                    put_u32(out, *attr as u32);
-                    put_f64(out, *threshold);
-                    put_u32(out, *left);
-                    put_u32(out, *right);
+                    w.put_u8(2);
+                    w.put_u32(*attr as u32);
+                    w.put_f64(*threshold);
+                    w.put_u32(*left);
+                    w.put_u32(*right);
                 }
             }
             debug_assert_eq!(node.majority_counts.len(), n_classes);
             for &c in &node.majority_counts {
-                put_u64(out, c);
+                w.put_u64(c);
             }
         }
     }
 
-    /// Decode a wire payload written by [`Self::wire_encode_into`],
-    /// advancing `*at`. Child edges must point strictly forward
-    /// (`child > parent`) — the invariant `apply_split` maintains — so
-    /// `descend` and `deepest_leaf` provably terminate on any input;
-    /// anything else is a typed [`ClassifierWireError`], never a panic
-    /// or a hang. The decoded tree carries default
-    /// [`HoeffdingParams`] and fresh leaf statistics (see
-    /// [`Self::wire_encode_into`] for why that cannot change what it
-    /// serves).
+    /// Decode a wire payload written by [`Self::wire_encode_into`] from
+    /// `r`. Child edges must point strictly forward (`child > parent`)
+    /// — the invariant `apply_split` maintains — so `descend` and
+    /// `deepest_leaf` provably terminate on any input; anything else is
+    /// a typed [`ClassifierWireError`], never a panic or a hang. The
+    /// decoded tree carries default [`HoeffdingParams`] and fresh leaf
+    /// statistics (see [`Self::wire_encode_into`] for why that cannot
+    /// change what it serves), allocated only when a leaf is first
+    /// trained, so decoding reserves nothing per leaf beyond its counts.
     pub fn wire_decode(
-        bytes: &[u8],
-        at: &mut usize,
+        r: &mut Reader<'_>,
         schema: &Arc<Schema>,
     ) -> Result<Self, ClassifierWireError> {
-        let n_classes = take_u32(bytes, at)? as usize;
+        let n_classes = r.take_u32()? as usize;
         if n_classes != schema.n_classes() {
             return Err(ClassifierWireError::Corrupt("class count mismatch"));
         }
-        let n_nodes = take_u32(bytes, at)? as usize;
+        // The smallest node is a leaf: its kind byte and class counts.
+        let n_nodes = r.count(1 + 8 * n_classes)?;
         if n_nodes == 0 {
             return Err(ClassifierWireError::Corrupt("empty tree"));
         }
         let n_attrs = schema.n_attrs();
-        let mut nodes = Vec::new();
+        let mut nodes = Vec::with_capacity(n_nodes);
         for id in 0..n_nodes {
             let check_child = |c: u32| -> Result<u32, ClassifierWireError> {
                 if (c as usize) <= id || (c as usize) >= n_nodes {
@@ -265,33 +268,32 @@ impl HoeffdingTree {
                     Ok(c)
                 }
             };
-            let kind = match take_u8(bytes, at)? {
-                0 => HKind::Leaf(LeafStats::new(schema)),
+            let kind = match r.take_u8()? {
+                0 => HKind::Leaf(LeafStats::default()),
                 1 => {
-                    let attr = take_u32(bytes, at)? as usize;
+                    let attr = r.take_u32()? as usize;
                     if attr >= n_attrs {
                         return Err(ClassifierWireError::Corrupt("split attribute out of range"));
                     }
-                    let arity = take_u32(bytes, at)? as usize;
+                    let arity = r.count(4)?;
                     if arity == 0 {
                         return Err(ClassifierWireError::Corrupt(
                             "categorical split with no children",
                         ));
                     }
-                    let mut children = Vec::new();
-                    for _ in 0..arity {
-                        children.push(check_child(take_u32(bytes, at)?)?);
-                    }
+                    let children = (0..arity)
+                        .map(|_| check_child(r.take_u32()?))
+                        .collect::<Result<_, _>>()?;
                     HKind::Cat { attr, children }
                 }
                 2 => {
-                    let attr = take_u32(bytes, at)? as usize;
+                    let attr = r.take_u32()? as usize;
                     if attr >= n_attrs {
                         return Err(ClassifierWireError::Corrupt("split attribute out of range"));
                     }
-                    let threshold = take_f64(bytes, at)?;
-                    let left = check_child(take_u32(bytes, at)?)?;
-                    let right = check_child(take_u32(bytes, at)?)?;
+                    let threshold = r.take_f64()?;
+                    let left = check_child(r.take_u32()?)?;
+                    let right = check_child(r.take_u32()?)?;
                     HKind::Num {
                         attr,
                         threshold,
@@ -301,10 +303,9 @@ impl HoeffdingTree {
                 }
                 _ => return Err(ClassifierWireError::Corrupt("unknown node kind")),
             };
-            let mut majority_counts = Vec::with_capacity(n_classes);
-            for _ in 0..n_classes {
-                majority_counts.push(take_u64(bytes, at)?);
-            }
+            let majority_counts = (0..n_classes)
+                .map(|_| r.take_u64())
+                .collect::<Result<_, _>>()?;
             nodes.push(HNode {
                 kind,
                 majority_counts,
@@ -417,9 +418,9 @@ impl Classifier for HoeffdingTree {
     // out-of-vocabulary categorical codes walk to the deepest
     // first-child leaf here but stop at the split node there), so the
     // wire form is the dedicated frozen encoding instead.
-    fn wire_encode(&self, out: &mut Vec<u8>) -> bool {
-        out.push(WIRE_TAG_HOEFFDING);
-        self.wire_encode_into(out);
+    fn wire_encode(&self, w: &mut Writer<'_>) -> bool {
+        w.put_u8(WIRE_TAG_HOEFFDING);
+        self.wire_encode_into(w);
         true
     }
 }

@@ -26,12 +26,17 @@
 //! child edges so descent always terminates, class/attribute ranges
 //! against the schema) and returns a typed [`ClassifierWireError`] on
 //! any malformed input — corrupt bytes must never panic a serving
-//! node. Checksumming is the *container's* job: `hom-core`'s model
-//! codec guards the whole model blob with one FNV-1a trailer.
+//! node. Blobs are written and read with `hom_data::codec`'s `Writer` /
+//! `Reader`, and every declared count (nodes, children) goes through
+//! `Reader::count`, so a decode reserves no more than a constant times
+//! the bytes it was given. Checksumming is the *container's* job:
+//! `hom-core`'s model codec guards the whole model blob with the codec's
+//! one FNV-1a seal.
 
 use std::fmt;
 use std::sync::Arc;
 
+use hom_data::codec::{ReadError, Reader};
 use hom_data::Schema;
 
 use crate::api::Classifier;
@@ -65,62 +70,33 @@ impl fmt::Display for ClassifierWireError {
 
 impl std::error::Error for ClassifierWireError {}
 
-pub(crate) fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
+/// A codec failure inside a blob. Only `Truncated` can arise from the
+/// reads a classifier makes; the rest map to [`ClassifierWireError::Corrupt`]
+/// with the codec's reason.
+impl From<ReadError> for ClassifierWireError {
+    fn from(e: ReadError) -> Self {
+        match e {
+            ReadError::Truncated => ClassifierWireError::Truncated,
+            other => ClassifierWireError::Corrupt(other.into()),
+        }
+    }
 }
 
-pub(crate) fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_bits().to_le_bytes());
-}
-
-pub(crate) fn take_u8(bytes: &[u8], at: &mut usize) -> Result<u8, ClassifierWireError> {
-    let b = *bytes.get(*at).ok_or(ClassifierWireError::Truncated)?;
-    *at += 1;
-    Ok(b)
-}
-
-pub(crate) fn take_u32(bytes: &[u8], at: &mut usize) -> Result<u32, ClassifierWireError> {
-    let end = at.checked_add(4).ok_or(ClassifierWireError::Truncated)?;
-    let chunk = bytes.get(*at..end).ok_or(ClassifierWireError::Truncated)?;
-    *at = end;
-    Ok(u32::from_le_bytes(chunk.try_into().expect("4 bytes")))
-}
-
-pub(crate) fn take_u64(bytes: &[u8], at: &mut usize) -> Result<u64, ClassifierWireError> {
-    let end = at.checked_add(8).ok_or(ClassifierWireError::Truncated)?;
-    let chunk = bytes.get(*at..end).ok_or(ClassifierWireError::Truncated)?;
-    *at = end;
-    Ok(u64::from_le_bytes(chunk.try_into().expect("8 bytes")))
-}
-
-/// Reads the raw f64 **bits** — the decoded value is bit-identical to
-/// the encoded one (NaN payloads included), which the cluster's
-/// differential bar depends on.
-pub(crate) fn take_f64(bytes: &[u8], at: &mut usize) -> Result<f64, ClassifierWireError> {
-    Ok(f64::from_bits(take_u64(bytes, at)?))
-}
-
-/// Decode one classifier blob (tag + payload) advancing `*at`,
-/// validating every index against `schema`. The returned trait object
-/// serves (`predict` / `predict_proba`) bit-identically to the encoded
-/// source classifier.
+/// Decode one classifier blob (tag + payload) from `r`, validating
+/// every index against `schema`. The returned trait object serves
+/// (`predict` / `predict_proba`) bit-identically to the encoded source
+/// classifier.
 pub fn decode_classifier(
-    bytes: &[u8],
-    at: &mut usize,
+    r: &mut Reader<'_>,
     schema: &Arc<Schema>,
 ) -> Result<Arc<dyn Classifier>, ClassifierWireError> {
-    match take_u8(bytes, at)? {
+    match r.take_u8()? {
         WIRE_TAG_FLAT => Ok(Arc::new(FlatTree::wire_decode(
-            bytes,
-            at,
+            r,
             schema.n_attrs(),
             schema.n_classes(),
         )?)),
-        WIRE_TAG_HOEFFDING => Ok(Arc::new(HoeffdingTree::wire_decode(bytes, at, schema)?)),
+        WIRE_TAG_HOEFFDING => Ok(Arc::new(HoeffdingTree::wire_decode(r, schema)?)),
         _ => Err(ClassifierWireError::Corrupt("unknown classifier tag")),
     }
 }
@@ -133,6 +109,7 @@ mod tests {
     use crate::hoeffding::HoeffdingParams;
     use crate::majority::MajorityClassifier;
     use crate::naive_bayes::NaiveBayesLearner;
+    use hom_data::codec::Writer;
     use hom_data::{Attribute, Dataset};
 
     fn mixed_schema() -> Arc<Schema> {
@@ -185,13 +162,13 @@ mod tests {
         let tree = DecisionTreeLearner::new().fit(&d);
         let mut bytes = Vec::new();
         assert!(
-            tree.wire_encode(&mut bytes),
+            tree.wire_encode(&mut Writer::new(&mut bytes)),
             "decision trees have a wire form"
         );
         assert_eq!(bytes[0], WIRE_TAG_FLAT);
-        let mut at = 0;
-        let back = decode_classifier(&bytes, &mut at, &schema).expect("decodes");
-        assert_eq!(at, bytes.len(), "decode consumed every byte");
+        let mut r = Reader::new(&bytes);
+        let back = decode_classifier(&mut r, &schema).expect("decodes");
+        assert_eq!(r.offset(), bytes.len(), "decode consumed every byte");
         assert_serves_identically(tree.as_ref(), back.as_ref(), &probes());
     }
 
@@ -200,9 +177,9 @@ mod tests {
         let schema = mixed_schema();
         let m = MajorityClassifier::from_counts(&[3, 7]);
         let mut bytes = Vec::new();
-        assert!(m.wire_encode(&mut bytes));
-        let mut at = 0;
-        let back = decode_classifier(&bytes, &mut at, &schema).expect("decodes");
+        assert!(m.wire_encode(&mut Writer::new(&mut bytes)));
+        let mut r = Reader::new(&bytes);
+        let back = decode_classifier(&mut r, &schema).expect("decodes");
         assert_serves_identically(&m, back.as_ref(), &probes());
     }
 
@@ -223,14 +200,36 @@ mod tests {
         );
         let mut bytes = Vec::new();
         assert!(
-            t.wire_encode(&mut bytes),
+            t.wire_encode(&mut Writer::new(&mut bytes)),
             "hoeffding trees have a wire form"
         );
         assert_eq!(bytes[0], WIRE_TAG_HOEFFDING);
-        let mut at = 0;
-        let back = decode_classifier(&bytes, &mut at, &schema).expect("decodes");
-        assert_eq!(at, bytes.len());
+        let mut r = Reader::new(&bytes);
+        let back = decode_classifier(&mut r, &schema).expect("decodes");
+        assert_eq!(r.offset(), bytes.len());
         assert_serves_identically(&t, back.as_ref(), &probes());
+    }
+
+    #[test]
+    fn a_decoded_hoeffding_tree_trains_on_from_fresh_leaves() {
+        // Decoded leaves carry no observers until first trained; training
+        // must then start them from zero, as a fresh tree's are.
+        let schema = mixed_schema();
+        let mut bytes = Vec::new();
+        HoeffdingTree::new(Arc::clone(&schema), HoeffdingParams::default())
+            .wire_encode_into(&mut Writer::new(&mut bytes));
+        let mut decoded =
+            HoeffdingTree::wire_decode(&mut Reader::new(&bytes), &schema).expect("decodes");
+        let mut fresh = HoeffdingTree::new(Arc::clone(&schema), HoeffdingParams::default());
+        for i in 0..2000u64 {
+            let x = [(i % 3) as f64, (i % 10) as f64 / 10.0];
+            let y = u32::from(i % 3 == 1);
+            decoded.update(&x, y);
+            fresh.update(&x, y);
+        }
+        assert!(fresh.n_nodes() > 1, "the tree must have split");
+        assert_eq!(decoded.n_nodes(), fresh.n_nodes());
+        assert_serves_identically(&fresh, &decoded, &probes());
     }
 
     #[test]
@@ -242,7 +241,10 @@ mod tests {
         }
         let nb = NaiveBayesLearner.fit(&d);
         let mut bytes = Vec::new();
-        assert!(!nb.wire_encode(&mut bytes), "naive Bayes cannot be shipped");
+        assert!(
+            !nb.wire_encode(&mut Writer::new(&mut bytes)),
+            "naive Bayes cannot be shipped"
+        );
         assert!(bytes.is_empty(), "a refused encode writes nothing");
     }
 
@@ -254,11 +256,10 @@ mod tests {
             t.update(&[(i % 3) as f64, (i % 10) as f64 / 10.0], (i % 2) as u32);
         }
         let mut bytes = Vec::new();
-        t.wire_encode(&mut bytes);
+        t.wire_encode(&mut Writer::new(&mut bytes));
         for cut in 0..bytes.len() {
-            let mut at = 0;
             assert!(
-                decode_classifier(&bytes[..cut], &mut at, &schema).is_err(),
+                decode_classifier(&mut Reader::new(&bytes[..cut]), &schema).is_err(),
                 "prefix of {cut} bytes decoded"
             );
         }
@@ -267,9 +268,8 @@ mod tests {
     #[test]
     fn unknown_tag_is_corrupt() {
         let schema = mixed_schema();
-        let mut at = 0;
         assert_eq!(
-            decode_classifier(&[9u8], &mut at, &schema).err(),
+            decode_classifier(&mut Reader::new(&[9u8]), &schema).err(),
             Some(ClassifierWireError::Corrupt("unknown classifier tag"))
         );
     }

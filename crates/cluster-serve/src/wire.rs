@@ -126,7 +126,7 @@ fn request_len(r: &Request) -> usize {
     }
 }
 
-fn put_xs(out: &mut Writer, x: &[f64]) -> Result<(), WireError> {
+fn put_xs(out: &mut Writer<'_>, x: &[f64]) -> Result<(), WireError> {
     out.put_u32(u32_len(x.len())?);
     for &v in x {
         if !v.is_finite() {
@@ -137,7 +137,7 @@ fn put_xs(out: &mut Writer, x: &[f64]) -> Result<(), WireError> {
     Ok(())
 }
 
-fn put_request(out: &mut Writer, r: &Request) -> Result<(), WireError> {
+fn put_request(out: &mut Writer<'_>, r: &Request) -> Result<(), WireError> {
     match r {
         Request::Predict { stream, x } => {
             out.put_u8(OP_PREDICT);
@@ -164,7 +164,7 @@ fn put_request(out: &mut Writer, r: &Request) -> Result<(), WireError> {
     Ok(())
 }
 
-fn put_header(out: &mut Writer, magic: &[u8; 4], count: usize) -> Result<(), WireError> {
+fn put_header(out: &mut Writer<'_>, magic: &[u8; 4], count: usize) -> Result<(), WireError> {
     out.put_bytes(magic);
     out.put_u16(FRAME_VERSION);
     out.put_u32(u32_len(count)?);
@@ -182,12 +182,13 @@ pub(crate) fn encode_request_refs<'r>(
     batch: impl ExactSizeIterator<Item = &'r Request> + Clone,
 ) -> Result<Vec<u8>, WireError> {
     let len = HEADER_BYTES + batch.clone().map(request_len).sum::<usize>();
-    let mut out = Writer::with_capacity(len);
+    let mut bytes = Vec::with_capacity(len);
+    let mut out = Writer::new(&mut bytes);
     put_header(&mut out, &REQUEST_MAGIC, batch.len())?;
     for r in batch {
         put_request(&mut out, r)?;
     }
-    Ok(out.into_bytes())
+    Ok(bytes)
 }
 
 /// Encode responses as one response frame, in batch order.
@@ -197,7 +198,8 @@ pub(crate) fn encode_request_refs<'r>(
 /// On more than `u32::MAX` responses, which no request frame can ask
 /// for.
 pub fn encode_responses(responses: &[Response]) -> Vec<u8> {
-    let mut out = Writer::with_capacity(HEADER_BYTES + responses.len() * (MIN_RESPONSE_BYTES + 4));
+    let mut bytes = Vec::with_capacity(HEADER_BYTES + responses.len() * (MIN_RESPONSE_BYTES + 4));
+    let mut out = Writer::new(&mut bytes);
     put_header(&mut out, &RESPONSE_MAGIC, responses.len()).expect("at most u32::MAX responses");
     for r in responses {
         out.put_u64(r.stream);
@@ -209,7 +211,7 @@ pub fn encode_responses(responses: &[Response]) -> Vec<u8> {
             None => out.put_u8(0),
         }
     }
-    out.into_bytes()
+    bytes
 }
 
 /// Decode one frame with `body`, which reads the elements after the

@@ -1,20 +1,13 @@
-//! Generated-input batteries for both wires.
-//!
-//! The binary frame (the router↔worker hop): random batches and
-//! responses round-trip bit-exactly, and every truncation, every single
-//! bit flip and arbitrary bytes decode or fail with a typed
-//! [`WireError::BadFrame`] — never a panic, and never an allocation
-//! beyond a small constant times the input length, measured by a
-//! counting allocator.
-//!
-//! The JSONL edge (the router's client-facing `/submit`): the same
-//! round trips and damage, a table of the spellings a line may take
-//! beyond what the encoder writes, and integers too large for their
-//! field — in request lines and in the control bodies' epochs — which
-//! must be refused, not narrowed.
+//! Generated-input batteries for the JSONL edge (the router's
+//! client-facing `/submit`): round trips, every truncation and single
+//! bit flip, a table of the spellings a line may take beyond what the
+//! encoder writes, and integers too large for their field — in request
+//! lines and in the control bodies' epochs — which must be refused, not
+//! narrowed. The binary frame's battery is in `codec_properties.rs`,
+//! with every other byte format's.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+mod wire_gen;
+
 use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Duration;
@@ -24,265 +17,10 @@ use hom_cluster_serve::{wire, ClusterError, Router, WireError, WorkerServer, DEF
 use hom_core::{encode_model, Concept, HighOrderModel, TransitionStats};
 use hom_data::Schema;
 use hom_serve::transport::{HttpResponse, HttpServer};
-use hom_serve::{http_request, Request, Response, ServeEngine, ServeTelemetry};
+use hom_serve::{http_request, Request, ServeEngine, ServeTelemetry};
 use proptest::collection::vec;
 use proptest::prelude::*;
-
-/// Counts the bytes this thread asks the allocator for, so a test can
-/// bound what one decode reserves.
-struct Counting;
-
-thread_local! {
-    static REQUESTED: Cell<usize> = const { Cell::new(0) };
-}
-
-fn count(bytes: usize) {
-    let _ = REQUESTED.try_with(|n| n.set(n.get() + bytes));
-}
-
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count(new_size);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
-
-/// `f`'s result and the bytes it allocated on this thread.
-fn allocated_by<T>(f: impl FnOnce() -> T) -> (T, usize) {
-    let before = REQUESTED.with(Cell::get);
-    let out = f();
-    (out, REQUESTED.with(Cell::get) - before)
-}
-
-/// The smallest request encoding is 13 bytes and a decoded [`Request`]
-/// is 40, so a decode may allocate about three times its input — and no
-/// more, whatever count the input declares.
-const ALLOC_PER_INPUT_BYTE: usize = 4;
-
-/// A request reduced to comparable parts: op, stream, attribute bits,
-/// label or step count.
-fn parts(r: &Request) -> (&'static str, u64, Vec<u64>, u64) {
-    let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect();
-    match r {
-        Request::Predict { stream, x } => ("predict", *stream, bits(x), 0),
-        Request::Observe { stream, x, y } => ("observe", *stream, bits(x), u64::from(*y)),
-        Request::Step { stream, x, y } => ("step", *stream, bits(x), u64::from(*y)),
-        Request::Advance { stream, k } => ("advance", *stream, Vec::new(), *k as u64),
-    }
-}
-
-/// Stream ids, weighted towards the ones `f64` cannot hold exactly.
-fn stream_id() -> impl Strategy<Value = u64> {
-    (0usize..4, any::<u64>()).prop_map(|(pick, raw)| [0, (1 << 53) + 1, u64::MAX, raw][pick])
-}
-
-/// Finite attributes, weighted towards the renderings that are easy to
-/// get wrong: negative zero, subnormals, huge and whole values.
-fn attribute() -> impl Strategy<Value = f64> {
-    (0usize..7, any::<u64>()).prop_map(|(pick, raw)| match pick {
-        0 => -0.0,
-        1 => f64::from_bits(raw % (1 << 52)), // subnormal (or +0)
-        2 => 1e300,
-        3 => (raw % 1_000_000) as f64,
-        4 => -((raw >> 11) as f64),
-        _ => Some(f64::from_bits(raw))
-            .filter(|v| v.is_finite())
-            .unwrap_or(0.5),
-    })
-}
-
-fn request() -> impl Strategy<Value = Request> {
-    (
-        0u8..4,
-        stream_id(),
-        vec(attribute(), 0..5),
-        any::<u32>(),
-        any::<u64>(),
-    )
-        .prop_map(|(op, stream, x, y, k)| match op {
-            0 => Request::Predict { stream, x },
-            1 => Request::Observe { stream, x, y },
-            2 => Request::Step { stream, x, y },
-            _ => Request::Advance {
-                stream,
-                k: k as usize,
-            },
-        })
-}
-
-fn response() -> impl Strategy<Value = Response> {
-    (stream_id(), any::<bool>(), any::<u32>()).prop_map(|(stream, some, class)| Response {
-        stream,
-        prediction: some.then_some(class),
-    })
-}
-
-/// Every prefix of `bytes` and every single bit flip of it.
-fn damaged_bytes(bytes: &[u8]) -> Vec<Vec<u8>> {
-    let mut out: Vec<Vec<u8>> = (0..bytes.len()).map(|cut| bytes[..cut].to_vec()).collect();
-    for i in 0..bytes.len() {
-        for bit in 0..8 {
-            let mut flipped = bytes.to_vec();
-            flipped[i] ^= 1 << bit;
-            out.push(flipped);
-        }
-    }
-    out
-}
-
-/// Decoding `bytes` with `decode` yields a value or a typed frame error
-/// at an offset inside the input, and allocates within the bound.
-fn frame_outcome<T>(
-    bytes: &[u8],
-    decode: impl FnOnce(&[u8]) -> Result<T, WireError>,
-) -> Result<(), TestCaseError> {
-    let (outcome, allocated) = allocated_by(|| decode(bytes));
-    prop_assert!(
-        allocated <= ALLOC_PER_INPUT_BYTE * bytes.len(),
-        "{allocated} bytes allocated decoding {} input bytes",
-        bytes.len()
-    );
-    if let Err(e) = outcome {
-        prop_assert!(
-            matches!(e, WireError::BadFrame { at, .. } if at <= bytes.len()),
-            "{e:?} for {bytes:?}"
-        );
-    }
-    Ok(())
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
-
-    #[test]
-    fn request_frames_round_trip_bit_exactly(batch in vec(request(), 0..12)) {
-        let frame = wire::encode_requests(&batch).expect("finite attributes encode");
-        let back = wire::decode_requests(&frame).expect("own frame decodes");
-        prop_assert_eq!(
-            batch.iter().map(parts).collect::<Vec<_>>(),
-            back.iter().map(parts).collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
-    fn response_frames_round_trip(responses in vec(response(), 0..12)) {
-        let frame = wire::encode_responses(&responses);
-        prop_assert_eq!(wire::decode_responses(&frame).expect("own frame decodes"), responses);
-    }
-
-    #[test]
-    fn arbitrary_bytes_decode_or_fail_typed(raw in vec(any::<u8>(), 0..64)) {
-        frame_outcome(&raw, wire::decode_requests)?;
-        frame_outcome(&raw, wire::decode_responses)?;
-        // Behind a valid header, so the body is what gets read.
-        for magic in [wire::REQUEST_MAGIC, wire::RESPONSE_MAGIC] {
-            let mut framed = magic.to_vec();
-            framed.extend_from_slice(&wire::FRAME_VERSION.to_le_bytes());
-            framed.extend_from_slice(&raw);
-            frame_outcome(&framed, wire::decode_requests)?;
-            frame_outcome(&framed, wire::decode_responses)?;
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    #[test]
-    fn damaged_request_frames_decode_or_fail_typed(batch in vec(request(), 1..3)) {
-        let frame = wire::encode_requests(&batch).expect("finite attributes encode");
-        for bad in damaged_bytes(&frame) {
-            frame_outcome(&bad, wire::decode_requests)?;
-        }
-    }
-
-    #[test]
-    fn damaged_response_frames_decode_or_fail_typed(responses in vec(response(), 1..3)) {
-        let frame = wire::encode_responses(&responses);
-        for bad in damaged_bytes(&frame) {
-            frame_outcome(&bad, wire::decode_responses)?;
-        }
-    }
-}
-
-#[test]
-fn a_count_the_body_cannot_hold_is_refused_before_reserving() {
-    // A header declaring u32::MAX elements, in a 20-byte body.
-    let body = |magic: [u8; 4]| {
-        let mut body = magic.to_vec();
-        body.extend_from_slice(&wire::FRAME_VERSION.to_le_bytes());
-        body.extend_from_slice(&u32::MAX.to_le_bytes());
-        body.resize(20, 0);
-        body
-    };
-    let truncated = Some(WireError::BadFrame {
-        at: 10,
-        what: "truncated",
-    });
-    let requests = body(wire::REQUEST_MAGIC);
-    let (outcome, allocated) = allocated_by(|| wire::decode_requests(&requests));
-    assert_eq!((outcome.err(), allocated), (truncated.clone(), 0));
-    let responses = body(wire::RESPONSE_MAGIC);
-    let (outcome, allocated) = allocated_by(|| wire::decode_responses(&responses));
-    assert_eq!((outcome.err(), allocated), (truncated, 0));
-    // An attribute count the body cannot hold, inside a sane batch.
-    let mut body = wire::encode_requests(&[Request::Predict {
-        stream: 1,
-        x: vec![0.5],
-    }])
-    .expect("encodes");
-    body[19..23].copy_from_slice(&u32::MAX.to_le_bytes());
-    assert_eq!(
-        wire::decode_requests(&body).err(),
-        Some(WireError::BadFrame {
-            at: 23,
-            what: "truncated"
-        })
-    );
-}
-
-#[test]
-fn frame_edge_values_survive_bit_for_bit() {
-    let batch = vec![
-        Request::Observe {
-            stream: u64::MAX,
-            x: vec![-0.0, f64::from_bits(1), f64::MIN_POSITIVE, f64::MAX],
-            y: u32::MAX,
-        },
-        Request::Advance {
-            stream: (1 << 53) + 1,
-            k: usize::MAX,
-        },
-    ];
-    let frame = wire::encode_requests(&batch).expect("encodes");
-    let back = wire::decode_requests(&frame).expect("decodes");
-    assert_eq!(
-        batch.iter().map(parts).collect::<Vec<_>>(),
-        back.iter().map(parts).collect::<Vec<_>>()
-    );
-    let responses = vec![Response {
-        stream: u64::MAX,
-        prediction: Some(u32::MAX),
-    }];
-    let frame = wire::encode_responses(&responses);
-    assert_eq!(wire::decode_responses(&frame), Ok(responses));
-}
-
-// ---------------------------------------------------------------------
-// The JSONL edge.
-// ---------------------------------------------------------------------
+use wire_gen::{damaged_bytes, parts, request, response};
 
 /// Every prefix of `text` and every single bit flip of it, as the
 /// strings a decoder can be handed (flips that break UTF-8 are

@@ -38,12 +38,12 @@ pub use build::{build, build_with, BuildOptions, BuildParams, BuildReport, HighO
 pub use compiled::{BatchStats, BatchTable, CompiledModel, KernelScratch};
 pub use concept::Concept;
 pub use filter::{FilterIntrospection, FilterState, FilterView};
+pub use hom_data::codec::{self, fnv1a};
 pub use model_codec::{
     decode_model, encode_model, model_epoch, ModelCodecError, MODEL_MAGIC, MODEL_VERSION,
 };
 pub use online::{OnlineOptions, OnlinePredictor};
 pub use snapshot::{
-    encode_snapshot, fnv1a, snapshot_epoch, SnapshotError, SnapshotRef, SNAPSHOT_MAGIC,
-    SNAPSHOT_VERSION,
+    encode_snapshot, snapshot_epoch, SnapshotError, SnapshotRef, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
 };
 pub use transition::TransitionStats;

@@ -32,11 +32,14 @@
 //! | 8·n² | `χ` row-major (f64 bits each) |
 //! | 8 | FNV-1a checksum of everything above |
 //!
-//! Strings are `u32` length + UTF-8. Decoding validates structurally
-//! (magic, version, checksum, string/count bounds, classifier structure
-//! via the classifier wire layer) and returns a typed
-//! [`ModelCodecError`] on anything malformed — corrupt bytes must never
-//! panic a node. A model whose classifier has no wire form (naive
+//! Strings are `u32` length + UTF-8. Every field is written and read
+//! through `hom_data::codec` — its `Writer` / `Reader`, its FNV-1a seal,
+//! and its `Reader::count` rule for every declared count, which bounds
+//! what a decode allocates by the blob's length. Decoding validates
+//! structurally (magic, version, checksum, string/count bounds,
+//! classifier structure via the classifier wire layer) and returns a
+//! typed [`ModelCodecError`] on anything malformed — corrupt bytes must
+//! never panic a node. A model whose classifier has no wire form (naive
 //! Bayes) is rejected at **encode** time with
 //! [`ModelCodecError::UnsupportedClassifier`], so the failure surfaces
 //! on the node that owns the model, not mid-swap on a worker.
@@ -45,11 +48,11 @@ use std::fmt;
 use std::sync::Arc;
 
 use hom_classifiers::wire::{decode_classifier, ClassifierWireError};
-use hom_data::{Attribute, Schema};
+use hom_data::codec::{unseal, ReadError, Reader, Writer};
+use hom_data::{AttrKind, Attribute, Schema};
 
 use crate::build::HighOrderModel;
 use crate::concept::Concept;
-use crate::snapshot::fnv1a;
 use crate::transition::TransitionStats;
 
 /// Magic prefix of every encoded model.
@@ -108,71 +111,17 @@ impl From<ClassifierWireError> for ModelCodecError {
     }
 }
 
-fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_bits().to_le_bytes());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn take<'a>(bytes: &'a [u8], at: &mut usize, n: usize) -> Result<&'a [u8], ModelCodecError> {
-    let end = at.checked_add(n).ok_or(ModelCodecError::Truncated)?;
-    let chunk = bytes.get(*at..end).ok_or(ModelCodecError::Truncated)?;
-    *at = end;
-    Ok(chunk)
-}
-
-fn take_u16(bytes: &[u8], at: &mut usize) -> Result<u16, ModelCodecError> {
-    Ok(u16::from_le_bytes(take(bytes, at, 2)?.try_into().unwrap()))
-}
-
-fn take_u32(bytes: &[u8], at: &mut usize) -> Result<u32, ModelCodecError> {
-    Ok(u32::from_le_bytes(take(bytes, at, 4)?.try_into().unwrap()))
-}
-
-fn take_u64(bytes: &[u8], at: &mut usize) -> Result<u64, ModelCodecError> {
-    Ok(u64::from_le_bytes(take(bytes, at, 8)?.try_into().unwrap()))
-}
-
-fn take_f64(bytes: &[u8], at: &mut usize) -> Result<f64, ModelCodecError> {
-    Ok(f64::from_bits(take_u64(bytes, at)?))
-}
-
-/// A declared element count, believed only when `n` elements of at
-/// least `min_bytes` each fit in the bytes left after `at` — the rule of
-/// `hom_data::codec::Reader::count` — so nothing sized from it can
-/// reserve more than the input could hold.
-fn take_count(bytes: &[u8], at: &mut usize, min_bytes: usize) -> Result<usize, ModelCodecError> {
-    let n = take_u32(bytes, at)? as usize;
-    fits(bytes, *at, n, min_bytes)
-}
-
-/// `n` itself when `n` elements of `min_bytes` fit in `bytes[at..]`.
-fn fits(bytes: &[u8], at: usize, n: usize, min_bytes: usize) -> Result<usize, ModelCodecError> {
-    match n.checked_mul(min_bytes) {
-        Some(need) if need <= bytes.len() - at => Ok(n),
-        _ => Err(ModelCodecError::Truncated),
+/// A codec failure: a short read, bytes after the model, a bad trailer
+/// or a name that is not UTF-8.
+impl From<ReadError> for ModelCodecError {
+    fn from(e: ReadError) -> Self {
+        match e {
+            ReadError::Truncated => ModelCodecError::Truncated,
+            ReadError::TrailingBytes => ModelCodecError::Corrupt("trailing bytes after model"),
+            ReadError::ChecksumMismatch => ModelCodecError::ChecksumMismatch,
+            ReadError::InvalidUtf8 => ModelCodecError::Corrupt("invalid UTF-8 string"),
+        }
     }
-}
-
-fn take_str(bytes: &[u8], at: &mut usize) -> Result<String, ModelCodecError> {
-    let len = take_u32(bytes, at)? as usize;
-    let raw = take(bytes, at, len)?;
-    String::from_utf8(raw.to_vec()).map_err(|_| ModelCodecError::Corrupt("invalid UTF-8 string"))
 }
 
 /// Serialize `model` for distribution, stamping `epoch` (the serving
@@ -181,61 +130,57 @@ fn take_str(bytes: &[u8], at: &mut usize) -> Result<String, ModelCodecError> {
 /// any concept's classifier has no wire form.
 pub fn encode_model(model: &HighOrderModel, epoch: u32) -> Result<Vec<u8>, ModelCodecError> {
     let mut out = Vec::with_capacity(4096);
-    out.extend_from_slice(&MODEL_MAGIC);
-    put_u16(&mut out, MODEL_VERSION);
-    put_u32(&mut out, epoch);
+    let mut w = Writer::new(&mut out);
+    w.put_bytes(&MODEL_MAGIC);
+    w.put_u16(MODEL_VERSION);
+    w.put_u32(epoch);
 
     let schema = model.schema();
-    put_u32(&mut out, schema.n_attrs() as u32);
+    w.put_u32(schema.n_attrs() as u32);
     for a in schema.attrs() {
-        put_str(&mut out, &a.name);
-        match a.cardinality() {
-            None => out.push(0),
-            Some(_) => {
-                out.push(1);
-                let values = match &a.kind {
-                    hom_data::AttrKind::Categorical { values } => values,
-                    hom_data::AttrKind::Numeric => unreachable!("cardinality was Some"),
-                };
-                put_u32(&mut out, values.len() as u32);
+        w.put_str(&a.name);
+        match &a.kind {
+            AttrKind::Numeric => w.put_u8(0),
+            AttrKind::Categorical { values } => {
+                w.put_u8(1);
+                w.put_u32(values.len() as u32);
                 for v in values {
-                    put_str(&mut out, v);
+                    w.put_str(v);
                 }
             }
         }
     }
-    put_u32(&mut out, schema.n_classes() as u32);
+    w.put_u32(schema.n_classes() as u32);
     for c in schema.classes() {
-        put_str(&mut out, c);
+        w.put_str(c);
     }
 
-    put_u32(&mut out, model.n_concepts() as u32);
+    w.put_u32(model.n_concepts() as u32);
     for (i, concept) in model.concepts().iter().enumerate() {
-        put_f64(&mut out, concept.err);
-        put_u64(&mut out, concept.n_records as u64);
-        put_u64(&mut out, concept.n_occurrences as u64);
-        if !concept.model.wire_encode(&mut out) {
+        w.put_f64(concept.err);
+        w.put_u64(concept.n_records as u64);
+        w.put_u64(concept.n_occurrences as u64);
+        if !concept.model.wire_encode(&mut w) {
             return Err(ModelCodecError::UnsupportedClassifier { concept: i });
         }
     }
 
     let (len, freq, chi) = model.stats().raw_parts();
     for &v in len.iter().chain(freq).chain(chi) {
-        put_f64(&mut out, v);
+        w.put_f64(v);
     }
-
-    let checksum = fnv1a(&out);
-    put_u64(&mut out, checksum);
+    w.seal();
     Ok(out)
 }
 
 /// The epoch stamp of an encoded model, without decoding the rest.
 /// `None` if the bytes are too short or not a HOMM blob.
 pub fn model_epoch(bytes: &[u8]) -> Option<u32> {
-    if bytes.len() < 10 || bytes[..4] != MODEL_MAGIC {
+    let mut r = Reader::new(bytes);
+    if r.take_array().ok()? != MODEL_MAGIC {
         return None;
     }
-    Some(u32::from_le_bytes(bytes[6..10].try_into().ok()?))
+    r.take_u16().and_then(|_| r.take_u32()).ok()
 }
 
 /// Decode a model encoded by [`encode_model`], returning the model and
@@ -247,75 +192,67 @@ pub fn decode_model(bytes: &[u8]) -> Result<(Arc<HighOrderModel>, u32), ModelCod
     if bytes.len() < MODEL_MAGIC.len() + 2 + 4 + 8 {
         return Err(ModelCodecError::Truncated);
     }
-    if bytes[..4] != MODEL_MAGIC {
+    if !bytes.starts_with(&MODEL_MAGIC) {
         return Err(ModelCodecError::BadMagic);
     }
-    let payload = &bytes[..bytes.len() - 8];
-    let stored = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().unwrap());
-    if fnv1a(payload) != stored {
-        return Err(ModelCodecError::ChecksumMismatch);
-    }
-
-    let at = &mut 4usize;
-    let version = take_u16(payload, at)?;
+    let mut r = Reader::new(unseal(bytes)?);
+    r.take(MODEL_MAGIC.len())?;
+    let version = r.take_u16()?;
     if version != MODEL_VERSION {
         return Err(ModelCodecError::UnsupportedVersion(version));
     }
-    let epoch = take_u32(payload, at)?;
+    let epoch = r.take_u32()?;
 
     // An attribute is at least a name length and a kind byte.
-    let n_attrs = take_count(payload, at, 4 + 1)?;
+    let n_attrs = r.count(4 + 1)?;
     if n_attrs == 0 {
         return Err(ModelCodecError::Corrupt("schema with no attributes"));
     }
-    let mut attrs = Vec::new();
+    let mut attrs = Vec::with_capacity(n_attrs);
     for _ in 0..n_attrs {
-        let name = take_str(payload, at)?;
-        match take(payload, at, 1)?[0] {
+        let name = r.take_str()?;
+        match r.take_u8()? {
             0 => attrs.push(Attribute::numeric(name)),
             1 => {
-                let n_values = take_count(payload, at, 4)?;
+                let n_values = r.count(4)?;
                 if n_values == 0 {
                     return Err(ModelCodecError::Corrupt(
                         "categorical attribute with no values",
                     ));
                 }
-                let mut values = Vec::with_capacity(n_values);
-                for _ in 0..n_values {
-                    values.push(take_str(payload, at)?);
-                }
+                let values = (0..n_values)
+                    .map(|_| r.take_str())
+                    .collect::<Result<Vec<_>, _>>()?;
                 attrs.push(Attribute::categorical(name, values));
             }
             _ => return Err(ModelCodecError::Corrupt("unknown attribute kind")),
         }
     }
-    let n_classes = take_count(payload, at, 4)?;
+    let n_classes = r.count(4)?;
     if n_classes < 2 {
         return Err(ModelCodecError::Corrupt(
             "schema with fewer than two classes",
         ));
     }
-    let mut classes = Vec::with_capacity(n_classes);
-    for _ in 0..n_classes {
-        classes.push(take_str(payload, at)?);
-    }
+    let classes = (0..n_classes)
+        .map(|_| r.take_str())
+        .collect::<Result<Vec<_>, _>>()?;
     let schema = Schema::new(attrs, classes);
 
-    let n_concepts = take_u32(payload, at)? as usize;
+    // A concept is at least its three header words and its `Len` and
+    // `Freq` entries. Its χ row is read only after every concept, from
+    // bytes that must then hold all n² entries, so nothing is reserved
+    // for χ that the blob does not carry.
+    let n_concepts = r.count(8 * 5)?;
     if n_concepts == 0 {
         return Err(ModelCodecError::Corrupt("model with no concepts"));
     }
-    // Each concept owns at least its three header words, its `Len` and
-    // `Freq` entries and a χ row of `n_concepts` f64s: a count whose
-    // smallest encoding overruns the blob is refused before anything
-    // is reserved from it (χ alone would be 8·n² bytes).
-    fits(payload, *at, n_concepts, 8 * (5 + n_concepts))?;
     let mut concepts = Vec::with_capacity(n_concepts);
     for id in 0..n_concepts {
-        let err = take_f64(payload, at)?;
-        let n_records = take_u64(payload, at)? as usize;
-        let n_occurrences = take_u64(payload, at)? as usize;
-        let classifier = decode_classifier(payload, at, &schema)?;
+        let err = r.take_f64()?;
+        let n_records = r.take_u64()? as usize;
+        let n_occurrences = r.take_u64()? as usize;
+        let classifier = decode_classifier(&mut r, &schema)?;
         if classifier.n_classes() != schema.n_classes() {
             return Err(ModelCodecError::Corrupt("classifier class count mismatch"));
         }
@@ -328,21 +265,11 @@ pub fn decode_model(bytes: &[u8]) -> Result<(Arc<HighOrderModel>, u32), ModelCod
         });
     }
 
-    let mut len = Vec::with_capacity(n_concepts);
-    for _ in 0..n_concepts {
-        len.push(take_f64(payload, at)?);
-    }
-    let mut freq = Vec::with_capacity(n_concepts);
-    for _ in 0..n_concepts {
-        freq.push(take_f64(payload, at)?);
-    }
-    let mut chi = Vec::with_capacity(n_concepts * n_concepts);
-    for _ in 0..n_concepts * n_concepts {
-        chi.push(take_f64(payload, at)?);
-    }
-    if *at != payload.len() {
-        return Err(ModelCodecError::Corrupt("trailing bytes after model"));
-    }
+    let mut f64s = |n: usize| (0..n).map(|_| r.take_f64()).collect::<Result<Vec<_>, _>>();
+    let len = f64s(n_concepts)?;
+    let freq = f64s(n_concepts)?;
+    let chi = f64s(n_concepts * n_concepts)?;
+    r.finish()?;
     let stats = TransitionStats::from_raw_parts(n_concepts, len, freq, chi)
         .map_err(ModelCodecError::Corrupt)?;
     Ok((
@@ -355,6 +282,7 @@ pub fn decode_model(bytes: &[u8]) -> Result<(Arc<HighOrderModel>, u32), ModelCod
 mod tests {
     use super::*;
     use hom_classifiers::{HoeffdingParams, HoeffdingTree, MajorityClassifier};
+    use hom_data::codec::fnv1a;
     use hom_data::ClassId;
 
     fn schema() -> Arc<Schema> {

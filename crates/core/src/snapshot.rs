@@ -31,7 +31,9 @@
 //! ([`SnapshotRef::parse`]), both working on a state's parts rather than
 //! on a [`FilterState`], so a serving layer that keeps its streams in its
 //! own row layout reads and writes the identical bytes without building
-//! an owned state on either side.
+//! an owned state on either side. Both go through `hom_data::codec`: the
+//! fields through its `Writer` / `Reader`, the checksum through its one
+//! FNV-1a seal (`Writer::seal`, `codec::unseal`).
 //!
 //! [`FilterState::restore`] validates everything — length, magic,
 //! version, checksum, model compatibility, that the distributions are
@@ -45,6 +47,8 @@
 //! takes for streams parked across a model hot-swap.
 
 use std::fmt;
+
+use hom_data::codec::{unseal, ReadError, Reader, Writer};
 
 use crate::build::HighOrderModel;
 use crate::filter::{migrate_parts, FilterState};
@@ -112,29 +116,12 @@ impl fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
-/// FNV-1a over `bytes` — enough to reject bit flips and splices; this is
-/// an integrity check, not an authenticity one. Public because the codec
-/// framing is shared: `hom-store` seals every WAL/segment record with the
-/// same checksum that seals the snapshot payload inside it.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+/// A codec failure past the length checks: `"checksum mismatch"`, or a
+/// read the checked length makes impossible.
+impl From<ReadError> for SnapshotError {
+    fn from(e: ReadError) -> Self {
+        SnapshotError::Corrupt(e.into())
     }
-    h
-}
-
-fn read_u16(bytes: &[u8], at: usize) -> u16 {
-    u16::from_le_bytes(bytes[at..at + 2].try_into().expect("bounds checked"))
-}
-
-fn read_u32(bytes: &[u8], at: usize) -> u32 {
-    u32::from_le_bytes(bytes[at..at + 4].try_into().expect("bounds checked"))
-}
-
-fn read_u64(bytes: &[u8], at: usize) -> u64 {
-    u64::from_le_bytes(bytes[at..at + 8].try_into().expect("bounds checked"))
 }
 
 /// Header bytes before the variable-size payload, per format version.
@@ -156,26 +143,28 @@ fn total_len(version: u16, n: usize) -> usize {
 /// `Some(0)`. Only the header is inspected — a `Some` says nothing about
 /// the payload's integrity.
 pub fn snapshot_epoch(bytes: &[u8]) -> Option<u32> {
-    if bytes.len() < header_len(1) || bytes[..4] != SNAPSHOT_MAGIC {
+    let mut r = Reader::new(bytes);
+    if bytes.len() < header_len(1) || r.take_array().ok()? != SNAPSHOT_MAGIC {
         return None;
     }
-    match read_u16(bytes, 4) {
+    match r.take_u16().ok()? {
         1 => Some(0),
-        2 if bytes.len() >= header_len(2) => Some(read_u32(bytes, 10)),
+        2 => r.take_u32().and_then(|_| r.take_u32()).ok(),
         _ => None,
     }
 }
 
-/// Check one serialized distribution: finite, non-negative, normalized.
-/// `body` holds the distribution's `f64 × n` little-endian bytes.
+/// Check one serialized distribution of `n` entries: finite,
+/// non-negative, normalized.
 fn check_distribution(
-    body: &[u8],
+    r: &mut Reader<'_>,
+    n: usize,
     not_a_probability: &'static str,
     not_normalized: &'static str,
 ) -> Result<(), SnapshotError> {
     let mut sum = 0.0;
-    for chunk in body.chunks_exact(8) {
-        let v = f64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
+    for _ in 0..n {
+        let v = r.take_f64()?;
         if !v.is_finite() || v < 0.0 {
             return Err(SnapshotError::Corrupt(not_a_probability));
         }
@@ -187,9 +176,9 @@ fn check_distribution(
     Ok(())
 }
 
-/// Check that `body` (`u32 × n` little-endian bytes) is a permutation of
-/// `0..n`. Allocation-free for up to 256 concepts.
-fn check_permutation(body: &[u8], n: usize) -> Result<(), SnapshotError> {
+/// Check that the next `n` `u32`s are a permutation of `0..n`.
+/// Allocation-free for up to 256 concepts.
+fn check_permutation(r: &mut Reader<'_>, n: usize) -> Result<(), SnapshotError> {
     let words = n.div_ceil(64);
     let mut small = [0u64; 4];
     let mut large = Vec::new();
@@ -199,8 +188,8 @@ fn check_permutation(body: &[u8], n: usize) -> Result<(), SnapshotError> {
         large.resize(words, 0);
         &mut large
     };
-    for chunk in body.chunks_exact(4) {
-        let c = u32::from_le_bytes(chunk.try_into().expect("4-byte chunk")) as usize;
+    for _ in 0..n {
+        let c = r.take_u32()? as usize;
         let bit = 1u64 << (c % 64);
         if c >= n || seen[c / 64] & bit != 0 {
             return Err(SnapshotError::Corrupt("order is not a permutation"));
@@ -230,20 +219,19 @@ pub fn encode_snapshot(
         prior.len() == n && order.len() == n,
         "snapshot parts disagree on the concept count"
     );
-    let start = out.len();
     out.reserve(total_len(SNAPSHOT_VERSION, n));
-    out.extend_from_slice(&SNAPSHOT_MAGIC);
-    out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-    out.extend_from_slice(&(n as u32).to_le_bytes());
-    out.extend_from_slice(&epoch.to_le_bytes());
+    let mut w = Writer::new(out);
+    w.put_bytes(&SNAPSHOT_MAGIC);
+    w.put_u16(SNAPSHOT_VERSION);
+    w.put_u32(n as u32);
+    w.put_u32(epoch);
     for &v in posterior.iter().chain(prior) {
-        out.extend_from_slice(&v.to_le_bytes());
+        w.put_f64(v);
     }
     for &c in order {
-        out.extend_from_slice(&c.to_le_bytes());
+        w.put_u32(c);
     }
-    let checksum = fnv1a(&out[start..]);
-    out.extend_from_slice(&checksum.to_le_bytes());
+    w.seal();
 }
 
 /// A validated snapshot, borrowed from its bytes — the one HOMF parser.
@@ -264,46 +252,47 @@ impl<'a> SnapshotRef<'a> {
     /// Validate `bytes` (any supported version) and borrow them. Never
     /// panics on untrusted input: every defect is a [`SnapshotError`].
     pub fn parse(bytes: &'a [u8]) -> Result<SnapshotRef<'a>, SnapshotError> {
-        if bytes.len() < header_len(1) {
+        let got = bytes.len();
+        if got < header_len(1) {
             return Err(SnapshotError::Truncated {
                 needed: header_len(1),
-                got: bytes.len(),
+                got,
             });
         }
-        if bytes[..4] != SNAPSHOT_MAGIC {
+        let mut r = Reader::new(bytes);
+        if r.take_array()? != SNAPSHOT_MAGIC {
             return Err(SnapshotError::BadMagic);
         }
-        let version = read_u16(bytes, 4);
+        let version = r.take_u16()?;
         if version == 0 || version > SNAPSHOT_VERSION {
             return Err(SnapshotError::UnsupportedVersion(version));
         }
-        let n = read_u32(bytes, 6) as usize;
+        // The concept count is held to the exact length rather than to
+        // `Reader::count`'s lower bound, so a short snapshot can say how
+        // long it should have been.
+        let n = r.take_u32()? as usize;
         let total = total_len(version, n);
-        if bytes.len() < total {
-            return Err(SnapshotError::Truncated {
-                needed: total,
-                got: bytes.len(),
-            });
+        if got < total {
+            return Err(SnapshotError::Truncated { needed: total, got });
         }
-        if bytes.len() > total {
+        if got > total {
             return Err(SnapshotError::Corrupt("trailing bytes after checksum"));
         }
-        let declared = read_u64(bytes, total - 8);
-        if fnv1a(&bytes[..total - 8]) != declared {
-            return Err(SnapshotError::Corrupt("checksum mismatch"));
-        }
-        let body = &bytes[header_len(version)..total - 8];
+        let body = &unseal(bytes)?[header_len(version)..];
+        let mut r = Reader::new(body);
         check_distribution(
-            &body[..8 * n],
+            &mut r,
+            n,
             "posterior entry not a probability",
             "posterior does not sum to 1",
         )?;
         check_distribution(
-            &body[8 * n..16 * n],
+            &mut r,
+            n,
             "prior entry not a probability",
             "prior does not sum to 1",
         )?;
-        check_permutation(&body[16 * n..], n)?;
+        check_permutation(&mut r, n)?;
         Ok(SnapshotRef { n, body })
     }
 
@@ -323,16 +312,12 @@ impl<'a> SnapshotRef<'a> {
             posterior.len() == n && prior.len() == n && order.len() == n,
             "destination does not match the snapshot's concept count"
         );
-        let (dists, order_bytes) = self.body.split_at(16 * n);
-        for (v, chunk) in posterior
-            .iter_mut()
-            .chain(prior.iter_mut())
-            .zip(dists.chunks_exact(8))
-        {
-            *v = f64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
+        let mut r = Reader::new(self.body);
+        for v in posterior.iter_mut().chain(prior.iter_mut()) {
+            *v = r.take_f64().expect("parse checked the length");
         }
-        for (c, chunk) in order.iter_mut().zip(order_bytes.chunks_exact(4)) {
-            *c = u32::from_le_bytes(chunk.try_into().expect("4-byte chunk"));
+        for c in order.iter_mut() {
+            *c = r.take_u32().expect("parse checked the length");
         }
     }
 
@@ -467,20 +452,17 @@ mod tests {
     /// every pre-maintenance build did.
     fn snapshot_v1(s: &FilterState) -> Vec<u8> {
         let mut out = Vec::new();
-        out.extend_from_slice(&SNAPSHOT_MAGIC);
-        out.extend_from_slice(&1u16.to_le_bytes());
-        out.extend_from_slice(&(s.n_concepts() as u32).to_le_bytes());
-        for &v in s.posterior() {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        for &v in s.prior() {
-            out.extend_from_slice(&v.to_le_bytes());
+        let mut w = Writer::new(&mut out);
+        w.put_bytes(&SNAPSHOT_MAGIC);
+        w.put_u16(1);
+        w.put_u32(s.n_concepts() as u32);
+        for &v in s.posterior().iter().chain(s.prior()) {
+            w.put_f64(v);
         }
         for &c in s.order() {
-            out.extend_from_slice(&c.to_le_bytes());
+            w.put_u32(c);
         }
-        let checksum = fnv1a(&out);
-        out.extend_from_slice(&checksum.to_le_bytes());
+        w.seal();
         out
     }
 

@@ -22,7 +22,8 @@
 //! * [`rng`] — deterministic seeding helpers so every experiment is
 //!   reproducible from a single `u64` seed.
 //! * [`codec`] — the checked little-endian [`codec::Writer`] /
-//!   [`codec::Reader`] pair binary formats are built on.
+//!   [`codec::Reader`] pair and the FNV-1a seal every binary format is
+//!   built on.
 
 pub mod codec;
 pub mod dataset;

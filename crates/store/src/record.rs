@@ -7,13 +7,14 @@
 //! "HOMR" | kind u8 | stream u64 LE | seq u64 LE | len u32 LE | payload | fnv1a u64 LE
 //! ```
 //!
-//! The checksum covers everything before it, with the same FNV-1a the
-//! HOMF snapshot codec uses ([`hom_core::fnv1a`]) — one integrity
-//! primitive for both layers of the format. A snapshot record's payload
-//! is the HOMF-encoded `FilterState` verbatim; tombstones and commit
-//! markers carry no payload.
+//! Records are written and read with `hom_data::codec`'s `Writer` and
+//! `Reader` (re-exported as `hom_core::codec`), and the trailer is the
+//! codec's one FNV-1a seal — the same one that seals the HOMF snapshot
+//! inside a snapshot record's payload.
+//! A snapshot record's payload is the HOMF-encoded `FilterState`
+//! verbatim; tombstones and commit markers carry no payload.
 
-use hom_core::fnv1a;
+use hom_core::codec::{unseal, ReadError, Reader, Writer};
 
 /// Magic of every store file.
 pub const SEGMENT_MAGIC: [u8; 4] = *b"HOMS";
@@ -94,6 +95,25 @@ pub enum DecodeFailure {
     BadChecksum,
 }
 
+/// A codec failure: a bad trailer, or a record that runs past the
+/// buffer.
+impl From<ReadError> for DecodeFailure {
+    fn from(e: ReadError) -> Self {
+        match e {
+            ReadError::ChecksumMismatch => DecodeFailure::BadChecksum,
+            _ => DecodeFailure::Incomplete,
+        }
+    }
+}
+
+/// Whether `bytes` start with the current store file header.
+pub(crate) fn is_segment_header(bytes: &[u8]) -> bool {
+    let mut r = Reader::new(bytes);
+    bytes.len() >= SEGMENT_HEADER_LEN
+        && r.take_array() == Ok(SEGMENT_MAGIC)
+        && r.take_u16() == Ok(SEGMENT_VERSION)
+}
+
 /// Append one encoded record to `out`, returning its encoded length.
 pub fn encode_into(
     out: &mut Vec<u8>,
@@ -102,16 +122,14 @@ pub fn encode_into(
     seq: u64,
     payload: &[u8],
 ) -> usize {
-    let start = out.len();
-    out.extend_from_slice(&RECORD_MAGIC);
-    out.push(kind as u8);
-    out.extend_from_slice(&stream.to_le_bytes());
-    out.extend_from_slice(&seq.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(payload);
-    let checksum = fnv1a(&out[start..]);
-    out.extend_from_slice(&checksum.to_le_bytes());
-    out.len() - start
+    let mut w = Writer::new(out);
+    w.put_bytes(&RECORD_MAGIC);
+    w.put_u8(kind as u8);
+    w.put_u64(stream);
+    w.put_u64(seq);
+    w.put_u32(payload.len() as u32);
+    w.put_bytes(payload);
+    w.seal()
 }
 
 /// Encoded length of a record with an `n`-byte payload.
@@ -127,29 +145,25 @@ pub fn decode_at(buf: &[u8], at: usize) -> Result<(Record<'_>, usize), DecodeFai
     if rest.len() < RECORD_HEADER_LEN {
         return Err(DecodeFailure::Incomplete);
     }
-    if rest[..4] != RECORD_MAGIC {
+    let mut r = Reader::new(rest);
+    if r.take_array()? != RECORD_MAGIC {
         return Err(DecodeFailure::BadMagic);
     }
-    let kind = RecordKind::from_u8(rest[4]).ok_or(DecodeFailure::BadKind)?;
-    let stream = u64::from_le_bytes(rest[5..13].try_into().expect("bounds checked"));
-    let seq = u64::from_le_bytes(rest[13..21].try_into().expect("bounds checked"));
-    let len = u32::from_le_bytes(rest[21..25].try_into().expect("bounds checked")) as usize;
-    let total = match len.checked_add(RECORD_OVERHEAD) {
-        Some(t) if t <= rest.len() => t,
-        _ => return Err(DecodeFailure::Incomplete),
-    };
-    let declared = u64::from_le_bytes(rest[total - 8..total].try_into().expect("bounds checked"));
-    if fnv1a(&rest[..total - 8]) != declared {
-        return Err(DecodeFailure::BadChecksum);
-    }
+    let kind = RecordKind::from_u8(r.take_u8()?).ok_or(DecodeFailure::BadKind)?;
+    let stream = r.take_u64()?;
+    let seq = r.take_u64()?;
+    let len = r.count(1)?;
+    let sealed = rest
+        .get(..RECORD_OVERHEAD + len)
+        .ok_or(DecodeFailure::Incomplete)?;
     Ok((
         Record {
             kind,
             stream,
             seq,
-            payload: &rest[RECORD_HEADER_LEN..total - 8],
+            payload: &unseal(sealed)?[RECORD_HEADER_LEN..],
         },
-        total,
+        sealed.len(),
     ))
 }
 

@@ -11,8 +11,8 @@ use hom_obs::{Histogram, Obs};
 
 use crate::io::{FsIo, StoreIo};
 use crate::record::{
-    decode_at, encode_into, encoded_len, into_payload, segment_header, RecordKind,
-    SEGMENT_HEADER_LEN, SEGMENT_MAGIC, SEGMENT_VERSION,
+    decode_at, encode_into, encoded_len, into_payload, is_segment_header, segment_header,
+    RecordKind, SEGMENT_HEADER_LEN,
 };
 
 /// The environment variable [`StreamStore::open`] is pointed at by the
@@ -460,11 +460,7 @@ impl StreamStore {
                 files.insert(no, FileMeta::default());
                 continue;
             }
-            let header_ok = bytes.len() >= SEGMENT_HEADER_LEN
-                && bytes[..4] == SEGMENT_MAGIC
-                && u16::from_le_bytes(bytes[4..6].try_into().expect("bounds checked"))
-                    == SEGMENT_VERSION;
-            if !header_ok {
+            if !is_segment_header(&bytes) {
                 if Some(no) == highest && bytes.len() < SEGMENT_HEADER_LEN {
                     // A crash between creating the newest file and
                     // writing its header: nothing in it was ever
