@@ -2,17 +2,35 @@
 //!
 //! Not paper experiments — these track the cost of the hot paths: base
 //! learner training/prediction, the online filter update, pruned
-//! prediction, and the full offline build at small scale.
+//! prediction, the serving kernel's classifier pass, and the full
+//! offline build at small scale.
+//!
+//! `kernel_evaluate` times [`CompiledModel::evaluate`] alone, per
+//! distinct record, on a fresh table of `KERNEL_BATCH` records per
+//! iteration (interning is set-up, outside the timer), for a model
+//! mined from each of three streams: Hyperplane as the end-to-end
+//! benchmark mines it (seed 1, 50k records, block size 50; numeric
+//! splits, nearly every record distinct), Intrusion (34 numeric and 7
+//! categorical attributes) and Stagger (categorical splits, 27 distinct
+//! records per batch, mined as `serve_throughput` mines it).
 
 use std::sync::Arc;
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use hom_classifiers::{DecisionTreeLearner, Learner, NaiveBayesLearner};
 use hom_cluster::ClusterParams;
-use hom_core::{build, BuildParams, OnlinePredictor};
+use hom_core::{build, BatchTable, BuildParams, CompiledModel, OnlinePredictor};
 use hom_data::stream::collect;
 use hom_data::{Dataset, StreamSource};
-use hom_datagen::{StaggerParams, StaggerSource};
+use hom_datagen::{
+    HyperplaneParams, HyperplaneSource, IntrusionParams, IntrusionSource, StaggerParams,
+    StaggerSource,
+};
+
+/// Records per kernel batch (the end-to-end benchmark's batch size).
+const KERNEL_BATCH: usize = 2_048;
+/// Distinct batches the kernel bench cycles through.
+const KERNEL_BATCHES: usize = 16;
 
 fn stagger_data(n: usize, lambda: f64) -> Dataset {
     let mut src = StaggerSource::new(StaggerParams {
@@ -91,9 +109,104 @@ fn bench_build(c: &mut Criterion) {
     });
 }
 
+/// Mine a model from the first `historical` records of `source` with
+/// block size `block_size`, then draw the kernel batches from the rest
+/// of the same stream.
+fn kernel_case(
+    mut source: Box<dyn StreamSource>,
+    historical: usize,
+    block_size: usize,
+) -> (CompiledModel, Vec<Vec<Box<[f64]>>>) {
+    let (data, _) = collect(source.as_mut(), historical);
+    let (model, _) = build(
+        &data,
+        &DecisionTreeLearner::new(),
+        &BuildParams {
+            cluster: ClusterParams {
+                block_size,
+                ..Default::default()
+            },
+            ..Default::default()
+        },
+    );
+    let batches = (0..KERNEL_BATCHES)
+        .map(|_| (0..KERNEL_BATCH).map(|_| source.next_record().x).collect())
+        .collect();
+    (CompiledModel::compile(&model), batches)
+}
+
+/// A fresh table holding `batch`, every record marked for absorption.
+fn intern_batch(batch: &[Box<[f64]>]) -> BatchTable<'_> {
+    let mut table = BatchTable::with_capacity(KERNEL_BATCH);
+    for x in batch {
+        table.intern(x, true);
+    }
+    table
+}
+
+fn bench_kernel(c: &mut Criterion) {
+    let cases: [(&str, Box<dyn StreamSource>, usize, usize); 3] = [
+        (
+            "hyperplane",
+            Box::new(HyperplaneSource::new(HyperplaneParams {
+                seed: 1,
+                ..Default::default()
+            })),
+            50_000,
+            50,
+        ),
+        (
+            "intrusion",
+            Box::new(IntrusionSource::new(IntrusionParams {
+                seed: 1,
+                ..Default::default()
+            })),
+            20_000,
+            20,
+        ),
+        (
+            "stagger",
+            Box::new(StaggerSource::new(StaggerParams {
+                lambda: 0.002,
+                seed: 1,
+                ..Default::default()
+            })),
+            20_000,
+            100,
+        ),
+    ];
+    let mut group = c.benchmark_group("kernel_evaluate");
+    for (name, source, historical, block_size) in cases {
+        let (compiled, batches) = kernel_case(source, historical, block_size);
+        let distinct: usize = batches.iter().map(|b| intern_batch(b).n_records()).sum();
+        let per_batch = distinct / KERNEL_BATCHES;
+        println!(
+            "kernel_evaluate/{name}: {} concepts ({} flat), {per_batch} distinct records per batch",
+            compiled.n_concepts(),
+            compiled.n_flattened()
+        );
+        group.throughput(Throughput::Elements(per_batch as u64));
+        let mut next = 0;
+        group.bench_function(name, |b| {
+            b.iter_batched(
+                || {
+                    next = (next + 1) % KERNEL_BATCHES;
+                    intern_batch(&batches[next])
+                },
+                |mut table| {
+                    compiled.evaluate(&mut table);
+                    table
+                },
+                BatchSize::LargeInput,
+            )
+        });
+    }
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_learners, bench_online, bench_build
+    targets = bench_learners, bench_online, bench_kernel, bench_build
 }
 criterion_main!(benches);

@@ -28,7 +28,8 @@ pub trait Classifier: Send + Sync {
         1
     }
 
-    /// An exact structure-of-arrays re-layout of this model for the batch
+    /// An exact re-layout of this model as a [`FlatTree`] (one array of
+    /// node structs, descended eight records at a time) for the batch
     /// hot path, or `None` when the model has no flat form (the batch
     /// kernel then falls back to dynamic dispatch).
     ///

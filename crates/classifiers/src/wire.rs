@@ -7,7 +7,7 @@
 //!
 //! ```text
 //! tag u8 · payload
-//!   tag 0 — a FlatTree (structure-of-arrays tree; see FlatTree docs)
+//!   tag 0 — a FlatTree (one array per node field; see FlatTree docs)
 //!   tag 1 — a frozen HoeffdingTree (node structure + majority counts)
 //! ```
 //!

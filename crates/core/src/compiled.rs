@@ -13,9 +13,9 @@
 //! of that work is redundant. Compiling the mined model once per model
 //! epoch fixes both costs:
 //!
-//! * every tree classifier is flattened to a structure-of-arrays
-//!   [`FlatTree`] (contiguous node arrays, branchless numeric descent,
-//!   precomputed probability rows — see `hom_classifiers::flat`);
+//! * every tree classifier is flattened to a [`FlatTree`] (one array of
+//!   node structs, precomputed probability rows — see
+//!   `hom_classifiers::flat`);
 //! * the per-concept ψ outcomes `1 − Err_c` / `Err_c` (Eq. 8, with the
 //!   build-time clamp already applied to `Err_c`) are laid out in two
 //!   linear arrays indexed by concept;
@@ -24,9 +24,11 @@
 //!
 //! A batch then makes **one pass over the concept set**: for each
 //! concept, every *distinct* record in the batch is pushed through the
-//! flat tree exactly once ([`CompiledModel::evaluate`]), and the
-//! per-stream updates afterwards are pure array arithmetic against the
-//! resulting [`BatchTable`] — no classifier runs per stream.
+//! flat tree exactly once ([`CompiledModel::evaluate`]), eight records
+//! at a time in lockstep ([`FlatTree::descend_lanes`]) so their
+//! independent walks overlap, and the per-stream updates afterwards are
+//! pure array arithmetic against the resulting [`BatchTable`] — no
+//! classifier runs per stream.
 //!
 //! # Bit-identity contract
 //!
@@ -50,6 +52,7 @@
 
 use std::sync::Arc;
 
+use hom_classifiers::flat::LANES;
 use hom_classifiers::{argmax, Classifier, FlatTree};
 use hom_data::ClassId;
 
@@ -59,8 +62,8 @@ use crate::transition::TransitionStats;
 
 /// How one concept's classifier is evaluated by the kernel.
 enum ConceptEval {
-    /// Flattened to a structure-of-arrays tree: branchless descent,
-    /// probability rows read straight out of the node arena.
+    /// Flattened to a node array: descended [`LANES`] records at a time,
+    /// probability rows read straight out of the row arena.
     Flat(FlatTree),
     /// No flat form; the kernel calls the trained model through the
     /// trait object (still once per distinct record, not per stream).
@@ -91,8 +94,8 @@ pub struct CompiledModel {
 
 impl CompiledModel {
     /// Flatten `model` into its batch-evaluation form. Classifiers that
-    /// support it ([`Classifier::flatten`]) become structure-of-arrays
-    /// trees; the rest keep their trait object.
+    /// support it ([`Classifier::flatten`]) become [`FlatTree`]s; the
+    /// rest keep their trait object.
     pub fn compile(model: &HighOrderModel) -> Self {
         let n_concepts = model.n_concepts();
         let n_classes = model.schema().n_classes();
@@ -145,7 +148,8 @@ impl CompiledModel {
     /// filling the table's `(record, concept)` node/class entries. This
     /// is where ψ's classifier work (Eq. 8) and the tree descents behind
     /// `M_c(l|x)` (Eq. 10) are amortized across all streams that share a
-    /// record.
+    /// record. Flat trees take the records in chunks of [`LANES`]
+    /// ([`FlatTree::descend_lanes`]).
     pub fn evaluate(&self, table: &mut BatchTable<'_>) {
         let n = self.n_concepts;
         let n_records = table.xs.len();
@@ -156,10 +160,17 @@ impl CompiledModel {
         for (c, eval) in self.evals.iter().enumerate() {
             match eval {
                 ConceptEval::Flat(tree) => {
-                    for (r, &x) in table.xs.iter().enumerate() {
-                        let node = tree.descend(x);
-                        table.node[r * n + c] = node;
-                        table.class[r * n + c] = tree.node_class(node);
+                    for (k, chunk) in table.xs.chunks(LANES).enumerate() {
+                        // A short last chunk repeats its own last record
+                        // in the empty lanes; their results are dropped.
+                        let last = chunk.len() - 1;
+                        let lanes = std::array::from_fn(|i| chunk[i.min(last)]);
+                        let nodes = tree.descend_lanes(&lanes);
+                        for (i, &node) in nodes[..chunk.len()].iter().enumerate() {
+                            let at = (k * LANES + i) * n + c;
+                            table.node[at] = node;
+                            table.class[at] = tree.node_class(node);
+                        }
                     }
                 }
                 ConceptEval::Dyn(model) => {
@@ -804,6 +815,158 @@ mod tests {
             panic!("different model sizes expected");
         }
         compiled.advance(&mut state.as_view());
+    }
+
+    /// `evaluate` over batches of 1..=17 distinct records (one partial
+    /// lockstep pass, up to two full passes and one more record) must
+    /// leave every `(record, concept)` entry on the class and
+    /// probability row the unflattened classifier gives that record, to
+    /// the bit. The concepts are a 40+-level chain tree alternating
+    /// categorical and numeric splits, a bushy tree over the same
+    /// attributes and a constant model; the records mix the chain's
+    /// full walk with one-step walks and with NaN, ±∞, −0.0 and
+    /// fractional, negative or out-of-range category codes.
+    #[test]
+    fn lockstep_evaluate_matches_source_classifiers() {
+        use hom_classifiers::MajorityClassifier;
+        use hom_data::Dataset;
+        const GROUPS: usize = 44;
+        let attrs = (0..GROUPS)
+            .map(|g| {
+                if g % 2 == 0 {
+                    Attribute::categorical(format!("c{g}"), ["no", "yes", "maybe"])
+                } else {
+                    Attribute::numeric(format!("x{g}"))
+                }
+            })
+            .collect();
+        let schema = Schema::new(attrs, (0..GROUPS).map(|g| format!("k{g}")));
+        let deep = vec![0.0; GROUPS];
+        let one_hot = |g: usize, v: f64| {
+            let mut x = deep.clone();
+            x[g] = v;
+            x
+        };
+        // Each group peels off in its own split: a chain.
+        let mut chain = Dataset::new(Arc::clone(&schema));
+        for g in 0..GROUPS {
+            for _ in 0..3 {
+                chain.push(&one_hot(g, 1.0), g as u32);
+            }
+        }
+        // Labels driven by a few categorical and numeric attributes.
+        let mut bushy_data = Dataset::new(Arc::clone(&schema));
+        for i in 0..600u32 {
+            let x: Vec<f64> = (0..GROUPS)
+                .map(|g| {
+                    let h = (i as usize * 31 + g * 17) % 97;
+                    if g % 2 == 0 {
+                        (h % 3) as f64
+                    } else {
+                        h as f64 / 97.0 - 0.5
+                    }
+                })
+                .collect();
+            let y = u32::from(x[0] == 1.0) + 2 * u32::from(x[1] > 0.0) + 4 * u32::from(x[2] == 2.0);
+            bushy_data.push(&x, y);
+        }
+        let chain = DecisionTreeLearner::unpruned().fit_tree(&chain);
+        assert!(chain.depth() >= 40, "chain depth {}", chain.depth());
+        let bushy = DecisionTreeLearner::unpruned().fit_tree(&bushy_data);
+        assert!(bushy.n_leaves() >= 8, "bushy leaves {}", bushy.n_leaves());
+        let sources: Vec<Arc<dyn Classifier>> = vec![
+            Arc::new(chain),
+            Arc::new(bushy),
+            Arc::new(MajorityClassifier::from_counts(&[3; GROUPS])),
+        ];
+        let concepts = sources
+            .iter()
+            .enumerate()
+            .map(|(id, model)| crate::concept::Concept {
+                id,
+                model: Arc::clone(model),
+                err: 0.1,
+                n_records: 10,
+                n_occurrences: 1,
+            })
+            .collect();
+        let stats = TransitionStats::from_occurrences(3, &[(0, 10), (1, 10), (2, 10)]);
+        let model = HighOrderModel::from_parts(schema, concepts, stats);
+        let compiled = CompiledModel::compile(&model);
+        assert_eq!(compiled.n_flattened(), 3);
+
+        let weird = [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -0.0,
+            0.5,
+            -1.0,
+            3.0,
+            2.5,
+            1e300,
+        ];
+        let mut want = vec![0.0; GROUPS];
+        let mut dyn_row = vec![0.0; GROUPS];
+        for g in 0..GROUPS {
+            // The chain's full walk first, then walks that end at group
+            // `g`'s split (one of them at the root) or stop part-way.
+            let records: Vec<Vec<f64>> = [1.0, 2.0, weird[g % weird.len()]]
+                .map(|v| one_hot(g, v))
+                .into_iter()
+                .chain([deep.clone()])
+                .rev()
+                .chain(bushy_data.iter().skip(g).take(13).map(|(x, _)| x.to_vec()))
+                .collect();
+            for n in 1..=17 {
+                let batch = &records[..n];
+                let mut table = BatchTable::with_capacity(n);
+                for x in batch {
+                    table.intern(x, true);
+                }
+                assert_eq!(table.n_records(), n, "records are distinct");
+                compiled.evaluate(&mut table);
+                for (r, x) in batch.iter().enumerate() {
+                    for (c, source) in sources.iter().enumerate() {
+                        let at = r * compiled.n_concepts() + c;
+                        assert_eq!(table.class[at], source.predict(x), "class, c{c} {x:?}");
+                        source.predict_proba(x, &mut want);
+                        let row = compiled.row(&table, r as u32, c, &mut dyn_row);
+                        assert_eq!(bits(row), bits(&want), "row, c{c} {x:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// A constant model never reads the record, so even an empty one
+    /// evaluates (the kernel does not check a record's width).
+    #[test]
+    fn constant_model_evaluates_an_empty_record() {
+        let schema = Schema::new(vec![Attribute::numeric("x")], ["a", "b", "c"]);
+        let majority = hom_classifiers::MajorityClassifier::from_counts(&[3, 7, 2]);
+        let mut want = [0.0; 3];
+        majority.predict_proba(&[], &mut want);
+        let concepts = vec![crate::concept::Concept {
+            id: 0,
+            model: Arc::new(majority),
+            err: 0.1,
+            n_records: 12,
+            n_occurrences: 1,
+        }];
+        let model = HighOrderModel::from_parts(
+            schema,
+            concepts,
+            TransitionStats::from_occurrences(1, &[(0, 10)]),
+        );
+        let compiled = CompiledModel::compile(&model);
+        assert_eq!(compiled.n_flattened(), 1);
+        let mut table = BatchTable::with_capacity(1);
+        let rec = table.intern(&[], true);
+        compiled.evaluate(&mut table);
+        assert_eq!(table.class[0], 1);
+        let row = compiled.row(&table, rec, 0, &mut [0.0; 3]).to_vec();
+        assert_eq!(bits(&row), bits(&want));
     }
 
     /// Interning far more records than the expected capacity must still

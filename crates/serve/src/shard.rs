@@ -732,6 +732,7 @@ mod tests {
 
         /// The O(1) LRU list agrees with a min-tick scan after every
         /// insert, touch, remove, eviction, live migration and TTL sweep.
+        #[test]
         fn lru_list_matches_a_min_tick_scan(
             ops in proptest::collection::vec((0u8..6, 0u64..24, 0u64..40), 1..160),
         ) {
@@ -815,6 +816,7 @@ mod tests {
         /// bytes, decode to exactly `FilterState::restore`'s state, and
         /// reject every truncation and single-bit flip with the same
         /// error — never a panic.
+        #[test]
         fn row_codec_matches_the_filter_state_codec(
             n in 1usize..10,
             labels in proptest::collection::vec(0u32..2, 0..40),

@@ -182,6 +182,7 @@ proptest! {
     /// Compound damage: several byte flips plus a truncation, scattered
     /// across the segment files of one disk. Still: committed versions
     /// or a typed error, never a panic, never a torn payload.
+    #[test]
     fn compound_damage_never_panics_or_tears(
         flips in proptest::collection::vec((0usize..64, 0usize..4096, 1u8..=255), 1..8),
         cut_file in 0usize..64,

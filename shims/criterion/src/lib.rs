@@ -2,12 +2,14 @@
 //!
 //! The build environment cannot fetch external crates, so this shim
 //! implements the call surface the workspace's micro-benches use —
-//! [`Criterion`], benchmark groups, [`Bencher::iter`] /
-//! [`Bencher::iter_batched`], [`criterion_group!`] / [`criterion_main!`]
-//! and [`black_box`] — with a simple measurement loop: warm up briefly,
-//! then time `sample_size` samples and report min / median / mean
-//! nanoseconds per iteration to stdout. There are no HTML reports, no
-//! statistical regression analysis and no baseline storage.
+//! [`Criterion`], benchmark groups (with an optional [`Throughput`]),
+//! [`Bencher::iter`] / [`Bencher::iter_batched`], [`criterion_group!`] /
+//! [`criterion_main!`] and [`black_box`] — with a simple measurement
+//! loop: warm up briefly, then time `sample_size` samples and report
+//! min / median / mean nanoseconds per iteration (and the median per
+//! element, when the group declares a throughput) to stdout. There are
+//! no HTML reports, no statistical regression analysis and no baseline
+//! storage.
 
 use std::time::{Duration, Instant};
 
@@ -27,6 +29,14 @@ pub enum BatchSize {
     LargeInput,
     /// One setup per iteration.
     PerIteration,
+}
+
+/// How much work one iteration does, so a group can report time per
+/// unit of work as well as per iteration.
+#[derive(Debug, Clone, Copy)]
+pub enum Throughput {
+    /// Each iteration processes this many elements.
+    Elements(u64),
 }
 
 /// The benchmark driver.
@@ -56,7 +66,7 @@ impl Criterion {
 
     /// Run one benchmark.
     pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, name: &str, mut f: F) -> &mut Self {
-        run_one(name, self.sample_size, &mut f);
+        run_one(name, self.sample_size, None, &mut f);
         self
     }
 
@@ -65,6 +75,7 @@ impl Criterion {
         BenchmarkGroup {
             criterion: self,
             name: name.to_string(),
+            throughput: None,
         }
     }
 
@@ -76,6 +87,7 @@ impl Criterion {
 pub struct BenchmarkGroup<'a> {
     criterion: &'a mut Criterion,
     name: String,
+    throughput: Option<Throughput>,
 }
 
 impl BenchmarkGroup<'_> {
@@ -86,10 +98,16 @@ impl BenchmarkGroup<'_> {
         self
     }
 
+    /// Declare the work per iteration of the benchmarks that follow.
+    pub fn throughput(&mut self, throughput: Throughput) -> &mut Self {
+        self.throughput = Some(throughput);
+        self
+    }
+
     /// Run one benchmark inside the group.
     pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, name: &str, mut f: F) -> &mut Self {
         let full = format!("{}/{}", self.name, name);
-        run_one(&full, self.criterion.sample_size, &mut f);
+        run_one(&full, self.criterion.sample_size, self.throughput, &mut f);
         self
     }
 
@@ -131,7 +149,12 @@ impl Bencher {
     }
 }
 
-fn run_one(name: &str, sample_size: usize, f: &mut dyn FnMut(&mut Bencher)) {
+fn run_one(
+    name: &str,
+    sample_size: usize,
+    throughput: Option<Throughput>,
+    f: &mut dyn FnMut(&mut Bencher),
+) {
     // Calibrate: grow the per-sample iteration count until one sample
     // takes ≥ ~2ms, so cheap routines are not dominated by timer noise.
     let mut iters: u64 = 1;
@@ -161,8 +184,14 @@ fn run_one(name: &str, sample_size: usize, f: &mut dyn FnMut(&mut Bencher)) {
     let min = per_iter[0];
     let median = per_iter[per_iter.len() / 2];
     let mean = per_iter.iter().sum::<f64>() / per_iter.len() as f64;
+    let per_element = match throughput {
+        Some(Throughput::Elements(n)) if n > 0 => {
+            format!("  median {:>10}/element", fmt_ns(median / n as f64))
+        }
+        _ => String::new(),
+    };
     println!(
-        "{name:<40} min {:>12}  median {:>12}  mean {:>12}  ({} samples x {} iters)",
+        "{name:<40} min {:>12}  median {:>12}  mean {:>12}  ({} samples x {} iters){per_element}",
         fmt_ns(min),
         fmt_ns(median),
         fmt_ns(mean),

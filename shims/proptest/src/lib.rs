@@ -99,8 +99,9 @@ macro_rules! prop_assume {
 ///
 /// Mirrors the real crate's form: an optional
 /// `#![proptest_config(ProptestConfig::with_cases(n))]` header followed
-/// by `fn name(arg in strategy, ...) { body }` items. Each function
-/// becomes a `#[test]` that runs `cases` generated inputs.
+/// by `fn name(arg in strategy, ...) { body }` items. Each function keeps
+/// the attributes written on it (so it needs its own `#[test]`, as with
+/// the real crate) and runs `cases` generated inputs.
 #[macro_export]
 macro_rules! proptest {
     (#![proptest_config($cfg:expr)] $($rest:tt)*) => {
@@ -122,7 +123,6 @@ macro_rules! __proptest_impl {
         fn $name:ident($($arg:pat in $strat:expr),+ $(,)?) $body:block
     )*) => {$(
         $(#[$meta])*
-        #[test]
         fn $name() {
             let __config: $crate::test_runner::ProptestConfig = $cfg;
             let __test_path = concat!(module_path!(), "::", stringify!($name));
