@@ -13,15 +13,26 @@
 //! splits, nearly every record distinct), Intrusion (34 numeric and 7
 //! categorical attributes) and Stagger (categorical splits, 27 distinct
 //! records per batch, mined as `serve_throughput` mines it).
+//!
+//! `kernel_apply` times the apply stage alone, per `Step` (a §III-C
+//! pruned prediction, then the Eq. 7–9 absorb and the Eq. 5 roll), for
+//! the same three models: each batch's table is interned and evaluated
+//! at set-up, and the timed loop spreads the batch's `Step`s over
+//! `APPLY_STREAMS` filter states through the kernel instance
+//! [`CompiledModel::dispatch`] picks for the model's widths — the loop
+//! the serving engine runs per request.
 
 use std::sync::Arc;
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
+use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use hom_classifiers::{DecisionTreeLearner, Learner, NaiveBayesLearner};
 use hom_cluster::ClusterParams;
-use hom_core::{build, BatchTable, BuildParams, CompiledModel, OnlinePredictor};
+use hom_core::{
+    build, BatchTable, BuildParams, CompiledModel, FilterState, HighOrderModel, Kernel,
+    KernelScratch, KernelTask, OnlinePredictor, Width,
+};
 use hom_data::stream::collect;
-use hom_data::{Dataset, StreamSource};
+use hom_data::{Dataset, StreamRecord, StreamSource};
 use hom_datagen::{
     HyperplaneParams, HyperplaneSource, IntrusionParams, IntrusionSource, StaggerParams,
     StaggerSource,
@@ -31,6 +42,9 @@ use hom_datagen::{
 const KERNEL_BATCH: usize = 2_048;
 /// Distinct batches the kernel bench cycles through.
 const KERNEL_BATCHES: usize = 16;
+/// Filter states each `kernel_apply` batch is spread over (the
+/// end-to-end benchmark's resident stream count).
+const APPLY_STREAMS: usize = 1_000;
 
 fn stagger_data(n: usize, lambda: f64) -> Dataset {
     let mut src = StaggerSource::new(StaggerParams {
@@ -116,7 +130,7 @@ fn kernel_case(
     mut source: Box<dyn StreamSource>,
     historical: usize,
     block_size: usize,
-) -> (CompiledModel, Vec<Vec<Box<[f64]>>>) {
+) -> (HighOrderModel, Vec<Vec<StreamRecord>>) {
     let (data, _) = collect(source.as_mut(), historical);
     let (model, _) = build(
         &data,
@@ -130,18 +144,40 @@ fn kernel_case(
         },
     );
     let batches = (0..KERNEL_BATCHES)
-        .map(|_| (0..KERNEL_BATCH).map(|_| source.next_record().x).collect())
+        .map(|_| (0..KERNEL_BATCH).map(|_| source.next_record()).collect())
         .collect();
-    (CompiledModel::compile(&model), batches)
+    (model, batches)
 }
 
-/// A fresh table holding `batch`, every record marked for absorption.
-fn intern_batch(batch: &[Box<[f64]>]) -> BatchTable<'_> {
+/// A fresh table holding `batch`, every record marked for absorption,
+/// and each record's index in it.
+fn intern_batch(batch: &[StreamRecord]) -> (BatchTable<'_>, Vec<u32>) {
     let mut table = BatchTable::with_capacity(KERNEL_BATCH);
-    for x in batch {
-        table.intern(x, true);
+    let recs = batch.iter().map(|r| table.intern(&r.x, true)).collect();
+    (table, recs)
+}
+
+/// One batch of `Step`s through a kernel instance: request `i` runs on
+/// filter state `i % states.len()`.
+struct ApplySteps<'a, 't> {
+    table: &'a BatchTable<'t>,
+    recs: &'a [u32],
+    batch: &'a [StreamRecord],
+    states: &'a mut [FilterState],
+}
+
+impl KernelTask for ApplySteps<'_, '_> {
+    type Output = ();
+
+    fn run<K: Width, C: Width>(self, kernel: Kernel<'_, K, C>) {
+        let mut scratch = KernelScratch::new(kernel.model());
+        let n = self.states.len();
+        for (i, (&rec, r)) in self.recs.iter().zip(self.batch).enumerate() {
+            let mut view = self.states[i % n].as_view();
+            black_box(kernel.predict_pruned(&view, self.table, rec, &mut scratch));
+            kernel.observe(&mut view, self.table, rec, r.y, &mut scratch);
+        }
     }
-    table
 }
 
 fn bench_kernel(c: &mut Criterion) {
@@ -175,10 +211,17 @@ fn bench_kernel(c: &mut Criterion) {
             100,
         ),
     ];
+    let cases: Vec<(&str, HighOrderModel, Vec<Vec<StreamRecord>>)> = cases
+        .into_iter()
+        .map(|(name, source, historical, block_size)| {
+            let (model, batches) = kernel_case(source, historical, block_size);
+            (name, model, batches)
+        })
+        .collect();
     let mut group = c.benchmark_group("kernel_evaluate");
-    for (name, source, historical, block_size) in cases {
-        let (compiled, batches) = kernel_case(source, historical, block_size);
-        let distinct: usize = batches.iter().map(|b| intern_batch(b).n_records()).sum();
+    for (name, model, batches) in &cases {
+        let compiled = CompiledModel::compile(model);
+        let distinct: usize = batches.iter().map(|b| intern_batch(b).0.n_records()).sum();
         let per_batch = distinct / KERNEL_BATCHES;
         println!(
             "kernel_evaluate/{name}: {} concepts ({} flat), {per_batch} distinct records per batch",
@@ -191,7 +234,7 @@ fn bench_kernel(c: &mut Criterion) {
             b.iter_batched(
                 || {
                     next = (next + 1) % KERNEL_BATCHES;
-                    intern_batch(&batches[next])
+                    intern_batch(&batches[next]).0
                 },
                 |mut table| {
                     compiled.evaluate(&mut table);
@@ -199,6 +242,40 @@ fn bench_kernel(c: &mut Criterion) {
                 },
                 BatchSize::LargeInput,
             )
+        });
+    }
+    group.finish();
+
+    let mut group = c.benchmark_group("kernel_apply");
+    group.throughput(Throughput::Elements(KERNEL_BATCH as u64));
+    for (name, model, batches) in &cases {
+        let compiled = CompiledModel::compile(model);
+        println!(
+            "kernel_apply/{name}: {} concepts, {} classes",
+            compiled.n_concepts(),
+            compiled.n_classes()
+        );
+        let tables: Vec<(BatchTable<'_>, Vec<u32>)> = batches
+            .iter()
+            .map(|batch| {
+                let (mut table, recs) = intern_batch(batch);
+                compiled.evaluate(&mut table);
+                (table, recs)
+            })
+            .collect();
+        let mut states = vec![FilterState::new(model); APPLY_STREAMS];
+        let mut next = 0;
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                next = (next + 1) % KERNEL_BATCHES;
+                let (table, recs) = &tables[next];
+                compiled.dispatch(ApplySteps {
+                    table,
+                    recs,
+                    batch: &batches[next],
+                    states: &mut states,
+                });
+            })
         });
     }
     group.finish();

@@ -70,7 +70,7 @@ use hom_obs::json;
 use hom_obs::trace::DUMP_CAP;
 use hom_obs::{trace_sample_from_env, Obs, TraceBuffer, TraceContext};
 use hom_serve::transport::{ConnPool, HttpConn, HttpRequest, HttpResponse, HttpServer};
-use hom_serve::{Request, Response, StreamId};
+use hom_serve::{Request, Response, StreamId, WidthError};
 
 use crate::ring::{HashRing, DEFAULT_VNODES};
 use crate::wire;
@@ -530,6 +530,13 @@ impl Router {
     /// into request order. All or nothing — any worker failure fails the
     /// whole batch with a typed error (no partial `Vec`, no hang: one
     /// deadline bounds the batch).
+    ///
+    /// The error does not undo what the other workers did: every
+    /// sub-batch is sent before any reply is read, so when one worker
+    /// refuses its sub-batch (a 400, which changes none of its streams)
+    /// the others have already served theirs. A refusal naming a
+    /// request (a [`WidthError`]: a record of the wrong width) names it
+    /// by its index in `batch`.
     pub fn submit(&self, batch: &[Request]) -> Result<Vec<Response>, ClusterError> {
         let topology = self.read();
         if topology.workers.is_empty() {
@@ -585,8 +592,9 @@ impl Router {
             in_flight.push((forward, conn));
         }
         let mut payloads = Vec::with_capacity(in_flight.len());
-        for ((w, _, _), (forward, conn)) in sub_batches.iter().zip(in_flight) {
-            payloads.push(self.receive(*w, "/submit", conn)?);
+        for ((w, idx, _), (forward, conn)) in sub_batches.iter().zip(in_flight) {
+            let payload = self.receive(*w, "/submit", conn);
+            payloads.push(payload.map_err(|e| name_by_batch_index(e, idx))?);
             drop(forward);
         }
         let _merge_span = traced.then(|| self.obs.span("cluster.merge"));
@@ -975,6 +983,27 @@ fn annotate_node(jsonl: &str, node: &str) -> String {
         }
     }
     out
+}
+
+/// A worker names a request it refused (a [`WidthError`] in its 400
+/// body) by its index in the sub-batch it was sent; `idx` maps that back
+/// to the request's index in the client's batch.
+fn name_by_batch_index(e: ClusterError, idx: &[usize]) -> ClusterError {
+    const REFUSED: &str = "/submit -> 400: ";
+    if let ClusterError::BadResponse { worker, what } = &e {
+        let renamed = what.strip_prefix(REFUSED).and_then(|body| {
+            let mut refused: WidthError = body.parse().ok()?;
+            refused.request = *idx.get(refused.request)?;
+            Some(format!("{REFUSED}{refused}"))
+        });
+        if let Some(what) = renamed {
+            return ClusterError::BadResponse {
+                worker: *worker,
+                what,
+            };
+        }
+    }
+    e
 }
 
 fn parse_epoch(payload: &[u8]) -> Option<u32> {

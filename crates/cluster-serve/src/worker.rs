@@ -12,7 +12,7 @@
 //!
 //! | route | method | payload |
 //! |---|---|---|
-//! | `/submit` | POST | binary request frame in, response frame out, order preserved ([`crate::wire`]); any other body is a 400 naming the byte where decoding stopped |
+//! | `/submit` | POST | binary request frame in, response frame out, order preserved ([`crate::wire`]); any other body is a 400 naming the byte where decoding stopped, and a record whose width is not the model schema's `n_attrs` a 400 naming the request's index in the frame |
 //! | `/migrate/snapshot` | POST | `{"stream":N}` → `{"stream":N,"snapshot":"<hex>"}`; a **non-destructive** copy ([`ServeEngine::snapshot`]) — phase 1 of the router's two-phase migration |
 //! | `/migrate/in` | POST | `{"stream":N,"snapshot":"<hex>"}` → installs the state ([`ServeEngine::restore`]; older-epoch snapshots migrate forward on arrival) — phase 2 |
 //! | `/migrate/evict` | POST | `{"stream":N}` → removes every local trace of the stream ([`ServeEngine::extract`], bytes discarded) — phase 3, sent only after the target acks `/migrate/in` |
@@ -176,6 +176,11 @@ fn submit(engine: &ServeEngine, body: &[u8], traced: bool, obs: &hom_obs::Obs) -
         Ok(batch) => batch,
         Err(e) => return HttpResponse::bad_request(&e.to_string()),
     };
+    // A record narrower or wider than the model's schema would panic the
+    // engine (and drop the connection); refuse it by index instead.
+    if let Err(e) = engine.check_widths(&batch) {
+        return HttpResponse::bad_request(&e.to_string());
+    }
     // `engine.submit` opens its own `serve.batch` span under the active
     // trace (the engine records into the same `Obs`), so the trace
     // shows decode / batch / encode as siblings under `cluster.submit`.

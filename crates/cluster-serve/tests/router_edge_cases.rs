@@ -3,9 +3,10 @@
 //! route deterministically, parked and store-tiered streams migrate
 //! over the wire, and an older-epoch snapshot arriving *after* a
 //! cluster-wide swap migrates forward on restore. Hostile bodies are a
-//! 400 from the node they hit, which keeps serving, and a worker reply
-//! that answers out of request order fails the batch rather than
-//! merging wrongly. The transport keeps
+//! 400 from the node they hit, which keeps serving, a record of the
+//! wrong width is refused by its index in the batch without touching
+//! any stream on the refusing worker, and a worker reply that answers out of request order fails the batch
+//! rather than merging wrongly. The transport keeps
 //! one persistent connection per worker, notices a worker that went
 //! away under it without resending, and bounds a batch by one deadline.
 
@@ -596,6 +597,67 @@ fn a_reply_out_of_request_order_is_a_bad_response_not_a_wrong_merge() {
     }
     // One request cannot be out of order.
     assert!(router.submit(&batch[..1]).is_ok());
+}
+
+#[test]
+fn a_record_of_the_wrong_width_is_a_bad_request_naming_it() {
+    let (model, test) = fixture();
+    let workers: Vec<WorkerServer> = (0..2).map(|_| spawn_worker(&model, None)).collect();
+    let router = Router::new(
+        workers.iter().map(|w| w.addr()).collect(),
+        DEFAULT_VNODES,
+        Duration::from_secs(5),
+    )
+    .expect("router");
+    let n_attrs = model.schema().n_attrs();
+    let step = |stream, x: Vec<f64>| Request::Step {
+        stream,
+        x,
+        y: test[0].y,
+    };
+    let owned = |w: usize| {
+        let mut streams = (1..).filter(|&s| router.owner(s) == w);
+        [(); 2].map(|()| streams.next().expect("ring is total"))
+    };
+    let ([a0, b0], [a1, b1]) = (owned(0), owned(1));
+    router
+        .submit(&[step(a1, test[1].x.to_vec())])
+        .expect("a full-width batch serves");
+    let posterior = |w: usize, s| workers[w].engine().posterior(s).map(|p| bits(&p));
+    let before = posterior(1, a1);
+    // Request 3 of the batch, request 1 of worker 1's sub-batch, is one
+    // attribute short: worker 1 refuses its whole sub-batch, and the
+    // router names the request by its index in the batch.
+    let batch = vec![
+        step(a0, test[0].x.to_vec()),
+        step(a1, test[0].x.to_vec()),
+        step(b0, test[0].x.to_vec()),
+        step(b1, test[0].x[..n_attrs - 1].to_vec()),
+    ];
+    match router.submit(&batch) {
+        Err(ClusterError::BadResponse { worker: 1, what }) => assert!(
+            what.contains(&format!(
+                "request 3: record has {} attributes, the model's schema has {n_attrs}",
+                n_attrs - 1
+            )),
+            "{what}"
+        ),
+        other => panic!("expected a bad response from worker 1, got {other:?}"),
+    }
+    // No stream on the refusing worker moved; worker 0 had already been
+    // sent its sub-batch and served it.
+    assert_eq!(posterior(1, a1), before);
+    assert_eq!(posterior(1, b1), None);
+    assert!(posterior(0, a0).is_some() && posterior(0, b0).is_some());
+    let wide = vec![step(a0, [test[0].x.to_vec(), vec![0.0]].concat())];
+    assert!(matches!(
+        router.submit(&wide),
+        Err(ClusterError::BadResponse { worker: 0, .. })
+    ));
+    // Resending only the refused worker's requests, mended, serves them.
+    let resent = [batch[1].clone(), step(b1, test[0].x.to_vec())];
+    let responses = router.submit(&resent).expect("a full-width batch serves");
+    assert!(responses.iter().all(|r| r.prediction.is_some()));
 }
 
 /// A forwarding TCP proxy in front of a worker that counts the

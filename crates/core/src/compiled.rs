@@ -30,34 +30,54 @@
 //! pure array arithmetic against the resulting [`BatchTable`] — no
 //! classifier runs per stream.
 //!
+//! # Widths: one core, compiled per concept and class count
+//!
+//! The per-stream updates are the §III core on [`FilterView`] — the
+//! Eq. 10/11 predictions (pruned and full), the Eq. 7–9 absorb, the
+//! Eq. 5 roll and the §III-C resort — written once, generic over the
+//! concept count `K` and the class count `C` ([`Width`]). The paper's
+//! models are narrow (2–16 concepts over a handful of classes), and at
+//! those widths runtime-length loops cost more than the arithmetic in
+//! them. So [`CompiledModel::dispatch`] runs a caller's loop
+//! ([`KernelTask`]) in the [`Kernel`] instance for the model's own
+//! widths: `K` is a compile-time [`Fixed`] for 1..=16 concepts, `C` is
+//! `Fixed<2>` for binary models, and either is a runtime `usize`
+//! otherwise (anything wider than 16 concepts runs the runtime instance
+//! of the same source). The instance follows the compiled epoch — a
+//! swap that admits a concept recompiles, and the next batch dispatches
+//! to the new width. There is no option, environment variable or `cfg`
+//! behind the choice; the engine picks once per batch task, never per
+//! request.
+//!
 //! # Bit-identity contract
 //!
 //! Every kernel operation produces **bit-identical** `f64` state to its
 //! scalar [`FilterState`](crate::FilterState) counterpart, because the
-//! floating-point cores are the *same code*: all updates run through a
-//! [`FilterView`] — the layout-independent borrow of one stream's
-//! distributions — so [`CompiledModel::absorb`] fills ψ from its tables
-//! and then calls the same `FilterView::absorb_psi` the scalar path ends
-//! in; [`CompiledModel::roll_prior`] and [`CompiledModel::advance`] run
-//! the view's χ-advance core against a clone of the model's
-//! [`TransitionStats`]; and the prediction loops accumulate the same
-//! per-concept rows in the same order. That is what lets `hom-serve`
-//! serve every request through the kernel (at any batch size, shard
-//! count or thread count) while matching a dedicated `FilterState` per
-//! stream bit for bit — the differential suite in `hom-serve/tests`
-//! enforces this.
+//! floating-point core is the *same code*: the kernel and the scalar
+//! path are both thin callers of [`FilterView`]'s generic `*_at`
+//! methods, differing only in where the inputs come from — the kernel
+//! supplies the Eq. 10 rows from its batch table, ψ from its
+//! hit/miss tables and χ from its clone of the model's
+//! [`TransitionStats`]; the scalar path asks the classifiers. A `Fixed`
+//! width only fixes loop trip counts; it evaluates the same expressions
+//! in the same order as the runtime instance. That is what lets
+//! `hom-serve` serve every request through the kernel (at any batch
+//! size, shard count, thread count or width instance) while matching a
+//! dedicated `FilterState` per stream bit for bit — the differential
+//! suites in `hom-serve/tests` enforce this.
 //!
 //! Classifiers with no flat form (e.g. naive Bayes) fall back to dynamic
-//! dispatch inside the same kernel, still amortized per distinct record.
+//! dispatch inside the same kernel instance, still amortized per
+//! distinct record.
 
 use std::sync::Arc;
 
 use hom_classifiers::flat::LANES;
-use hom_classifiers::{argmax, Classifier, FlatTree};
+use hom_classifiers::{Classifier, FlatTree};
 use hom_data::ClassId;
 
 use crate::build::HighOrderModel;
-use crate::filter::FilterView;
+use crate::filter::{FilterView, Fixed, Rows, Width};
 use crate::transition::TransitionStats;
 
 /// How one concept's classifier is evaluated by the kernel.
@@ -104,17 +124,19 @@ impl CompiledModel {
         let mut miss = Vec::with_capacity(n_concepts);
         let mut n_flat = 0;
         for concept in model.concepts() {
+            // A flat row is read as-is, so it must be one entry per class.
             evals.push(match concept.model.flatten() {
-                Some(flat) => {
+                Some(flat) if flat.n_classes() == n_classes => {
                     n_flat += 1;
                     ConceptEval::Flat(flat)
                 }
-                None => ConceptEval::Dyn(Arc::clone(&concept.model)),
+                _ => ConceptEval::Dyn(Arc::clone(&concept.model)),
             });
-            // The same `1.0 - err` / `err` expressions `Concept::psi`
-            // evaluates per record (Eq. 8), hoisted to compile time.
-            hit.push(1.0 - concept.err);
-            miss.push(concept.err);
+            // The ψ values `Concept::psi` picks between per record
+            // (Eq. 8), tabulated at compile time.
+            let (h, m) = concept.psi_outcomes();
+            hit.push(h);
+            miss.push(m);
         }
         CompiledModel {
             n_concepts,
@@ -190,19 +212,18 @@ impl CompiledModel {
 
     /// Concept `c`'s class-probability row `M_c(l|x)` (Eq. 10) for the
     /// interned record `rec` — a borrow from the flat tree's arena, or a
-    /// lazy dyn evaluation into `dyn_row`.
+    /// lazy dyn evaluation into `dyn_row`. `k` is the concept count.
     #[inline]
-    fn row<'r>(
+    fn row<'r, K: Width>(
         &'r self,
+        k: K,
         table: &'r BatchTable<'_>,
         rec: u32,
         c: usize,
         dyn_row: &'r mut [f64],
     ) -> &'r [f64] {
         match &self.evals[c] {
-            ConceptEval::Flat(tree) => {
-                tree.proba_row(table.node[rec as usize * self.n_concepts + c])
-            }
+            ConceptEval::Flat(tree) => tree.proba_row(table.node[rec as usize * k.get() + c]),
             ConceptEval::Dyn(model) => {
                 model.predict_proba(table.xs[rec as usize], dyn_row);
                 dyn_row
@@ -210,18 +231,95 @@ impl CompiledModel {
         }
     }
 
+    /// The kernel at runtime widths: the same source as every
+    /// [`Self::dispatch`] instance, for one-off calls. A serving loop
+    /// takes the width-specialised instance through `dispatch` instead.
+    pub fn runtime(&self) -> Kernel<'_, usize, usize> {
+        Kernel {
+            model: self,
+            k: self.n_concepts,
+            c: self.n_classes,
+        }
+    }
+
+    /// Run `task` against the kernel instance for this model's widths:
+    /// `Fixed` concept counts 1..=16 (a `Fixed<2>` class count for
+    /// binary models, a runtime one otherwise), and the runtime instance
+    /// of the same source for anything wider. One `match` per call, so a
+    /// caller dispatches once per batch task, not per request.
+    pub fn dispatch<T: KernelTask>(&self, task: T) -> T::Output {
+        macro_rules! instances {
+            ($($k:literal)*) => {
+                match (self.n_concepts, self.n_classes) {
+                    $(
+                        ($k, 2) => task.run(Kernel { model: self, k: Fixed::<$k>, c: Fixed::<2> }),
+                        ($k, c) => task.run(Kernel { model: self, k: Fixed::<$k>, c }),
+                    )*
+                    (k, c) => task.run(Kernel { model: self, k, c }),
+                }
+            };
+        }
+        instances!(1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16)
+    }
+}
+
+/// A computation over the kernel at whatever widths the model has — the
+/// generic-closure form [`CompiledModel::dispatch`] takes, so the caller's
+/// whole loop is compiled once per instance.
+pub trait KernelTask {
+    /// What the task returns.
+    type Output;
+    /// Run against the kernel instance picked for the model.
+    fn run<K: Width, C: Width>(self, kernel: Kernel<'_, K, C>) -> Self::Output;
+}
+
+/// A [`CompiledModel`] bound to its concept count `K` and class count `C`
+/// ([`Width`]): the per-stream operations, each a thin caller of the
+/// [`FilterView`] core with rows, ψ and χ supplied by the compiled model.
+/// Obtained from [`CompiledModel::dispatch`] (or, at runtime widths,
+/// [`CompiledModel::runtime`]).
+#[derive(Clone, Copy)]
+pub struct Kernel<'m, K: Width, C: Width> {
+    model: &'m CompiledModel,
+    k: K,
+    c: C,
+}
+
+/// The Eq. 10 rows of one interned record, read from the batch table.
+struct TableRows<'r, 't, K: Width> {
+    model: &'r CompiledModel,
+    k: K,
+    table: &'r BatchTable<'t>,
+    rec: u32,
+    dyn_row: &'r mut [f64],
+}
+
+impl<K: Width> Rows for TableRows<'_, '_, K> {
+    #[inline]
+    fn row(&mut self, c: usize) -> &[f64] {
+        self.model
+            .row(self.k, self.table, self.rec, c, self.dyn_row)
+    }
+}
+
+impl<K: Width, C: Width> Kernel<'_, K, C> {
+    /// The compiled model this kernel runs.
+    pub fn model(&self) -> &CompiledModel {
+        self.model
+    }
+
     #[inline]
     fn check(&self, f: &FilterView<'_>) {
         assert_eq!(
             f.posterior.len(),
-            self.n_concepts,
+            self.k.get(),
             "FilterState used with a different model than it was created for"
         );
     }
 
     /// The full-ensemble prediction (Eqs. 10–11):
-    /// `argmax_l Σ_c Pₜ⁻(c)·M_c(l|x)`, accumulated per concept id in the
-    /// same order as the scalar `FilterView::predict`.
+    /// `argmax_l Σ_c Pₜ⁻(c)·M_c(l|x)` (`FilterView::predict_at`).
+    #[inline]
     pub fn predict(
         &self,
         f: &FilterView<'_>,
@@ -233,25 +331,20 @@ impl CompiledModel {
         let KernelScratch {
             scores, dyn_row, ..
         } = scratch;
-        scores.clear();
-        scores.resize(self.n_classes, 0.0);
-        for (c, &p) in f.prior.iter().enumerate() {
-            if p == 0.0 {
-                continue;
-            }
-            let row = self.row(table, rec, c, dyn_row);
-            for (s, &v) in scores.iter_mut().zip(row.iter()) {
-                *s += p * v;
-            }
-        }
-        argmax(scores) as ClassId
+        let mut rows = TableRows {
+            model: self.model,
+            k: self.k,
+            table,
+            rec,
+            dyn_row,
+        };
+        f.predict_at(self.k, self.c, &mut rows, scores)
     }
 
-    /// The §III-C early-terminated prediction: enumerate concepts in
-    /// descending prior order, stop once the leader's margin exceeds the
-    /// remaining probability mass. Returns the prediction and how many
-    /// concepts were consulted — the same pair, bit for bit, as the
-    /// scalar `FilterView::predict_pruned`.
+    /// The §III-C early-terminated prediction
+    /// (`FilterView::predict_pruned_at`): the prediction and how many
+    /// concepts were consulted.
+    #[inline]
     pub fn predict_pruned(
         &self,
         f: &FilterView<'_>,
@@ -263,39 +356,20 @@ impl CompiledModel {
         let KernelScratch {
             scores, dyn_row, ..
         } = scratch;
-        scores.clear();
-        scores.resize(self.n_classes, 0.0);
-        let prior = &*f.prior;
-        // Remaining probability mass after each prefix of the enumeration.
-        let mut remaining: f64 = prior.iter().sum();
-        let order = &*f.order;
-        for (rank, &ci) in order.iter().enumerate() {
-            let p = prior[ci as usize];
-            remaining -= p;
-            if p > 0.0 {
-                let row = self.row(table, rec, ci as usize, dyn_row);
-                for (s, &v) in scores.iter_mut().zip(row.iter()) {
-                    *s += p * v;
-                }
-            }
-            // A remaining concept can add at most `remaining` to any one
-            // class; if the leader's margin exceeds that, the answer is
-            // decided (§III-C). The fused scan is shared with the scalar
-            // path (`filter::leader_and_runner_up`) so both stay
-            // bit-identical by construction.
-            let (best, best_v, runner_up) = crate::filter::leader_and_runner_up(scores);
-            if best_v - runner_up > remaining {
-                return (best as ClassId, rank + 1);
-            }
-        }
-        (argmax(scores) as ClassId, order.len())
+        let mut rows = TableRows {
+            model: self.model,
+            k: self.k,
+            table,
+            rec,
+            dyn_row,
+        };
+        f.predict_pruned_at(self.k, self.c, &mut rows, scores)
     }
 
-    /// Absorb a labeled record (Eqs. 7–9): fill ψ from the precomputed
-    /// hit/miss tables — `ψ(c, yₜ) = 1 − Err_c` when the table's
-    /// predicted class for `(rec, c)` equals `y`, else `Err_c` (Eq. 8) —
-    /// then run the shared posterior-normalization core
-    /// (`FilterView::absorb_psi`).
+    /// Absorb a labeled record (Eqs. 7–9, `FilterView::absorb_at`) with
+    /// ψ from the hit/miss tables: `1 − Err_c` when the table's predicted
+    /// class for `(rec, c)` equals `y`, else `Err_c` (Eq. 8).
+    #[inline]
     pub fn absorb(
         &self,
         f: &mut FilterView<'_>,
@@ -309,33 +383,33 @@ impl CompiledModel {
             table.need_class[rec as usize],
             "record was interned without need_class but is being absorbed"
         );
-        let base = rec as usize * self.n_concepts;
-        let classes = &table.class[base..base + self.n_concepts];
-        for ((slot, &class), (&hit, &miss)) in scratch
-            .psi
-            .iter_mut()
-            .zip(classes)
-            .zip(self.hit.iter().zip(self.miss.iter()))
-        {
-            *slot = if class == y { hit } else { miss };
-        }
-        f.absorb_psi(&scratch.psi);
+        let n = self.k.get();
+        let base = rec as usize * n;
+        let classes = &table.class[base..base + n];
+        let (hit, miss) = (&self.model.hit[..n], &self.model.miss[..n]);
+        f.absorb_at(self.k, &mut scratch.psi, |c| {
+            if classes[c] == y {
+                hit[c]
+            } else {
+                miss[c]
+            }
+        });
     }
 
     /// Roll the prior to the next timestamp after an absorb (the tail of
-    /// Eq. 5) and refresh the §III-C prune order — the shared χ-advance
-    /// core against the compiled kernel's χ clone.
+    /// Eq. 5) and refresh the §III-C order (`FilterView::roll_prior_at`).
+    #[inline]
     pub fn roll_prior(&self, f: &mut FilterView<'_>) {
         self.check(f);
-        f.roll_prior_with(&self.stats);
+        f.roll_prior_at(self.k, &self.model.stats);
     }
 
     /// Advance one timestamp without a label (Eq. 5), posterior
-    /// defaulting to the prior — the batched form of
-    /// `FilterView::advance`.
+    /// defaulting to the prior (`FilterView::advance_at`).
+    #[inline]
     pub fn advance(&self, f: &mut FilterView<'_>) {
         self.check(f);
-        f.advance_with(&self.stats);
+        f.advance_at(self.k, &self.model.stats);
     }
 
     /// Advance `k` timestamps at once (the variable-rate adaptation of
@@ -347,8 +421,8 @@ impl CompiledModel {
     }
 
     /// The full labeled-record lifecycle against the table:
-    /// [`Self::absorb`] then [`Self::roll_prior`] — the batched form of
-    /// `FilterView::observe`.
+    /// [`Self::absorb`] then [`Self::roll_prior`].
+    #[inline]
     pub fn observe(
         &self,
         f: &mut FilterView<'_>,
@@ -509,7 +583,7 @@ impl KernelScratch {
     /// Scratch sized for `model`'s concept and class counts.
     pub fn new(model: &CompiledModel) -> Self {
         KernelScratch {
-            scores: Vec::with_capacity(model.n_classes),
+            scores: vec![0.0; model.n_classes],
             dyn_row: vec![0.0; model.n_classes],
             psi: vec![0.0; model.n_concepts],
         }
@@ -657,21 +731,22 @@ mod tests {
         let mut scalar = FilterState::new(&model);
         let mut batched = FilterState::new(&model);
         let mut scratch = KernelScratch::new(&compiled);
+        let kernel = compiled.runtime();
         for (t, r) in test.iter().enumerate() {
             let mut table = BatchTable::with_capacity(1);
             let rec = table.intern(&r.x, true);
             compiled.evaluate(&mut table);
 
             let want_full = scalar.predict(&model, &r.x);
-            let got_full = compiled.predict(&batched.as_view(), &table, rec, &mut scratch);
+            let got_full = kernel.predict(&batched.as_view(), &table, rec, &mut scratch);
             assert_eq!(got_full, want_full, "full predict diverged at t = {t}");
 
             let want = scalar.predict_pruned(&model, &r.x);
-            let got = compiled.predict_pruned(&batched.as_view(), &table, rec, &mut scratch);
+            let got = kernel.predict_pruned(&batched.as_view(), &table, rec, &mut scratch);
             assert_eq!(got, want, "pruned predict diverged at t = {t}");
 
             scalar.observe(&model, &r.x, r.y);
-            compiled.observe(&mut batched.as_view(), &table, rec, r.y, &mut scratch);
+            kernel.observe(&mut batched.as_view(), &table, rec, r.y, &mut scratch);
             assert_eq!(
                 bits(scalar.posterior()),
                 bits(batched.posterior()),
@@ -693,16 +768,143 @@ mod tests {
         let mut scalar = FilterState::new(&model);
         let mut batched = FilterState::new(&model);
         let mut scratch = KernelScratch::new(&compiled);
+        let kernel = compiled.runtime();
         let mut table = BatchTable::with_capacity(1);
         let rec = table.intern(&test[0].x, true);
         compiled.evaluate(&mut table);
         scalar.observe(&model, &test[0].x, test[0].y);
-        compiled.observe(&mut batched.as_view(), &table, rec, test[0].y, &mut scratch);
+        kernel.observe(&mut batched.as_view(), &table, rec, test[0].y, &mut scratch);
         scalar.advance_by(&model, 3);
-        compiled.advance_by(&mut batched.as_view(), 3);
+        kernel.advance_by(&mut batched.as_view(), 3);
         assert_eq!(bits(scalar.posterior()), bits(batched.posterior()));
         assert_eq!(bits(scalar.prior()), bits(batched.prior()));
         assert_eq!(scalar.order(), batched.order());
+    }
+
+    /// A model of `k` constant concepts over `c` classes (concept `i`
+    /// leans towards class `i % c`), every concept occurring.
+    fn constant_model(k: usize, c: usize) -> HighOrderModel {
+        let schema = Schema::new(
+            vec![Attribute::numeric("x")],
+            (0..c).map(|l| format!("l{l}")),
+        );
+        let concepts = (0..k)
+            .map(|i| crate::concept::Concept {
+                id: i,
+                model: Arc::new(hom_classifiers::MajorityClassifier::from_counts(
+                    &(0..c)
+                        .map(|l| 1 + 5 * usize::from(l == i % c))
+                        .collect::<Vec<_>>(),
+                )),
+                err: 0.05 + 0.01 * i as f64,
+                n_records: 10,
+                n_occurrences: 1,
+            })
+            .collect();
+        let occurrences: Vec<(usize, usize)> = (0..k).map(|i| (i, 10 + 7 * i)).collect();
+        HighOrderModel::from_parts(
+            schema,
+            concepts,
+            TransitionStats::from_occurrences(k, &occurrences),
+        )
+    }
+
+    /// Reports the instance [`CompiledModel::dispatch`] picked.
+    struct Instance;
+
+    impl KernelTask for Instance {
+        type Output = (&'static str, &'static str);
+
+        fn run<K: Width, C: Width>(self, _: Kernel<'_, K, C>) -> Self::Output {
+            (std::any::type_name::<K>(), std::any::type_name::<C>())
+        }
+    }
+
+    #[test]
+    fn dispatch_fixes_up_to_sixteen_concepts_and_two_classes() {
+        let fixed = |n: usize| format!("hom_core::filter::Fixed<{n}>");
+        for (k, c) in [(1, 2), (3, 2), (16, 2), (3, 5), (16, 5), (17, 2), (24, 5)] {
+            let (kw, cw) = CompiledModel::compile(&constant_model(k, c)).dispatch(Instance);
+            assert_eq!(kw, if k <= 16 { fixed(k) } else { "usize".into() }, "K={k}");
+            let c_fixed = c == 2 && k <= 16;
+            assert_eq!(
+                cw,
+                if c_fixed { fixed(2) } else { "usize".into() },
+                "K={k} C={c}"
+            );
+        }
+    }
+
+    /// One stream's lifecycle over `records` through a kernel instance:
+    /// every prediction (full and pruned) and the state after each step.
+    struct Lifecycle<'a> {
+        records: &'a [hom_data::StreamRecord],
+        state: FilterState,
+    }
+
+    type Trace = Vec<(ClassId, (ClassId, usize), Vec<u64>, Vec<u64>, Vec<u32>, u64)>;
+
+    impl KernelTask for Lifecycle<'_> {
+        type Output = Trace;
+
+        fn run<K: Width, C: Width>(mut self, kernel: Kernel<'_, K, C>) -> Trace {
+            let mut scratch = KernelScratch::new(kernel.model());
+            let mut trace = Vec::new();
+            for (t, r) in self.records.iter().enumerate() {
+                let mut table = BatchTable::with_capacity(1);
+                let rec = table.intern(&r.x, true);
+                kernel.model().evaluate(&mut table);
+                let mut view = self.state.as_view();
+                let full = kernel.predict(&view, &table, rec, &mut scratch);
+                let pruned = kernel.predict_pruned(&view, &table, rec, &mut scratch);
+                if t % 7 == 3 {
+                    kernel.advance_by(&mut view, 2);
+                } else {
+                    kernel.observe(&mut view, &table, rec, r.y, &mut scratch);
+                }
+                let s = &self.state;
+                trace.push((
+                    full,
+                    pruned,
+                    bits(s.posterior()),
+                    bits(s.prior()),
+                    s.order().to_vec(),
+                    s.last_likelihood().to_bits(),
+                ));
+            }
+            trace
+        }
+    }
+
+    /// The width-specialised instance and the runtime instance are one
+    /// source: on a mined model they agree on every bit, as does the
+    /// scalar path.
+    #[test]
+    fn fixed_and_runtime_instances_agree_bit_for_bit() {
+        let (model, test) = stagger_model();
+        let compiled = CompiledModel::compile(&model);
+        assert!(compiled.n_concepts() <= 16 && compiled.n_classes() == 2);
+        let lifecycle = || Lifecycle {
+            records: &test,
+            state: FilterState::new(&model),
+        };
+        let fixed = compiled.dispatch(lifecycle());
+        let runtime = lifecycle().run(compiled.runtime());
+        assert_eq!(fixed, runtime);
+        let mut scalar = FilterState::new(&model);
+        for (t, (r, step)) in test.iter().zip(&fixed).enumerate() {
+            assert_eq!(scalar.predict(&model, &r.x), step.0, "t = {t}");
+            assert_eq!(scalar.predict_pruned(&model, &r.x), step.1, "t = {t}");
+            if t % 7 == 3 {
+                scalar.advance_by(&model, 2);
+            } else {
+                scalar.observe(&model, &r.x, r.y);
+            }
+            assert_eq!(bits(scalar.posterior()), step.2, "t = {t}");
+            assert_eq!(bits(scalar.prior()), step.3, "t = {t}");
+            assert_eq!(scalar.order(), &step.4[..], "t = {t}");
+            assert_eq!(scalar.last_likelihood().to_bits(), step.5, "t = {t}");
+        }
     }
 
     #[test]
@@ -776,6 +978,7 @@ mod tests {
         let mut scalar = FilterState::new(&model);
         let mut batched = FilterState::new(&model);
         let mut scratch = KernelScratch::new(&compiled);
+        let kernel = compiled.runtime();
         for t in 0..40u32 {
             let x = vec![t as f64];
             let y = t % 2;
@@ -783,11 +986,11 @@ mod tests {
             let rec = table.intern(&x, true);
             compiled.evaluate(&mut table);
             assert_eq!(
-                compiled.predict_pruned(&batched.as_view(), &table, rec, &mut scratch),
+                kernel.predict_pruned(&batched.as_view(), &table, rec, &mut scratch),
                 scalar.predict_pruned(&model, &x)
             );
             scalar.observe(&model, &x, y);
-            compiled.observe(&mut batched.as_view(), &table, rec, y, &mut scratch);
+            kernel.observe(&mut batched.as_view(), &table, rec, y, &mut scratch);
             assert_eq!(bits(scalar.posterior()), bits(batched.posterior()));
         }
     }
@@ -814,7 +1017,7 @@ mod tests {
             // the toy model happening to match sizes would defeat the test
             panic!("different model sizes expected");
         }
-        compiled.advance(&mut state.as_view());
+        compiled.runtime().advance(&mut state.as_view());
     }
 
     /// `evaluate` over batches of 1..=17 distinct records (one partial
@@ -931,7 +1134,8 @@ mod tests {
                         let at = r * compiled.n_concepts() + c;
                         assert_eq!(table.class[at], source.predict(x), "class, c{c} {x:?}");
                         source.predict_proba(x, &mut want);
-                        let row = compiled.row(&table, r as u32, c, &mut dyn_row);
+                        let row =
+                            compiled.row(compiled.n_concepts(), &table, r as u32, c, &mut dyn_row);
                         assert_eq!(bits(row), bits(&want), "row, c{c} {x:?}");
                     }
                 }
@@ -965,7 +1169,7 @@ mod tests {
         let rec = table.intern(&[], true);
         compiled.evaluate(&mut table);
         assert_eq!(table.class[0], 1);
-        let row = compiled.row(&table, rec, 0, &mut [0.0; 3]).to_vec();
+        let row = compiled.row(1, &table, rec, 0, &mut [0.0; 3]).to_vec();
         assert_eq!(bits(&row), bits(&want));
     }
 

@@ -34,11 +34,19 @@ impl Concept {
     /// `1 − Err_c` if this concept's model classifies it correctly,
     /// `Err_c` otherwise.
     pub fn psi(&self, x: &[f64], y: u32) -> f64 {
+        let (hit, miss) = self.psi_outcomes();
         if self.model.predict(x) == y {
-            1.0 - self.err
+            hit
         } else {
-            self.err
+            miss
         }
+    }
+
+    /// The two values `ψ(c, yₜ)` takes (Eq. 8): `(1 − Err_c, Err_c)`, for
+    /// a correct and a wrong prediction — what the compiled kernel
+    /// tabulates per concept.
+    pub fn psi_outcomes(&self) -> (f64, f64) {
+        (1.0 - self.err, self.err)
     }
 }
 

@@ -14,6 +14,15 @@
 //! must only ever be used with the model it was created (or restored)
 //! for; methods assert the concept count matches.
 //!
+//! The update equations themselves live in one place: [`FilterView`]'s
+//! `*_at` methods (with `TransitionStats::advance_at` for Eq. 5), the
+//! §III core, generic over the concept and class counts ([`Width`]).
+//! `FilterState` runs it at runtime widths, with rows from the
+//! classifiers; the compiled serving kernel ([`crate::compiled`]) runs
+//! the same source at the widths each compiled model epoch has — fixed
+//! at compile time for up to 16 concepts and for binary models — with
+//! rows from its batch table. No option selects between them.
+//!
 //! States can be serialized to a small versioned binary snapshot and
 //! restored bit-identically later ([`FilterState::snapshot`] /
 //! [`FilterState::restore`] in [`crate::snapshot`]) — the mechanism the
@@ -252,9 +261,7 @@ impl FilterState {
     /// (Eq. 5), with the posterior defaulting to the prior until a label
     /// arrives.
     pub fn advance(&mut self, model: &HighOrderModel) {
-        self.check(model);
-        let (mut view, _, _) = self.split();
-        view.advance_with(model.stats());
+        self.as_view().advance(model);
     }
 
     /// Advance `k` timestamps at once (the variable-rate adaptation of
@@ -271,7 +278,6 @@ impl FilterState {
     /// [`Self::observe`]; the split exists so the predictor can read the
     /// fresh posterior (and ψ) for its metrics before the prior rolls.
     pub fn absorb(&mut self, model: &HighOrderModel, x: &[f64], y: ClassId) {
-        self.check(model);
         let (mut view, psi, _) = self.split();
         view.absorb(model, x, y, psi);
     }
@@ -280,8 +286,8 @@ impl FilterState {
     /// tail of Eq. 5 after an observation) and refresh the prune order.
     pub fn roll_prior(&mut self, model: &HighOrderModel) {
         self.check(model);
-        let (mut view, _, _) = self.split();
-        view.roll_prior_with(model.stats());
+        self.as_view()
+            .roll_prior_at(model.n_concepts(), model.stats());
     }
 
     /// The full labeled-record lifecycle: [`Self::absorb`] then
@@ -292,18 +298,20 @@ impl FilterState {
     }
 
     /// Class-probability prediction for an unlabeled record (Eq. 10):
-    /// `Highorder(l|x) = Σ_c Pₜ⁻(c)·M_c(l|x)`.
+    /// `Highorder(l|x) = Σ_c Pₜ⁻(c)·M_c(l|x)`, one entry per class.
+    ///
+    /// # Panics
+    ///
+    /// If `out` is not exactly `model`'s class count long.
     pub fn predict_proba(&mut self, model: &HighOrderModel, x: &[f64], out: &mut [f64]) {
-        self.check(model);
         let (view, _, classes) = self.split();
         view.predict_proba(model, x, out, classes);
     }
 
     /// Unique-class prediction (Eq. 11): the argmax of Eq. 10.
     pub fn predict(&mut self, model: &HighOrderModel, x: &[f64]) -> ClassId {
-        let mut out = vec![0.0; model.schema().n_classes()];
-        self.predict_proba(model, x, &mut out);
-        argmax(&out) as ClassId
+        let (view, _, classes) = self.split();
+        view.predict(model, x, classes)
     }
 
     /// The §III-C early-terminated enumeration; returns the prediction and
@@ -312,7 +320,6 @@ impl FilterState {
     /// much cheaper: in the common case of a clearly-identified current
     /// concept exactly one classifier runs.
     pub fn predict_pruned(&mut self, model: &HighOrderModel, x: &[f64]) -> (ClassId, usize) {
-        self.check(model);
         let (view, _, classes) = self.split();
         view.predict_pruned(model, x, classes)
     }
@@ -326,8 +333,9 @@ impl FilterState {
 /// makes the storage layout irrelevant to results: the scalar
 /// [`FilterState`] methods and the batch kernel of [`crate::compiled`]
 /// both borrow their operands as a `FilterView` and execute the *same*
-/// floating-point code, so a posterior is bit-identical no matter which
-/// path — or which memory layout — produced it.
+/// floating-point code — the generic `*_at` methods, at runtime or
+/// compile-time widths — so a posterior is bit-identical no matter which
+/// path, width instance or memory layout produced it.
 ///
 /// Scratch buffers are passed in explicitly (a view owns nothing): ψ is
 /// concept-sized, the class scratch is class-sized. Callers reuse them
@@ -353,22 +361,10 @@ impl FilterView<'_> {
         );
     }
 
-    /// The χ-advance core (Eq. 5) shared by the scalar path and the batch
-    /// kernel: both run this exact code, so an advance is bit-identical
-    /// no matter which path executed it. The prior is the Eq. 5 output
-    /// buffer directly (it never aliases the posterior), so the advance
-    /// needs no scratch.
-    pub fn advance_with(&mut self, stats: &TransitionStats) {
-        stats.advance(self.posterior, self.prior);
-        // Posterior defaults to the prior until a label arrives.
-        self.posterior.copy_from_slice(self.prior);
-        self.resort();
-    }
-
     /// Advance one timestamp without a label (Eq. 5 against `model`'s χ).
     pub fn advance(&mut self, model: &HighOrderModel) {
         self.check(model);
-        self.advance_with(model.stats());
+        self.advance_at(model.n_concepts(), model.stats());
     }
 
     /// Advance `k` timestamps at once (the variable-rate adaptation of
@@ -381,72 +377,32 @@ impl FilterView<'_> {
 
     /// Absorb a labeled record the scalar way: ψ(c, yₜ) once per concept
     /// (Eq. 8, one classifier prediction each) into the `psi` scratch,
-    /// then the shared Eq. 7–9 core ([`Self::absorb_psi`]).
+    /// then the Eq. 7–9 update (`absorb_at`).
     pub fn absorb(&mut self, model: &HighOrderModel, x: &[f64], y: ClassId, psi: &mut [f64]) {
         self.check(model);
-        // ψ(c, yₜ) once per concept — each entry costs a full classifier
-        // prediction, so it is computed into the scratch buffer and reused
-        // by both the normalizer and the posterior update.
-        for (c, slot) in model.concepts().iter().zip(psi.iter_mut()) {
-            *slot = c.psi(x, y);
-        }
-        self.absorb_psi(psi);
-    }
-
-    /// The Eq. 7–9 posterior update given an already-filled ψ buffer:
-    /// normalizer, likelihood export, and `posterior ∝ prior · ψ`. The
-    /// scalar [`Self::absorb`] and the batch kernel (which fills ψ from
-    /// its precomputed hit/miss tables) both end here, which is what
-    /// makes their posteriors bit-identical.
-    pub fn absorb_psi(&mut self, psi: &[f64]) {
-        let mut sum = 0.0;
-        for (p, psi) in self.prior.iter().zip(psi.iter()) {
-            sum += p * psi;
-        }
-        *self.last_likelihood = sum.max(0.0);
-        if sum <= 0.0 {
-            // All concepts had zero probability mass (cannot happen with
-            // clamped errors, but stay safe): reset to uniform.
-            let n = self.posterior.len() as f64;
-            self.posterior.fill(1.0 / n);
-        } else {
-            for ((q, p), psi) in self
-                .posterior
-                .iter_mut()
-                .zip(self.prior.iter())
-                .zip(psi.iter())
-            {
-                *q = p * psi / sum;
-            }
-        }
-    }
-
-    /// The prior-roll core (the tail of Eq. 5 after an observation) plus
-    /// the prune-order refresh, shared with the batch kernel. As in
-    /// [`Self::advance_with`], the prior is Eq. 5's output buffer.
-    pub fn roll_prior_with(&mut self, stats: &TransitionStats) {
-        stats.advance(self.posterior, self.prior);
-        self.resort();
+        let concepts = model.concepts();
+        self.absorb_at(model.n_concepts(), psi, |c| concepts[c].psi(x, y));
     }
 
     /// The full labeled-record lifecycle: [`Self::absorb`] then the
     /// prior roll against `model`'s χ.
     pub fn observe(&mut self, model: &HighOrderModel, x: &[f64], y: ClassId, psi: &mut [f64]) {
         self.absorb(model, x, y, psi);
-        self.check(model);
-        self.roll_prior_with(model.stats());
+        self.roll_prior_at(model.n_concepts(), model.stats());
     }
 
     /// Re-sort the §III-C enumeration order by descending prior.
     pub fn resort(&mut self) {
-        let prior = &self.prior;
-        self.order
-            .sort_unstable_by(|&a, &b| prior[b as usize].total_cmp(&prior[a as usize]));
+        self.resort_at(self.order.len());
     }
 
     /// Class-probability prediction for an unlabeled record (Eq. 10):
-    /// `Highorder(l|x) = Σ_c Pₜ⁻(c)·M_c(l|x)`. `classes` is class-sized
-    /// scratch for the per-concept rows.
+    /// `Highorder(l|x) = Σ_c Pₜ⁻(c)·M_c(l|x)`. `out` holds one entry per
+    /// class; `classes` is class-sized scratch for the per-concept rows.
+    ///
+    /// # Panics
+    ///
+    /// If `out` is not exactly `model`'s class count long.
     pub fn predict_proba(
         &self,
         model: &HighOrderModel,
@@ -455,23 +411,24 @@ impl FilterView<'_> {
         classes: &mut [f64],
     ) {
         self.check(model);
-        out.fill(0.0);
-        for (c, &p) in model.concepts().iter().zip(self.prior.iter()) {
-            if p == 0.0 {
-                continue;
-            }
-            c.model.predict_proba(x, classes);
-            for (o, &v) in out.iter_mut().zip(classes.iter()) {
-                *o += p * v;
-            }
-        }
+        let (k, c) = (model.n_concepts(), model.schema().n_classes());
+        assert_eq!(
+            out.len(),
+            c,
+            "predict_proba: `out` has {} entries, the model has {c} classes",
+            out.len()
+        );
+        let mut rows = ClassifierRows { model, x, classes };
+        self.ensemble_at(k, c, &mut rows, out);
     }
 
     /// Unique-class prediction (Eq. 11): the argmax of Eq. 10.
     pub fn predict(&self, model: &HighOrderModel, x: &[f64], classes: &mut [f64]) -> ClassId {
-        let mut out = vec![0.0; model.schema().n_classes()];
-        self.predict_proba(model, x, &mut out, classes);
-        argmax(&out) as ClassId
+        self.check(model);
+        let (k, c) = (model.n_concepts(), model.schema().n_classes());
+        let mut scores = vec![0.0; c];
+        let mut rows = ClassifierRows { model, x, classes };
+        self.predict_at(k, c, &mut rows, &mut scores)
     }
 
     /// The §III-C early-terminated enumeration; returns the prediction and
@@ -485,30 +442,214 @@ impl FilterView<'_> {
         classes: &mut [f64],
     ) -> (ClassId, usize) {
         self.check(model);
-        let n_classes = model.schema().n_classes();
-        let mut scores = vec![0.0; n_classes];
+        let (k, c) = (model.n_concepts(), model.schema().n_classes());
+        let mut scores = vec![0.0; c];
+        let mut rows = ClassifierRows { model, x, classes };
+        self.predict_pruned_at(k, c, &mut rows, &mut scores)
+    }
+}
+
+/// A width of the §III update core — the concept count `K` or the class
+/// count `C` — either a compile-time constant ([`Fixed`]) or a runtime
+/// `usize`.
+///
+/// The core ([`FilterView`]'s `*_at` methods, `TransitionStats::advance_at`)
+/// is written once against `Width`. Instantiated at `Fixed` widths its
+/// loops have constant trip counts, so the compiler unrolls them and
+/// drops the per-element bounds checks; instantiated at `usize` it is the
+/// general form. Either way it is the same source, evaluating the same
+/// floating-point expressions in the same order, so every instance
+/// produces the same bits.
+pub trait Width: Copy {
+    /// The width's value.
+    fn get(self) -> usize;
+}
+
+/// A width fixed at compile time (see [`Width`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Fixed<const N: usize>;
+
+impl<const N: usize> Width for Fixed<N> {
+    #[inline(always)]
+    fn get(self) -> usize {
+        N
+    }
+}
+
+impl Width for usize {
+    #[inline(always)]
+    fn get(self) -> usize {
+        self
+    }
+}
+
+/// The source of the Eq. 10 rows `M_c(l|x)` for one record: the
+/// classifiers themselves on the scalar path, the compiled kernel's
+/// batch table (or its `Dyn` fallback) on the serving path.
+pub(crate) trait Rows {
+    /// Concept `c`'s class-probability row (at least `C` entries).
+    fn row(&mut self, c: usize) -> &[f64];
+}
+
+/// Rows straight from the model's classifiers, one `predict_proba` per
+/// consulted concept into a class-sized buffer — the scalar path.
+struct ClassifierRows<'r> {
+    model: &'r HighOrderModel,
+    x: &'r [f64],
+    classes: &'r mut [f64],
+}
+
+impl Rows for ClassifierRows<'_> {
+    fn row(&mut self, c: usize) -> &[f64] {
+        self.model.concepts()[c]
+            .model
+            .predict_proba(self.x, self.classes);
+        self.classes
+    }
+}
+
+/// The §III update core, generic over the concept count `K` and the
+/// class count `C` ([`Width`]). Every filter update in the workspace runs
+/// through these methods: the scalar [`FilterState`] path at runtime
+/// widths, the compiled serving kernel at the widths its model was
+/// compiled for. Views must be `K` concepts wide.
+impl FilterView<'_> {
+    /// Eq. 10 into `scores[..C]`: `Σ_c Pₜ⁻(c)·M_c(l|x)`, accumulated in
+    /// concept-id order, skipping concepts with zero prior.
+    #[inline]
+    pub(crate) fn ensemble_at<K: Width, C: Width>(
+        &self,
+        k: K,
+        c: C,
+        rows: &mut impl Rows,
+        scores: &mut [f64],
+    ) {
+        let c = c.get();
+        let scores = &mut scores[..c];
+        scores.fill(0.0);
+        for (ci, &p) in self.prior[..k.get()].iter().enumerate() {
+            if p == 0.0 {
+                continue;
+            }
+            add_scaled(scores, p, &rows.row(ci)[..c]);
+        }
+    }
+
+    /// Eq. 11: the argmax of [`Self::ensemble_at`].
+    #[inline]
+    pub(crate) fn predict_at<K: Width, C: Width>(
+        &self,
+        k: K,
+        c: C,
+        rows: &mut impl Rows,
+        scores: &mut [f64],
+    ) -> ClassId {
+        self.ensemble_at(k, c, rows, scores);
+        argmax(&scores[..c.get()]) as ClassId
+    }
+
+    /// The §III-C early-terminated enumeration: concepts in descending
+    /// prior order, stopping once the leader's margin exceeds the
+    /// remaining probability mass. Returns the prediction and how many
+    /// concepts were consulted.
+    #[inline]
+    pub(crate) fn predict_pruned_at<K: Width, C: Width>(
+        &self,
+        k: K,
+        c: C,
+        rows: &mut impl Rows,
+        scores: &mut [f64],
+    ) -> (ClassId, usize) {
+        let (k, c) = (k.get(), c.get());
+        let prior = &self.prior[..k];
+        let scores = &mut scores[..c];
+        scores.fill(0.0);
         // Remaining probability mass after each prefix of the enumeration.
-        let mut remaining: f64 = self.prior.iter().sum();
-        for (rank, &ci) in self.order.iter().enumerate() {
-            let p = self.prior[ci as usize];
+        let mut remaining: f64 = prior.iter().sum();
+        for (rank, &ci) in self.order[..k].iter().enumerate() {
+            let p = prior[ci as usize];
             remaining -= p;
             if p > 0.0 {
-                model.concepts()[ci as usize]
-                    .model
-                    .predict_proba(x, classes);
-                for (s, &v) in scores.iter_mut().zip(classes.iter()) {
-                    *s += p * v;
-                }
+                add_scaled(scores, p, &rows.row(ci as usize)[..c]);
             }
             // A remaining concept can add at most `remaining` to any one
             // class; if the leader's margin exceeds that, the answer is
             // decided (§III-C).
-            let (best, best_v, runner_up) = leader_and_runner_up(&scores);
+            let (best, best_v, runner_up) = leader_and_runner_up(scores);
             if best_v - runner_up > remaining {
                 return (best as ClassId, rank + 1);
             }
         }
-        (argmax(&scores) as ClassId, self.order.len())
+        (argmax(scores) as ClassId, k)
+    }
+
+    /// The Eq. 7–9 posterior update: ψ(c, yₜ) from `psi_of` into
+    /// `psi[..K]` (Eq. 8), the normalizer `Σ_c Pₜ⁻(c)·ψ(c, yₜ)` exported
+    /// as the last likelihood, and `posterior ∝ prior · ψ` — or the
+    /// uniform reset when no concept has mass left.
+    #[inline]
+    pub(crate) fn absorb_at<K: Width>(
+        &mut self,
+        k: K,
+        psi: &mut [f64],
+        mut psi_of: impl FnMut(usize) -> f64,
+    ) {
+        let k = k.get();
+        let psi = &mut psi[..k];
+        for (c, slot) in psi.iter_mut().enumerate() {
+            *slot = psi_of(c);
+        }
+        let prior = &self.prior[..k];
+        let mut sum = 0.0;
+        for (p, psi) in prior.iter().zip(psi.iter()) {
+            sum += p * psi;
+        }
+        *self.last_likelihood = sum.max(0.0);
+        let posterior = &mut self.posterior[..k];
+        if sum <= 0.0 {
+            // All concepts had zero probability mass (cannot happen with
+            // clamped errors, but stay safe): reset to uniform.
+            posterior.fill(1.0 / k as f64);
+        } else {
+            for ((q, p), psi) in posterior.iter_mut().zip(prior).zip(psi.iter()) {
+                *q = p * psi / sum;
+            }
+        }
+    }
+
+    /// Roll the prior to the next timestamp after an absorb (the tail of
+    /// Eq. 5: the posterior through χ, straight into the prior) and
+    /// refresh the §III-C order.
+    #[inline]
+    pub(crate) fn roll_prior_at<K: Width>(&mut self, k: K, stats: &TransitionStats) {
+        stats.advance_at(k, self.posterior, self.prior);
+        self.resort_at(k);
+    }
+
+    /// Advance one timestamp without a label (Eq. 5), the posterior
+    /// defaulting to the new prior until a label arrives.
+    #[inline]
+    pub(crate) fn advance_at<K: Width>(&mut self, k: K, stats: &TransitionStats) {
+        stats.advance_at(k, self.posterior, self.prior);
+        let n = k.get();
+        self.posterior[..n].copy_from_slice(&self.prior[..n]);
+        self.resort_at(k);
+    }
+
+    /// Re-sort the §III-C order by descending prior (`f64::total_cmp`).
+    #[inline]
+    pub(crate) fn resort_at<K: Width>(&mut self, k: K) {
+        let k = k.get();
+        let prior = &self.prior[..k];
+        self.order[..k].sort_unstable_by(|&a, &b| prior[b as usize].total_cmp(&prior[a as usize]));
+    }
+}
+
+/// `scores[l] += p · row[l]` — the one Eq. 10 accumulation.
+#[inline(always)]
+fn add_scaled(scores: &mut [f64], p: f64, row: &[f64]) {
+    for (s, &v) in scores.iter_mut().zip(row) {
+        *s += p * v;
     }
 }
 
@@ -651,6 +792,13 @@ mod tests {
         assert!(s.posterior()[1] > 0.9);
         assert_eq!(s.predict(&m, &[0.0]), 1);
         assert_eq!(s.predict_pruned(&m, &[0.0]).0, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "predict_proba: `out` has 3 entries, the model has 2 classes")]
+    fn predict_proba_wants_one_entry_per_class() {
+        let m = toy_model();
+        FilterState::new(&m).predict_proba(&m, &[0.0], &mut [0.0; 3]);
     }
 
     #[test]

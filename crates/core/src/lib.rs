@@ -35,9 +35,9 @@ pub mod transition;
 pub mod viterbi;
 
 pub use build::{build, build_with, BuildOptions, BuildParams, BuildReport, HighOrderModel};
-pub use compiled::{BatchStats, BatchTable, CompiledModel, KernelScratch};
+pub use compiled::{BatchStats, BatchTable, CompiledModel, Kernel, KernelScratch, KernelTask};
 pub use concept::Concept;
-pub use filter::{FilterIntrospection, FilterState, FilterView};
+pub use filter::{FilterIntrospection, FilterState, FilterView, Fixed, Width};
 pub use hom_data::codec::{self, fnv1a};
 pub use model_codec::{
     decode_model, encode_model, model_epoch, ModelCodecError, MODEL_MAGIC, MODEL_VERSION,

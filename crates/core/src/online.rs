@@ -160,7 +160,7 @@ impl OnlinePredictor {
             // Did the most probable concept's model agree with the label?
             // ψ returns `1 − Err` exactly when it did (Eq. 8).
             let map = argmax(self.state.prior());
-            if self.state.psi[map] == 1.0 - self.model.concepts()[map].err {
+            if self.state.psi[map] == self.model.concepts()[map].psi_outcomes().0 {
                 self.map_agree += 1;
             }
             // Posterior trace P_t(c) — the paper's Fig. 6 timeline.
@@ -181,7 +181,11 @@ impl OnlinePredictor {
     }
 
     /// Class-probability prediction for an unlabeled record (Eq. 10):
-    /// `Highorder(l|x) = Σ_c Pₜ⁻(c)·M_c(l|x)`.
+    /// `Highorder(l|x) = Σ_c Pₜ⁻(c)·M_c(l|x)`, one entry per class.
+    ///
+    /// # Panics
+    ///
+    /// If `out` is not exactly the model's class count long.
     pub fn predict_proba(&mut self, x: &[f64], out: &mut [f64]) {
         self.state.predict_proba(&self.model, x, out);
     }

@@ -1,5 +1,7 @@
 //! Concept-change statistics and the transition kernel χ (Eq. 6).
 
+use crate::filter::Width;
+
 /// The high-order model's concept-change statistics:
 ///
 /// * `Len_i` — mean occurrence length of concept `i` in records;
@@ -176,12 +178,28 @@ impl TransitionStats {
     pub fn advance(&self, p: &[f64], out: &mut [f64]) {
         assert_eq!(p.len(), self.n);
         assert_eq!(out.len(), self.n);
+        self.advance_at(self.n, p, out);
+    }
+
+    /// The Eq. 5 step at width `k` (see [`Width`]): the form the filter
+    /// core runs, with a compile-time `k` on the serving kernel. Reads
+    /// `p[..k]` and writes `out[..k]`; rows with `p[i] == 0` are skipped.
+    ///
+    /// # Panics
+    /// Panics if `k` is not this kernel's concept count, or a slice is
+    /// shorter than `k`.
+    #[inline]
+    pub(crate) fn advance_at<K: Width>(&self, k: K, p: &[f64], out: &mut [f64]) {
+        let n = k.get();
+        assert_eq!(self.n, n, "transition kernel width");
+        let chi = &self.chi[..n * n];
+        let out = &mut out[..n];
         out.fill(0.0);
-        for (i, &pi) in p.iter().enumerate() {
+        for (i, &pi) in p[..n].iter().enumerate() {
             if pi == 0.0 {
                 continue;
             }
-            let row = &self.chi[i * self.n..(i + 1) * self.n];
+            let row = &chi[i * n..(i + 1) * n];
             for (o, &x) in out.iter_mut().zip(row) {
                 *o += pi * x;
             }

@@ -7,14 +7,14 @@ use std::time::Instant;
 
 use hom_core::{
     BatchStats, BatchTable, CompiledModel, FilterIntrospection, FilterState, HighOrderModel,
-    KernelScratch, SnapshotError,
+    Kernel, KernelScratch, KernelTask, SnapshotError, Width,
 };
 use hom_data::ClassId;
 use hom_obs::{hash_sampled, Exemplar, ExemplarRing, Histogram, Obs, SloPolicy};
 use hom_parallel::Pool;
 use hom_store::{FsIo, StreamStore, STORE_DIR_ENV};
 
-use crate::request::{Request, Response, StreamId};
+use crate::request::{Request, Response, StreamId, WidthError};
 use crate::shard::{shard_of, Shard};
 
 /// The environment variable [`ServeOptions::default`] reads for the
@@ -471,6 +471,30 @@ struct Serving {
     compiled: Arc<CompiledModel>,
 }
 
+/// The apply stage of one [`ServeEngine::run_task`]: everything the
+/// per-request loop reads, handed to [`CompiledModel::dispatch`] so the
+/// loop runs in the kernel instance for the model's widths.
+struct ApplyTask<'a, 't> {
+    engine: &'a ServeEngine,
+    model: &'a Arc<HighOrderModel>,
+    table: &'a BatchTable<'t>,
+    groups: &'a ShardGroups,
+    shard_ids: &'a [usize],
+    requests: &'a [Request],
+    /// Record index per request, in task iteration order.
+    recs: &'a [u32],
+    stats: &'a mut BatchStats,
+    emit: &'a mut dyn FnMut(usize, Response),
+}
+
+impl KernelTask for ApplyTask<'_, '_> {
+    type Output = ();
+
+    fn run<K: Width, C: Width>(self, kernel: Kernel<'_, K, C>) {
+        self.engine.apply_shards(kernel, self);
+    }
+}
+
 /// A batch's requests grouped by shard, in one flat CSR layout: group
 /// `s` is `idx[offsets[s] .. offsets[s+1]]`, holding request indices in
 /// batch order. Built with a counting sort — two passes over the batch,
@@ -484,9 +508,18 @@ struct ShardGroups {
 }
 
 impl ShardGroups {
-    fn build(requests: &[Request], shards: usize, shard_bits: u32) -> Self {
+    /// Group `requests` by shard. This is the first pass over a batch,
+    /// on the submitting thread and before any shard is locked, so it
+    /// also refuses a record that is not `n_attrs` wide.
+    ///
+    /// # Panics
+    /// Panics with the [`WidthError`] of the first such request.
+    fn build(requests: &[Request], shards: usize, shard_bits: u32, n_attrs: usize) -> Self {
         let mut offsets = vec![0u32; shards + 1];
-        for r in requests {
+        for (i, r) in requests.iter().enumerate() {
+            if let Err(e) = WidthError::check(i, r, n_attrs) {
+                panic!("{e}");
+            }
             offsets[shard_of(r.stream(), shard_bits) + 1] += 1;
         }
         for s in 0..shards {
@@ -1020,6 +1053,12 @@ impl ServeEngine {
     /// result is independent of thread count and task packing. The whole
     /// batch runs against one model generation: a concurrent
     /// [`Self::swap_model`] waits for it.
+    ///
+    /// # Panics
+    /// Panics if a request's record does not have the model schema's
+    /// attribute count ([`Self::check_widths`]), naming the request and
+    /// both widths. The check runs before any shard is locked, so such a
+    /// batch changes no stream.
     pub fn submit(&self, requests: &[Request]) -> Vec<Response> {
         let measure = self.obs.enabled();
         let t0 = measure.then(Instant::now);
@@ -1036,7 +1075,8 @@ impl ServeEngine {
         let _batch_span = (trace != 0).then(|| self.obs.span("serve.batch"));
         let serving = self.serving_guard();
 
-        let groups = ShardGroups::build(requests, self.shards.len(), self.shard_bits);
+        let n_attrs = serving.model.schema().n_attrs();
+        let groups = ShardGroups::build(requests, self.shards.len(), self.shard_bits, n_attrs);
         let nonempty: Vec<usize> = (0..self.shards.len())
             .filter(|&s| groups.len(s) > 0)
             .collect();
@@ -1197,7 +1237,40 @@ impl ServeEngine {
             stats.evaluate_ns = t.elapsed().as_nanos() as u64;
             Instant::now()
         });
-        let mut scratch = KernelScratch::new(cm);
+        // The per-request work runs in the kernel instance compiled for
+        // this model's widths, picked once here for the whole task.
+        cm.dispatch(ApplyTask {
+            engine: self,
+            model: &serving.model,
+            table: &table,
+            groups,
+            shard_ids,
+            requests,
+            recs: &recs,
+            stats: &mut stats,
+            emit,
+        });
+        if let Some(t) = t_stage {
+            stats.apply_ns = t.elapsed().as_nanos() as u64;
+        }
+        stats
+    }
+
+    /// The apply stage of [`Self::run_task`] at the kernel's widths: the
+    /// given shards, in order, each locked once.
+    fn apply_shards<K: Width, C: Width>(&self, kernel: Kernel<'_, K, C>, task: ApplyTask<'_, '_>) {
+        let ApplyTask {
+            model,
+            table,
+            groups,
+            shard_ids,
+            requests,
+            recs,
+            stats,
+            emit,
+            ..
+        } = task;
+        let mut scratch = KernelScratch::new(kernel.model());
         // Lookahead distance of the software prefetches below: far enough
         // ahead to overlap a memory round-trip with useful work, near
         // enough that the lines are still resident when their request
@@ -1227,11 +1300,7 @@ impl ServeEngine {
                     if let Some(&j) = group.get(k + PREFETCH) {
                         shard.index.prefetch(requests[j as usize].stream());
                     }
-                    slots.push(self.touch(
-                        &serving.model,
-                        &mut shard,
-                        requests[i as usize].stream(),
-                    ));
+                    slots.push(self.touch(model, &mut shard, requests[i as usize].stream()));
                 }
                 for &slot in slots.iter().take(PREFETCH) {
                     shard.table.prefetch(slot);
@@ -1243,14 +1312,14 @@ impl ServeEngine {
                     emit(
                         i as usize,
                         self.apply(
-                            cm,
-                            &table,
+                            kernel,
+                            table,
                             &mut shard,
                             &requests[i as usize],
                             recs[at + k],
                             slots[k],
                             &mut scratch,
-                            &mut stats,
+                            stats,
                         ),
                     );
                 }
@@ -1258,29 +1327,24 @@ impl ServeEngine {
                 // Eviction may repack slots on any insert: resolve and
                 // apply one request at a time.
                 for (k, &i) in group.iter().enumerate() {
-                    let slot =
-                        self.touch(&serving.model, &mut shard, requests[i as usize].stream());
+                    let slot = self.touch(model, &mut shard, requests[i as usize].stream());
                     emit(
                         i as usize,
                         self.apply(
-                            cm,
-                            &table,
+                            kernel,
+                            table,
                             &mut shard,
                             &requests[i as usize],
                             recs[at + k],
                             slot,
                             &mut scratch,
-                            &mut stats,
+                            stats,
                         ),
                     );
                 }
             }
             at += group.len();
         }
-        if let Some(t) = t_stage {
-            stats.apply_ns = t.elapsed().as_nanos() as u64;
-        }
-        stats
     }
 
     /// Apply one request through the batch kernel: classifier work is
@@ -1292,9 +1356,9 @@ impl ServeEngine {
     /// folds them into the engine once, see [`Self::submit`]) that read
     /// only values the update just computed.
     #[allow(clippy::too_many_arguments)]
-    fn apply(
+    fn apply<K: Width, C: Width>(
         &self,
-        cm: &CompiledModel,
+        kernel: Kernel<'_, K, C>,
         table: &BatchTable<'_>,
         shard: &mut Shard,
         request: &Request,
@@ -1307,18 +1371,19 @@ impl ServeEngine {
         if measure {
             stats.requests += 1;
         }
+        let n_concepts = kernel.model().n_concepts();
         match request {
             Request::Predict { stream, .. } => {
                 let view = shard.table.view(slot);
                 let (pred, consulted) = if self.prune {
-                    cm.predict_pruned(&view, table, rec, scratch)
+                    kernel.predict_pruned(&view, table, rec, scratch)
                 } else {
-                    (cm.predict(&view, table, rec, scratch), cm.n_concepts())
+                    (kernel.predict(&view, table, rec, scratch), n_concepts)
                 };
                 if measure {
                     stats.predicted += 1;
                     stats.consulted += consulted as u64;
-                    stats.pruned += u64::from(consulted < cm.n_concepts());
+                    stats.pruned += u64::from(consulted < n_concepts);
                 }
                 Response {
                     stream: *stream,
@@ -1327,7 +1392,7 @@ impl ServeEngine {
             }
             Request::Observe { stream, y, .. } => {
                 let mut view = shard.table.view(slot);
-                cm.observe(&mut view, table, rec, *y, scratch);
+                kernel.observe(&mut view, table, rec, *y, scratch);
                 if measure {
                     stats.observed += 1;
                     stats.likelihood += *view.last_likelihood;
@@ -1341,15 +1406,15 @@ impl ServeEngine {
             Request::Step { stream, y, .. } => {
                 let mut view = shard.table.view(slot);
                 let (pred, consulted) = if self.prune {
-                    cm.predict_pruned(&view, table, rec, scratch)
+                    kernel.predict_pruned(&view, table, rec, scratch)
                 } else {
-                    (cm.predict(&view, table, rec, scratch), cm.n_concepts())
+                    (kernel.predict(&view, table, rec, scratch), n_concepts)
                 };
-                cm.observe(&mut view, table, rec, *y, scratch);
+                kernel.observe(&mut view, table, rec, *y, scratch);
                 if measure {
                     stats.predicted += 1;
                     stats.consulted += consulted as u64;
-                    stats.pruned += u64::from(consulted < cm.n_concepts());
+                    stats.pruned += u64::from(consulted < n_concepts);
                     stats.observed += 1;
                     stats.likelihood += *view.last_likelihood;
                     stats.map_hit(view.order[0] as usize);
@@ -1361,7 +1426,7 @@ impl ServeEngine {
             }
             Request::Advance { stream, k } => {
                 let mut view = shard.table.view(slot);
-                cm.advance_by(&mut view, *k);
+                kernel.advance_by(&mut view, *k);
                 Response {
                     stream: *stream,
                     prediction: None,
@@ -1370,9 +1435,25 @@ impl ServeEngine {
         }
     }
 
+    /// The first request in `requests` whose record does not have the
+    /// serving model's attribute count — the requests [`Self::submit`]
+    /// would refuse. Model swaps keep the schema, so the answer holds
+    /// for the batch's submit.
+    pub fn check_widths(&self, requests: &[Request]) -> Result<(), WidthError> {
+        let n_attrs = self.serving_guard().model.schema().n_attrs();
+        for (i, r) in requests.iter().enumerate() {
+            WidthError::check(i, r, n_attrs)?;
+        }
+        Ok(())
+    }
+
     /// Classify an unlabeled record on `stream` (Eq. 10, pruned per the
     /// engine's options). Creates the stream at the uniform prior if it
     /// does not exist.
+    ///
+    /// # Panics
+    /// Panics if `x` does not have the model schema's attribute count,
+    /// as [`Self::submit`] does.
     pub fn predict(&self, stream: StreamId, x: &[f64]) -> ClassId {
         self.one(Request::Predict {
             stream,
@@ -1383,6 +1464,10 @@ impl ServeEngine {
     }
 
     /// Absorb a labeled record into `stream` (Eqs. 5, 7–9).
+    ///
+    /// # Panics
+    /// Panics if `x` does not have the model schema's attribute count,
+    /// as [`Self::submit`] does.
     pub fn observe(&self, stream: StreamId, x: &[f64], y: ClassId) {
         self.one(Request::Observe {
             stream,
@@ -1393,6 +1478,10 @@ impl ServeEngine {
 
     /// Predict then absorb one record on `stream` — the
     /// `OnlinePredictor::step` lifecycle.
+    ///
+    /// # Panics
+    /// Panics if `x` does not have the model schema's attribute count,
+    /// as [`Self::submit`] does.
     pub fn step(&self, stream: StreamId, x: &[f64], y: ClassId) -> ClassId {
         self.one(Request::Step {
             stream,
@@ -1414,7 +1503,8 @@ impl ServeEngine {
         // latency or SLO sample — only the request-level counters.
         let serving = self.serving_guard();
         let requests = std::slice::from_ref(&request);
-        let groups = ShardGroups::build(requests, self.shards.len(), self.shard_bits);
+        let n_attrs = serving.model.schema().n_attrs();
+        let groups = ShardGroups::build(requests, self.shards.len(), self.shard_bits, n_attrs);
         let shard = [self.shard_index(request.stream())];
         let mut response = None;
         let stats = self.run_task(&serving, &groups, &shard, requests, &mut |_, r| {

@@ -94,7 +94,7 @@ pub use engine::{
     FANOUT_ENV, SHARDS_ENV, SLO_BATCH_US_ENV, SLO_TARGET_ENV, THREADS_ENV,
 };
 pub use http::{MetricsConfigError, MetricsServer, ServeTelemetry, METRICS_ADDR_ENV};
-pub use request::{Request, Response, StreamId};
+pub use request::{Request, Response, StreamId, WidthError};
 pub use transport::{http_request, HttpError, HttpRequest, HttpResponse, HttpServer};
 // The durable-tier types an engine embedder needs: construct a store for
 // [`ServeOptions::store`], read its health/status through
@@ -155,6 +155,49 @@ mod tests {
         // created by the request)
         assert!(engine.predict(3, &[0.0]) < 2);
         assert_eq!(engine.live_streams(), 3);
+    }
+
+    /// A record narrower than the schema is refused by index before any
+    /// shard is touched: the batch's other requests change nothing.
+    #[test]
+    fn a_short_record_panics_before_any_stream_changes() {
+        let model = toy_model();
+        let schema = Schema::new(
+            vec![Attribute::numeric("x"), Attribute::numeric("z")],
+            ["a", "b"],
+        );
+        let model = Arc::new(HighOrderModel::from_parts(
+            schema,
+            model.concepts().to_vec(),
+            model.stats().clone(),
+        ));
+        let engine = ServeEngine::new(model);
+        engine.observe(1, &[0.0, 0.0], 1);
+        let before = bits(&engine.posterior(1).expect("live"));
+        let batch = vec![
+            Request::Observe {
+                stream: 1,
+                x: vec![0.0, 0.0],
+                y: 0,
+            },
+            Request::Advance { stream: 1, k: 1 },
+            Request::Step {
+                stream: 2,
+                x: vec![0.0],
+                y: 0,
+            },
+        ];
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| engine.submit(&batch)))
+            .expect_err("a short record panics");
+        let msg = err.downcast_ref::<String>().expect("formatted message");
+        assert_eq!(
+            msg,
+            "request 2: record has 1 attributes, the model's schema has 2"
+        );
+        assert_eq!(bits(&engine.posterior(1).expect("live")), before);
+        assert_eq!(engine.posterior(2), None, "stream 2 was never created");
+        assert_eq!(engine.check_widths(&batch).unwrap_err().request, 2);
+        assert_eq!(engine.check_widths(&batch[..2]), Ok(()));
     }
 
     #[test]

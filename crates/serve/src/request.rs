@@ -61,6 +61,76 @@ impl Request {
             | Request::Advance { stream, .. } => stream,
         }
     }
+
+    /// The record this request carries (`None` for `Advance`).
+    pub fn record(&self) -> Option<&[f64]> {
+        match self {
+            Request::Predict { x, .. } | Request::Observe { x, .. } | Request::Step { x, .. } => {
+                Some(x)
+            }
+            Request::Advance { .. } => None,
+        }
+    }
+}
+
+/// A request whose record is not as wide as the model's schema: a
+/// record the kernel cannot evaluate (a split on a missing attribute
+/// would read past its end).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct WidthError {
+    /// Index of the request in its batch.
+    pub request: usize,
+    /// Attributes the record has.
+    pub width: usize,
+    /// Attributes the model's schema has ([`hom_data::Schema::n_attrs`]).
+    pub n_attrs: usize,
+}
+
+impl WidthError {
+    /// `Err` when request `index`'s record is not `n_attrs` wide.
+    #[inline]
+    pub fn check(index: usize, request: &Request, n_attrs: usize) -> Result<(), WidthError> {
+        match request.record() {
+            Some(x) if x.len() != n_attrs => Err(WidthError {
+                request: index,
+                width: x.len(),
+                n_attrs,
+            }),
+            _ => Ok(()),
+        }
+    }
+}
+
+impl std::fmt::Display for WidthError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "request {}: record has {} attributes, the model's schema has {}",
+            self.request, self.width, self.n_attrs
+        )
+    }
+}
+
+impl std::error::Error for WidthError {}
+
+/// Reads the [`Display`](std::fmt::Display) form back, as a worker's
+/// 400 body carries it to the router.
+impl std::str::FromStr for WidthError {
+    type Err = ();
+
+    fn from_str(s: &str) -> Result<Self, ()> {
+        let rest = s.strip_prefix("request ").ok_or(())?;
+        let (request, rest) = rest.split_once(": record has ").ok_or(())?;
+        let (width, n_attrs) = rest
+            .split_once(" attributes, the model's schema has ")
+            .ok_or(())?;
+        let number = |v: &str| v.parse::<usize>().map_err(|_| ());
+        Ok(WidthError {
+            request: number(request)?,
+            width: number(width)?,
+            n_attrs: number(n_attrs)?,
+        })
+    }
 }
 
 /// The outcome of one [`Request`], in the same position as its request
