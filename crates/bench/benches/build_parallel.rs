@@ -91,8 +91,8 @@ fn timed_build(data: &Dataset, seed: u64, threads: usize) -> (HighOrderModel, Bu
     (model, report, run)
 }
 
-/// One JSON object per run, with a nested `"spans"` stage breakdown. The
-/// serde shim has no derive, so the object layout is written by hand here.
+/// One JSON object per run, with a nested `"spans"` stage breakdown, laid
+/// out by hand.
 fn snapshot_json(cores: usize, runs: &[Run]) -> String {
     let rows_json: Vec<String> = runs
         .iter()

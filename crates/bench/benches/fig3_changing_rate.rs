@@ -56,10 +56,18 @@ fn main() {
             &inv_rates,
             &time_cols,
         );
-        maybe_dump_json(
-            &format!("fig3_{}", kind.name().to_lowercase()),
-            &(&inv_rates, &err, &time),
-        );
+        maybe_dump_json(&format!("fig3_{}", kind.name().to_lowercase()), |w| {
+            w.array(|w| {
+                w.f64s(&inv_rates);
+                for rows in [&err, &time] {
+                    w.array(|w| {
+                        for row in rows {
+                            w.f64s(row);
+                        }
+                    });
+                }
+            });
+        });
     }
     println!(
         "(paper shape: frequent changes (small 1/rate) hurt RePro and WCE \

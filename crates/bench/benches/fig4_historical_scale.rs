@@ -44,10 +44,13 @@ fn main() {
                 ("test_time_s", &test[..]),
             ],
         );
-        maybe_dump_json(
-            &format!("fig4_{}", kind.name().to_lowercase()),
-            &(&sizes, &err, &build, &test),
-        );
+        maybe_dump_json(&format!("fig4_{}", kind.name().to_lowercase()), |w| {
+            w.array(|w| {
+                for column in [&sizes, &err, &build, &test] {
+                    w.f64s(column);
+                }
+            });
+        });
     }
     println!(
         "(paper shape: error falls with historical size — fast saturation \

@@ -78,10 +78,15 @@ fn main() {
             &xs,
             &cols,
         );
-        maybe_dump_json(
-            &format!("fig5_{}", kind.name().to_lowercase()),
-            &(&xs, &curves),
-        );
+        maybe_dump_json(&format!("fig5_{}", kind.name().to_lowercase()), |w| {
+            w.array(|w| {
+                w.f64s(&xs).array(|w| {
+                    for curve in &curves {
+                        w.f64s(curve);
+                    }
+                });
+            });
+        });
     }
     println!(
         "(paper shape: Stagger — high-order error returns to ~0 a few \

@@ -65,10 +65,11 @@ fn main() {
             &xs,
             &[("old_concept", &p_old[..]), ("new_concept", &p_new[..])],
         );
-        maybe_dump_json(
-            &format!("fig6_{}", kind.name().to_lowercase()),
-            &(&xs, &p_old, &p_new),
-        );
+        maybe_dump_json(&format!("fig6_{}", kind.name().to_lowercase()), |w| {
+            w.array(|w| {
+                w.f64s(&xs).f64s(&p_old).f64s(&p_new);
+            });
+        });
     }
     println!(
         "(paper shape: Stagger — probabilities cross within a few records \

@@ -189,8 +189,8 @@ fn measure(
     best.1 = best.1.min(cold);
 }
 
-/// The serde shim has no derive, so the snapshot layout is written by
-/// hand, mirroring `BENCH_build_parallel.json`.
+/// The snapshot layout, written by hand, mirroring
+/// `BENCH_build_parallel.json`.
 fn snapshot_json(cores: usize, cells: &[Cell]) -> String {
     let rows: Vec<String> = cells
         .iter()

@@ -37,5 +37,13 @@ fn main() {
         "(paper at full scale: Stagger 0.0020/0.0275/0.0584, \
          Hyperplane 0.0255/0.1882/0.1141, Intrusion 0.0001/0.0011/0.0015)"
     );
-    maybe_dump_json("table2_error_rates", &dump);
+    maybe_dump_json("table2_error_rates", |w| {
+        w.array(|w| {
+            for (workload, algo, value) in &dump {
+                w.array(|w| {
+                    w.str(workload).str(algo).f64(*value);
+                });
+            }
+        });
+    });
 }

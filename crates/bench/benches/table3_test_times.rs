@@ -40,5 +40,13 @@ fn main() {
          values differ on modern hardware and at HOM_SCALE; the ordering \
          is the reproduced shape)"
     );
-    maybe_dump_json("table3_test_times", &dump);
+    maybe_dump_json("table3_test_times", |w| {
+        w.array(|w| {
+            for (workload, algo, value) in &dump {
+                w.array(|w| {
+                    w.str(workload).str(algo).f64(*value);
+                });
+            }
+        });
+    });
 }

@@ -49,5 +49,17 @@ fn main() {
         "(paper at full scale: Stagger 13.0s / 3 concepts, \
          Hyperplane 52.7s / 4, Intrusion 714.1s / 11±2)"
     );
-    maybe_dump_json("table4_build_phase", &dump);
+    maybe_dump_json("table4_build_phase", |w| {
+        w.array(|w| {
+            for (workload, build_s, concepts) in &dump {
+                w.array(|w| {
+                    w.str(workload).f64(*build_s);
+                    match concepts {
+                        Some(n) => w.f64(*n),
+                        None => w.null(),
+                    };
+                });
+            }
+        });
+    });
 }

@@ -66,7 +66,7 @@ use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
 
 use hom_core::model_epoch;
-use hom_obs::json;
+use hom_obs::json::{self, object_line, Writer};
 use hom_obs::trace::DUMP_CAP;
 use hom_obs::{trace_sample_from_env, Obs, TraceBuffer, TraceContext};
 use hom_serve::transport::{ConnPool, HttpConn, HttpRequest, HttpResponse, HttpServer};
@@ -676,7 +676,9 @@ impl Router {
         }
         // Phase 2: flip. Cheap per worker (pointer swap + state
         // migration of its streams), all under this write lock.
-        let body = format!("{{\"epoch\":{epoch}}}");
+        let body = control_body(|w| {
+            w.key("epoch").u64(epoch.into());
+        });
         for w in 0..topology.workers.len() {
             let payload =
                 self.exchange_traced(&topology, w, "POST", "/swap/commit", body.as_bytes(), hop)?;
@@ -797,7 +799,9 @@ impl Router {
         let _scope = self.obs.trace_scope(ctx);
         let root = self.obs.span("cluster.migrate");
         let hop = Some(ctx.child(root.id()));
-        let body = format!("{{\"stream\":{stream}}}");
+        let body = control_body(|w| {
+            w.key("stream").u64(stream);
+        });
         let out = self.exchange_at_traced(
             from,
             from_addr,
@@ -813,7 +817,9 @@ impl Router {
                 worker: from,
                 what: format!("migrate/snapshot: {what}"),
             })?;
-        let in_body = format!("{{\"stream\":{stream},\"snapshot\":\"{snapshot}\"}}");
+        let in_body = control_body(|w| {
+            w.key("stream").u64(stream).key("snapshot").str(&snapshot);
+        });
         self.exchange_at_traced(to, to_addr, "POST", "/migrate/in", in_body.as_bytes(), hop)?;
         self.exchange_at_traced(
             from,
@@ -961,18 +967,16 @@ impl Router {
 /// Stamp `,"node":"<node>"` into every JSONL event line (before the
 /// closing brace) — how the federated trace records which process each
 /// span came from. `hom_obs::jsonl::parse_line` tolerates unknown
-/// fields, so annotated lines still parse; node names are fixed
-/// identifiers (`router`, `w<index>`), never containing JSON-special
-/// characters.
+/// fields, so annotated lines still parse.
 fn annotate_node(jsonl: &str, node: &str) -> String {
     let mut out = String::with_capacity(jsonl.len() + 24 * jsonl.lines().count());
     for line in jsonl.lines() {
         match line.strip_suffix('}') {
             Some(head) => {
                 out.push_str(head);
-                out.push_str(",\"node\":\"");
-                out.push_str(node);
-                out.push_str("\"}\n");
+                out.push_str(",\"node\":");
+                Writer::compact(&mut out).str(node);
+                out.push_str("}\n");
             }
             // Not an event object (defensive — never produced by
             // slice_jsonl): pass through untouched.
@@ -1004,6 +1008,14 @@ fn name_by_batch_index(e: ClusterError, idx: &[usize]) -> ClusterError {
         }
     }
     e
+}
+
+/// A body the router sends a worker's control route: one compact JSON
+/// object, no trailing newline.
+fn control_body(fill: impl FnOnce(&mut Writer<'_>)) -> String {
+    let mut body = String::new();
+    Writer::compact(&mut body).object(fill);
+    body
 }
 
 fn parse_epoch(payload: &[u8]) -> Option<u32> {
@@ -1083,7 +1095,12 @@ fn route(router: &Router, req: &HttpRequest) -> HttpResponse {
             }
         }
         ("POST", "/swap") => match router.swap(&req.body) {
-            Ok(epoch) => HttpResponse::ok("application/json", format!("{{\"epoch\":{epoch}}}\n")),
+            Ok(epoch) => HttpResponse::ok(
+                "application/json",
+                object_line(|w| {
+                    w.key("epoch").u64(epoch.into());
+                }),
+            ),
             Err(e) => bad_gateway(&e),
         },
         ("GET", "/metrics") => match router.metrics() {
@@ -1091,23 +1108,27 @@ fn route(router: &Router, req: &HttpRequest) -> HttpResponse {
             Err(e) => bad_gateway(&e),
         },
         ("GET", "/cluster") => {
-            let mut body = String::from("{\"workers\":[");
-            for (i, s) in router.cluster_status().iter().enumerate() {
-                if i > 0 {
-                    body.push(',');
-                }
-                body.push_str(&format!(
-                    "{{\"worker\":{},\"addr\":\"{}\",\"healthy\":{},\"epoch\":{},\
-                     \"live\":{},\"parked\":{}}}",
-                    s.worker, s.addr, s.healthy, s.epoch, s.live, s.parked
-                ));
-            }
-            body.push_str("]}\n");
+            let status = router.cluster_status();
+            let body = object_line(|w| {
+                w.key("workers").array(|w| {
+                    for s in &status {
+                        w.object(|w| {
+                            w.key("worker").u64(s.worker as u64);
+                            w.key("addr").str(&s.addr.to_string());
+                            w.key("healthy").bool(s.healthy);
+                            w.key("epoch").u64(s.epoch.into());
+                            w.key("live").u64(s.live).key("parked").u64(s.parked);
+                        });
+                    }
+                });
+            });
             HttpResponse::ok("application/json", body)
         }
         ("GET", "/healthz") => HttpResponse::ok(
             "application/json",
-            format!("{{\"workers\":{}}}\n", router.workers().len()),
+            object_line(|w| {
+                w.key("workers").u64(router.workers().len() as u64);
+            }),
         ),
         ("GET", path) if path.starts_with("/trace/") => {
             match hom_obs::parse_trace_id(&path["/trace/".len()..]) {

@@ -20,10 +20,10 @@
 //! {"stream":9,"prediction":null}
 //! ```
 //!
-//! Attribute values render with the shortest round-trip decimal
-//! ([`hom_obs::jsonl::push_f64`]), so a finite `f64` parses back
-//! **bit-identically**. Non-finite attributes are unrepresentable here
-//! by design: this codec rejects them at encode time rather than
+//! Lines are written by [`hom_obs::json::Writer`], whose attribute
+//! values are the shortest round-trip decimal, so a finite `f64` parses
+//! back **bit-identically**. Non-finite attributes are unrepresentable
+//! here by design: this codec rejects them at encode time rather than
 //! silently shipping `null`.
 //!
 //! Decoding is one forward pass per line over [`hom_obs::json`]'s pull
@@ -41,8 +41,7 @@
 //! the line, never a panic — a router must survive any bytes a confused
 //! client POSTs at it.
 
-use hom_obs::json::{field, Reader, NOT_ARRAY, NOT_INTEGER, NOT_STRING};
-use hom_obs::jsonl::push_f64;
+use hom_obs::json::{field, Reader, Writer, NOT_ARRAY, NOT_INTEGER, NOT_STRING};
 use hom_serve::{Request, Response, StreamId};
 
 use super::WireError;
@@ -51,70 +50,37 @@ use super::WireError;
 /// (an unknown key's, or a misshapen element of `x`).
 pub use hom_obs::json::MAX_DEPTH;
 
-/// Decimal digits of `v`, without a `to_string` allocation.
-fn push_u64(out: &mut String, mut v: u64) {
-    let mut digits = [0u8; 20];
-    let mut at = digits.len();
-    loop {
-        at -= 1;
-        digits[at] = b'0' + (v % 10) as u8;
-        v /= 10;
-        if v == 0 {
-            break;
-        }
-    }
-    for &d in &digits[at..] {
-        out.push(char::from(d));
-    }
-}
-
-fn push_xs(out: &mut String, x: &[f64]) -> Result<(), WireError> {
-    out.push('[');
-    for (i, &v) in x.iter().enumerate() {
-        if !v.is_finite() {
-            return Err(WireError::NonFiniteAttribute);
-        }
-        if i > 0 {
-            out.push(',');
-        }
-        push_f64(out, v);
-    }
-    out.push(']');
-    Ok(())
-}
-
 fn push_request(out: &mut String, r: &Request) -> Result<(), WireError> {
-    match r {
-        Request::Predict { stream, x } => {
-            out.push_str("{\"op\":\"predict\",\"stream\":");
-            push_u64(out, *stream);
-            out.push_str(",\"x\":");
-            push_xs(out, x)?;
+    let (stream, x, y, k) = match *r {
+        Request::Predict { stream, ref x } => (stream, Some(x), None, None),
+        Request::Observe { stream, ref x, y } | Request::Step { stream, ref x, y } => {
+            (stream, Some(x), Some(y), None)
         }
-        Request::Observe { stream, x, y } => {
-            out.push_str("{\"op\":\"observe\",\"stream\":");
-            push_u64(out, *stream);
-            out.push_str(",\"x\":");
-            push_xs(out, x)?;
-            out.push_str(",\"y\":");
-            push_u64(out, u64::from(*y));
-        }
-        Request::Step { stream, x, y } => {
-            out.push_str("{\"op\":\"step\",\"stream\":");
-            push_u64(out, *stream);
-            out.push_str(",\"x\":");
-            push_xs(out, x)?;
-            out.push_str(",\"y\":");
-            push_u64(out, u64::from(*y));
-        }
-        Request::Advance { stream, k } => {
-            out.push_str("{\"op\":\"advance\",\"stream\":");
-            push_u64(out, *stream);
-            out.push_str(",\"k\":");
-            push_u64(out, *k as u64);
-        }
+        Request::Advance { stream, k } => (stream, None, None, Some(k)),
+    };
+    if x.is_some_and(|x| !x.iter().all(|v| v.is_finite())) {
+        return Err(WireError::NonFiniteAttribute);
     }
-    out.push_str("}\n");
+    Writer::compact(out).object(|w| {
+        // One literal per arm, so the op is copied as a constant.
+        let w = match r {
+            Request::Predict { .. } => w.key("op").str("predict"),
+            Request::Observe { .. } => w.key("op").str("observe"),
+            Request::Step { .. } => w.key("op").str("step"),
+            Request::Advance { .. } => w.key("op").str("advance"),
+        };
+        w.key("stream").u64(stream);
+        if let Some(x) = x {
+            w.key("x").f64s(x);
+        }
+        if let Some(y) = y {
+            w.key("y").u64(y.into());
+        }
+        if let Some(k) = k {
+            w.key("k").u64(k as u64);
+        }
+    });
+    out.push('\n');
     Ok(())
 }
 
@@ -143,14 +109,14 @@ pub fn decode_requests(text: &str) -> Result<Vec<Request>, WireError> {
 pub fn encode_responses(responses: &[Response]) -> String {
     let mut out = String::with_capacity(responses.len() * 32);
     for r in responses {
-        out.push_str("{\"stream\":");
-        push_u64(&mut out, r.stream);
-        out.push_str(",\"prediction\":");
-        match r.prediction {
-            Some(c) => push_u64(&mut out, u64::from(c)),
-            None => out.push_str("null"),
-        }
-        out.push_str("}\n");
+        Writer::compact(&mut out).object(|w| {
+            w.key("stream").u64(r.stream).key("prediction");
+            match r.prediction {
+                Some(c) => w.u64(u64::from(c)),
+                None => w.null(),
+            };
+        });
+        out.push('\n');
     }
     out
 }

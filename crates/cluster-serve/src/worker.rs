@@ -45,8 +45,7 @@ use std::net::SocketAddr;
 use std::sync::{Arc, Mutex};
 
 use hom_core::{decode_model, HighOrderModel};
-use hom_obs::json;
-use hom_obs::jsonl::push_f64;
+use hom_obs::json::{self, object_line};
 use hom_obs::TraceContext;
 use hom_serve::http::introspect;
 use hom_serve::transport::{HttpRequest, HttpResponse, HttpServer};
@@ -212,13 +211,7 @@ fn migrate_snapshot(engine: &ServeEngine, body: &[u8]) -> HttpResponse {
         Err(what) => return HttpResponse::bad_request(what),
     };
     match engine.snapshot(stream) {
-        Some(bytes) => HttpResponse::ok(
-            "application/json",
-            format!(
-                "{{\"stream\":{stream},\"snapshot\":\"{}\"}}\n",
-                wire::to_hex(&bytes)
-            ),
-        ),
+        Some(bytes) => snapshot_reply(stream, &bytes),
         None => HttpResponse::not_found("stream not on this worker"),
     }
 }
@@ -233,7 +226,9 @@ fn migrate_evict(engine: &ServeEngine, body: &[u8]) -> HttpResponse {
         Err(what) => return HttpResponse::bad_request(what),
     };
     match engine.extract(stream) {
-        Some(_) => HttpResponse::ok("application/json", format!("{{\"stream\":{stream}}}\n")),
+        Some(_) => json_reply(|w| {
+            w.key("stream").u64(stream);
+        }),
         None => HttpResponse::not_found("stream not on this worker"),
     }
 }
@@ -244,13 +239,7 @@ fn migrate_out(engine: &ServeEngine, body: &[u8]) -> HttpResponse {
         Err(what) => return HttpResponse::bad_request(what),
     };
     match engine.extract(stream) {
-        Some(bytes) => HttpResponse::ok(
-            "application/json",
-            format!(
-                "{{\"stream\":{stream},\"snapshot\":\"{}\"}}\n",
-                wire::to_hex(&bytes)
-            ),
-        ),
+        Some(bytes) => snapshot_reply(stream, &bytes),
         None => HttpResponse::not_found("stream not on this worker"),
     }
 }
@@ -269,7 +258,9 @@ fn migrate_in(engine: &ServeEngine, body: &[u8]) -> HttpResponse {
         Err(e) => return HttpResponse::bad_request(&e.to_string()),
     };
     match engine.restore(stream, &bytes) {
-        Ok(()) => HttpResponse::ok("application/json", format!("{{\"stream\":{stream}}}\n")),
+        Ok(()) => json_reply(|w| {
+            w.key("stream").u64(stream);
+        }),
         Err(e) => HttpResponse::bad_request(&format!("snapshot rejected: {e}")),
     }
 }
@@ -289,7 +280,9 @@ fn swap_prepare(engine: &ServeEngine, staged: &Mutex<Option<Staged>>, body: &[u8
         ));
     }
     *staged.lock().unwrap_or_else(|e| e.into_inner()) = Some(Staged { model, epoch });
-    HttpResponse::ok("application/json", format!("{{\"epoch\":{epoch}}}\n"))
+    json_reply(|w| {
+        w.key("epoch").u64(epoch.into());
+    })
 }
 
 fn swap_commit(engine: &ServeEngine, staged: &Mutex<Option<Staged>>, body: &[u8]) -> HttpResponse {
@@ -312,7 +305,9 @@ fn swap_commit(engine: &ServeEngine, staged: &Mutex<Option<Staged>>, body: &[u8]
     match engine.swap_model(model) {
         Ok(report) if report.epoch == epoch => {
             *slot = None;
-            HttpResponse::ok("application/json", format!("{{\"epoch\":{epoch}}}\n"))
+            json_reply(|w| {
+                w.key("epoch").u64(epoch.into());
+            })
         }
         Ok(report) => {
             // The engine flipped but landed on an unexpected epoch — a
@@ -328,7 +323,7 @@ fn swap_commit(engine: &ServeEngine, staged: &Mutex<Option<Staged>>, body: &[u8]
 }
 
 fn quiesce(engine: &ServeEngine) -> HttpResponse {
-    let mut parked = 0usize;
+    let mut parked = 0u64;
     for stream in engine.stream_ids() {
         if engine.park(stream) {
             parked += 1;
@@ -339,32 +334,27 @@ fn quiesce(engine: &ServeEngine) -> HttpResponse {
             return HttpResponse::bad_request(&format!("store commit failed: {e}"));
         }
     }
-    HttpResponse::ok("application/json", format!("{{\"parked\":{parked}}}\n"))
+    json_reply(|w| {
+        w.key("parked").u64(parked);
+    })
 }
 
 fn healthz(engine: &ServeEngine) -> HttpResponse {
-    HttpResponse::ok(
-        "application/json",
-        format!(
-            "{{\"epoch\":{},\"live\":{},\"parked\":{}}}\n",
-            engine.epoch(),
-            engine.live_streams(),
-            engine.parked_streams()
-        ),
-    )
+    json_reply(|w| {
+        w.key("epoch").u64(engine.epoch().into());
+        w.key("live").u64(engine.live_streams() as u64);
+        w.key("parked").u64(engine.parked_streams() as u64);
+    })
 }
 
 fn cluster_info(engine: &ServeEngine) -> HttpResponse {
     let ids = engine.stream_ids();
-    let mut body = format!("{{\"epoch\":{},\"streams\":[", engine.epoch());
-    for (i, id) in ids.iter().enumerate() {
-        if i > 0 {
-            body.push(',');
-        }
-        body.push_str(&id.to_string());
-    }
-    body.push_str("]}\n");
-    HttpResponse::ok("application/json", body)
+    json_reply(|w| {
+        w.key("epoch")
+            .u64(engine.epoch().into())
+            .key("streams")
+            .u64s(ids);
+    })
 }
 
 fn posterior(engine: &ServeEngine, id: &str) -> HttpResponse {
@@ -372,17 +362,22 @@ fn posterior(engine: &ServeEngine, id: &str) -> HttpResponse {
         return HttpResponse::bad_request("stream id must be an integer");
     };
     match engine.posterior(stream) {
-        Some(p) => {
-            let mut body = format!("{{\"stream\":{stream},\"posterior\":[");
-            for (i, &v) in p.iter().enumerate() {
-                if i > 0 {
-                    body.push(',');
-                }
-                push_f64(&mut body, v);
-            }
-            body.push_str("]}\n");
-            HttpResponse::ok("application/json", body)
-        }
+        Some(p) => json_reply(|w| {
+            w.key("stream").u64(stream).key("posterior").f64s(&p);
+        }),
         None => HttpResponse::not_found("no such stream"),
     }
+}
+
+/// A `200` whose body is the one-line JSON object `fill` writes.
+fn json_reply(fill: impl FnOnce(&mut json::Writer<'_>)) -> HttpResponse {
+    HttpResponse::ok("application/json", object_line(fill))
+}
+
+/// A stream's state as a `/migrate/snapshot` or `/migrate/out` reply.
+fn snapshot_reply(stream: StreamId, bytes: &[u8]) -> HttpResponse {
+    json_reply(|w| {
+        w.key("stream").u64(stream);
+        w.key("snapshot").str(&wire::to_hex(bytes));
+    })
 }

@@ -8,7 +8,7 @@
 use std::fmt::Write as _;
 use std::time::Duration;
 
-use serde::Serialize;
+use hom_obs::json::Writer;
 
 /// Format a duration in seconds with four decimals (the paper's unit).
 pub fn fmt_duration(d: Duration) -> String {
@@ -91,18 +91,22 @@ pub fn print_series(title: &str, x_label: &str, xs: &[f64], columns: &[(&str, &[
     print!("{}", render_series(title, x_label, xs, columns));
 }
 
-/// Dump any serializable value as pretty JSON next to the bench output,
-/// when `HOM_JSON_DIR` is set. Silently skips on I/O errors (benches must
-/// not fail because an output directory is read-only).
-pub fn maybe_dump_json<T: Serialize>(name: &str, value: &T) {
+/// Dump a value as pretty JSON next to the bench output, when
+/// `HOM_JSON_DIR` is set: `write` writes it with a two-space pretty
+/// [`Writer`] into `$HOM_JSON_DIR/<name>.json`. Silently skips on I/O
+/// errors (benches must not fail because an output directory is
+/// read-only).
+pub fn maybe_dump_json(name: &str, write: impl FnOnce(&mut Writer<'_, true>)) {
     let Ok(dir) = std::env::var("HOM_JSON_DIR") else {
         return;
     };
-    let path = std::path::Path::new(&dir).join(format!("{name}.json"));
-    if let Ok(json) = serde_json::to_string_pretty(value) {
-        let _ = std::fs::create_dir_all(&dir);
-        let _ = std::fs::write(path, json);
-    }
+    let mut json = String::new();
+    write(&mut Writer::pretty(&mut json));
+    let _ = std::fs::create_dir_all(&dir);
+    let _ = std::fs::write(
+        std::path::Path::new(&dir).join(format!("{name}.json")),
+        json,
+    );
 }
 
 #[cfg(test)]

@@ -18,7 +18,7 @@
 //!   already exceeded the objective, on the (rare) slow path, into a
 //!   bounded overwrite-oldest ring.
 
-use crate::jsonl::push_f64;
+use crate::export::prom_f64;
 
 /// The Fibonacci multiplier (`⌊2^64/φ⌋`, forced odd) shared with the
 /// serving shard router — a full-width multiply whose high bits mix
@@ -153,7 +153,7 @@ pub fn push_exemplars(out: &mut String, name: &str, exemplars: &[Exemplar]) {
             out.push_str(&format!("{:016x}", ex.trace));
         }
         out.push_str("\"} ");
-        push_f64(out, ex.batch_ns as f64);
+        out.push_str(&prom_f64(ex.batch_ns as f64));
         out.push('\n');
     }
 }

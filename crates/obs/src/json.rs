@@ -1,14 +1,15 @@
-//! The one JSON reader in the tree: a forward-only pull reader over a
-//! single JSON object. The trace format ([`crate::jsonl::parse_line`]),
-//! the cluster router's JSONL edge and control bodies
-//! (`hom_cluster_serve::wire::jsonl`) and the scrapes of the introspection
-//! routes all read through it.
+//! The one JSON reader and the one JSON writer in the tree.
+//!
+//! [`Reader`] is a forward-only pull reader over a single JSON object.
+//! The trace format ([`crate::jsonl::parse_line`]), the cluster router's
+//! JSONL edge and control bodies (`hom_cluster_serve::wire::jsonl`) and
+//! the scrapes of the introspection routes all read through it.
 //!
 //! It reads the subset those bodies are written in: one flat object
 //! whose values are strings, numbers, `true` / `false`, `null` and
-//! arrays of these. Nested objects are not supported, because nothing
-//! writes them: a value holding one, even under an unknown key, is the
-//! typed error `"nested object"`.
+//! arrays of these. Nested objects are not supported, because none of
+//! the bodies it reads holds one: a value holding one, even under an
+//! unknown key, is the typed error `"nested object"`.
 //!
 //! A caller walks the object with [`Reader::next_key`] and reads each
 //! value straight into a typed slot ([`Reader::u64_value`],
@@ -17,16 +18,23 @@
 //! they carried escapes. Integers are exact — a token is a `u64` only
 //! when it is all digits and fits, never rounded through `f64` (trace
 //! and stream ids live near 2⁶⁴). Floats go through `str::parse`, which
-//! reads the shortest round-trip decimal [`crate::jsonl::push_f64`]
-//! writes back to the same bits. `\uXXXX` escapes decode; a surrogate
-//! code unit, which nothing writes, becomes U+FFFD.
+//! reads the shortest round-trip decimal [`Writer::f64`] writes back to
+//! the same bits. `\uXXXX` escapes decode; a surrogate code unit, which
+//! nothing writes, becomes U+FFFD.
 //!
 //! Reading is total and bounded: any string yields a value or a
 //! `&'static str` reason, never a panic. Skipping never recurses —
 //! array nesting is a counter capped at [`MAX_DEPTH`] — and every scan
 //! is linear in the input.
+//!
+//! [`Writer`] writes every JSON body the library emits: the trace lines,
+//! the HTTP bodies of the introspection API, the router and the worker,
+//! the router's client-edge JSONL and the bench dumps. It holds the one
+//! string escaper, the shortest round-trip `f64` renderer and the
+//! allocation-free `u64` digits.
 
 use std::borrow::Cow;
+use std::fmt::Write as _;
 
 /// Deepest array nesting the reader walks through in a value it skips.
 /// The formats themselves nest two levels at most (a histogram's bucket
@@ -444,6 +452,285 @@ impl<'a> Reader<'a> {
             }
         }
     }
+}
+
+/// A JSON writer appending to a caller's `String`, in one of two
+/// layouts chosen when it is built:
+///
+/// * [`Writer::compact`] (a `Writer<'_>`): no whitespace at all — every
+///   HTTP body, trace line and JSONL edge line;
+/// * [`Writer::pretty`] (a `Writer<'_, true>`): each container element
+///   on its own line, indented two spaces per open container, with an
+///   empty container written `[]` — the bench dumps under
+///   `HOM_JSON_DIR`.
+///
+/// A writer writes one value, usually an object. Containers are written
+/// by closures ([`Writer::object`], [`Writer::array`]), so every one
+/// that opens also closes, and commas come from the writer, never from
+/// the caller. A JSONL caller builds one writer per line and then
+/// pushes its own `'\n'`.
+///
+/// Strings are escaped: `"` and `\` by a backslash, newline, carriage
+/// return and tab by their short escapes, every other control character
+/// as `\u00XX`. Floats use `Display`'s shortest round-trip decimal, so
+/// [`Reader`] reads back the same bits; JSON has no NaN or infinity, so
+/// those are written `null`.
+///
+/// The layout is a type parameter, so the compact writer carries no
+/// indentation code; its methods inline into the caller, where the
+/// writer's state lives in registers.
+pub struct Writer<'a, const PRETTY: bool = false> {
+    out: &'a mut String,
+    /// Containers open around the next value; only the pretty layout
+    /// reads it.
+    depth: usize,
+    /// What goes before the next value.
+    next: Next,
+}
+
+/// What a [`Writer`] writes before its next value.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Next {
+    /// Nothing: the writer's one value, or the value after a key.
+    Bare,
+    /// The first element of a container: no comma.
+    First,
+    /// The first member of an object in the compact layout, whose `{`
+    /// is written with the member's opening quote.
+    Open,
+    /// A later element: a comma.
+    Comma,
+}
+
+impl<'a> Writer<'a> {
+    /// A writer of the compact layout.
+    pub fn compact(out: &'a mut String) -> Self {
+        Writer {
+            out,
+            depth: 0,
+            next: Next::Bare,
+        }
+    }
+}
+
+impl<'a> Writer<'a, true> {
+    /// A writer of the two-space pretty layout.
+    pub fn pretty(out: &'a mut String) -> Self {
+        Writer {
+            out,
+            depth: 0,
+            next: Next::Bare,
+        }
+    }
+}
+
+impl<const PRETTY: bool> Writer<'_, PRETTY> {
+    /// Whatever goes before a value: a comma unless it is the first of
+    /// its container (or a key's value, or the writer's one value), and
+    /// in the pretty layout a line break and the element's indent.
+    #[inline(always)]
+    fn separate(&mut self) {
+        let next = std::mem::replace(&mut self.next, Next::Comma);
+        match next {
+            Next::Comma => self.out.push(','),
+            Next::Open => self.out.push('{'),
+            Next::Bare | Next::First => {}
+        }
+        if PRETTY && next != Next::Bare {
+            self.indent();
+        }
+    }
+
+    fn indent(&mut self) {
+        self.out.push('\n');
+        for _ in 0..self.depth {
+            self.out.push_str("  ");
+        }
+    }
+
+    #[inline(always)]
+    fn container(&mut self, open: char, close: char, fill: impl FnOnce(&mut Self)) -> &mut Self {
+        self.separate();
+        self.depth += 1;
+        self.next = if !PRETTY && open == '{' {
+            Next::Open
+        } else {
+            self.out.push(open);
+            Next::First
+        };
+        fill(self);
+        self.depth -= 1;
+        match self.next {
+            Next::Open => self.out.push(open),
+            Next::First => {}
+            _ if PRETTY => self.indent(),
+            _ => {}
+        }
+        self.next = Next::Comma;
+        self.out.push(close);
+        self
+    }
+
+    /// An object whose fields `fill` writes, each a [`Writer::key`]
+    /// followed by one value.
+    #[inline(always)]
+    pub fn object(&mut self, fill: impl FnOnce(&mut Self)) -> &mut Self {
+        self.container('{', '}', fill)
+    }
+
+    /// An array whose elements `fill` writes.
+    #[inline(always)]
+    pub fn array(&mut self, fill: impl FnOnce(&mut Self)) -> &mut Self {
+        self.container('[', ']', fill)
+    }
+
+    /// An object key; the next value written is its value.
+    #[inline(always)]
+    pub fn key(&mut self, key: &str) -> &mut Self {
+        self.quoted(key, "\":");
+        self.next = Next::Bare;
+        self
+    }
+
+    /// A string, quoted and escaped.
+    #[inline]
+    pub fn str(&mut self, s: &str) -> &mut Self {
+        self.quoted(s, "\"");
+        self
+    }
+
+    /// A string literal after its separator, then `close`. Nearly every
+    /// string the tree writes (keys above all) needs no escape, so that
+    /// is checked first, without branching per byte, and the string
+    /// copied whole; the compact layout writes a comma and the opening
+    /// quote in one go.
+    #[inline(always)]
+    fn quoted(&mut self, s: &str, close: &str) {
+        if PRETTY {
+            self.separate();
+            self.out.push('"');
+        } else {
+            match std::mem::replace(&mut self.next, Next::Comma) {
+                Next::Comma => self.out.push_str(",\""),
+                Next::Open => self.out.push_str("{\""),
+                Next::Bare | Next::First => self.out.push('"'),
+            }
+        }
+        let plain = !s.bytes().fold(false, |bad, b| {
+            bad | (b < 0x20) | (b == b'"') | (b == b'\\')
+        });
+        if plain {
+            self.out.push_str(s);
+        } else {
+            escape(self.out, s);
+        }
+        self.out.push_str(close);
+    }
+
+    /// An unsigned integer, exact, its digits written without an
+    /// allocation.
+    #[inline(always)]
+    pub fn u64(&mut self, mut v: u64) -> &mut Self {
+        self.separate();
+        let mut digits = [0u8; 20];
+        let mut at = digits.len();
+        loop {
+            at -= 1;
+            digits[at] = b'0' + (v % 10) as u8;
+            v /= 10;
+            if v == 0 {
+                break;
+            }
+        }
+        for &d in &digits[at..] {
+            self.out.push(char::from(d));
+        }
+        self
+    }
+
+    /// A float as its shortest round-trip decimal; `null` when it is
+    /// not finite.
+    #[inline]
+    pub fn f64(&mut self, v: f64) -> &mut Self {
+        self.separate();
+        if v.is_finite() {
+            let _ = write!(self.out, "{v}");
+        } else {
+            self.out.push_str("null");
+        }
+        self
+    }
+
+    /// `true` or `false`.
+    #[inline]
+    pub fn bool(&mut self, v: bool) -> &mut Self {
+        self.separate();
+        self.out.push_str(if v { "true" } else { "false" });
+        self
+    }
+
+    /// `null`.
+    #[inline]
+    pub fn null(&mut self) -> &mut Self {
+        self.separate();
+        self.out.push_str("null");
+        self
+    }
+
+    /// An array of floats, each as [`Writer::f64`] writes it.
+    #[inline]
+    pub fn f64s(&mut self, values: &[f64]) -> &mut Self {
+        self.array(|w| {
+            for &v in values {
+                w.f64(v);
+            }
+        })
+    }
+
+    /// An array of unsigned integers.
+    #[inline]
+    pub fn u64s(&mut self, values: impl IntoIterator<Item = u64>) -> &mut Self {
+        self.array(|w| {
+            for v in values {
+                w.u64(v);
+            }
+        })
+    }
+}
+
+/// The string escaper: runs of plain bytes are copied whole, and every
+/// byte that needs an escape is ASCII, so each cut falls on a char
+/// boundary.
+#[cold]
+fn escape(out: &mut String, s: &str) {
+    let mut rest = s;
+    while let Some(at) = rest
+        .bytes()
+        .position(|b| b < 0x20 || b == b'"' || b == b'\\')
+    {
+        out.push_str(&rest[..at]);
+        match rest.as_bytes()[at] {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            control => {
+                let _ = write!(out, "\\u{:04x}", control);
+            }
+        }
+        rest = &rest[at + 1..];
+    }
+    out.push_str(rest);
+}
+
+/// A compact one-object body ending in a newline — what every JSON
+/// route of the introspection API, the router and the worker answers.
+pub fn object_line(fill: impl FnOnce(&mut Writer<'_>)) -> String {
+    let mut out = String::new();
+    Writer::compact(&mut out).object(fill);
+    out.push('\n');
+    out
 }
 
 /// A number token as `f64`.

@@ -7,24 +7,24 @@
 //! serialized sparsely as `"buckets": [[bucket, count], …]` (non-zero
 //! buckets only) plus exact `count` / `sum` / `min` / `max`.
 //!
-//! [`parse_line`] reads a line in one pass through [`crate::json`], the
-//! tree's one JSON reader (the workspace's `serde_json` shim only
-//! writes): strict enough to catch format drift in CI, tolerant of
+//! [`to_line`] writes a line with [`crate::json::Writer`] and
+//! [`parse_line`] reads one in a single pass with
+//! [`crate::json::Reader`], the tree's one JSON writer and reader. The
+//! parse is strict enough to catch format drift in CI, tolerant of
 //! unknown fields so the format can grow, and total on hostile bytes —
 //! deep nesting, overflowing integers and long strings are a typed
 //! [`ParseError`] or a linear scan, never a panic.
 
 use std::borrow::Cow;
-use std::fmt::Write as _;
 
 use crate::event::{Event, OwnedEvent};
 use crate::hist::Histogram;
-use crate::json::{field, Reader, Slot, NOT_ARRAY, NOT_INTEGER, NOT_NUMBER, NOT_STRING};
+use crate::json::{field, Reader, Slot, Writer, NOT_ARRAY, NOT_INTEGER, NOT_NUMBER, NOT_STRING};
 
 /// Serialize one event as a single JSON line (no trailing newline).
 pub fn to_line(event: &Event<'_>) -> String {
     let mut s = String::with_capacity(96);
-    match *event {
+    Writer::compact(&mut s).object(|w| match *event {
         Event::SpanStart {
             id,
             parent,
@@ -32,16 +32,9 @@ pub fn to_line(event: &Event<'_>) -> String {
             name,
             t_us,
         } => {
-            s.push_str("{\"ev\":\"span_start\",\"id\":");
-            let _ = write!(s, "{id},\"parent\":{parent}");
-            // Untraced spans (the common case) omit the field — old
-            // traces and new ones stay byte-identical.
-            if trace != 0 {
-                let _ = write!(s, ",\"trace\":{trace}");
-            }
-            s.push_str(",\"name\":");
-            push_json_str(&mut s, name);
-            let _ = write!(s, ",\"t_us\":{t_us}}}");
+            w.key("ev").str("span_start");
+            span_ids(w, id, parent, trace);
+            w.key("name").str(name).key("t_us").u64(t_us);
         }
         Event::SpanEnd {
             id,
@@ -51,14 +44,10 @@ pub fn to_line(event: &Event<'_>) -> String {
             t_us,
             dur_us,
         } => {
-            s.push_str("{\"ev\":\"span_end\",\"id\":");
-            let _ = write!(s, "{id},\"parent\":{parent}");
-            if trace != 0 {
-                let _ = write!(s, ",\"trace\":{trace}");
-            }
-            s.push_str(",\"name\":");
-            push_json_str(&mut s, name);
-            let _ = write!(s, ",\"t_us\":{t_us},\"dur_us\":{dur_us}}}");
+            w.key("ev").str("span_end");
+            span_ids(w, id, parent, trace);
+            w.key("name").str(name).key("t_us").u64(t_us);
+            w.key("dur_us").u64(dur_us);
         }
         Event::Count {
             span,
@@ -66,10 +55,13 @@ pub fn to_line(event: &Event<'_>) -> String {
             n,
             t_us,
         } => {
-            s.push_str("{\"ev\":\"count\",\"span\":");
-            let _ = write!(s, "{span},\"name\":");
-            push_json_str(&mut s, name);
-            let _ = write!(s, ",\"n\":{n},\"t_us\":{t_us}}}");
+            w.key("ev").str("count").key("span").u64(span);
+            w.key("name")
+                .str(name)
+                .key("n")
+                .u64(n)
+                .key("t_us")
+                .u64(t_us);
         }
         Event::Gauge {
             span,
@@ -77,12 +69,9 @@ pub fn to_line(event: &Event<'_>) -> String {
             value,
             t_us,
         } => {
-            s.push_str("{\"ev\":\"gauge\",\"span\":");
-            let _ = write!(s, "{span},\"name\":");
-            push_json_str(&mut s, name);
-            s.push_str(",\"value\":");
-            push_json_f64(&mut s, value);
-            let _ = write!(s, ",\"t_us\":{t_us}}}");
+            w.key("ev").str("gauge").key("span").u64(span);
+            w.key("name").str(name).key("value").f64(value);
+            w.key("t_us").u64(t_us);
         }
         Event::Series {
             span,
@@ -91,17 +80,9 @@ pub fn to_line(event: &Event<'_>) -> String {
             values,
             t_us,
         } => {
-            s.push_str("{\"ev\":\"series\",\"span\":");
-            let _ = write!(s, "{span},\"name\":");
-            push_json_str(&mut s, name);
-            let _ = write!(s, ",\"index\":{index},\"values\":[");
-            for (i, &v) in values.iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                push_json_f64(&mut s, v);
-            }
-            let _ = write!(s, "],\"t_us\":{t_us}}}");
+            w.key("ev").str("series").key("span").u64(span);
+            w.key("name").str(name).key("index").u64(index);
+            w.key("values").f64s(values).key("t_us").u64(t_us);
         }
         Event::Hist {
             span,
@@ -109,73 +90,32 @@ pub fn to_line(event: &Event<'_>) -> String {
             hist,
             t_us,
         } => {
-            s.push_str("{\"ev\":\"hist\",\"span\":");
-            let _ = write!(s, "{span},\"name\":");
-            push_json_str(&mut s, name);
-            let _ = write!(s, ",\"count\":{},\"sum\":", hist.count());
-            push_json_f64(&mut s, hist.sum());
+            w.key("ev").str("hist").key("span").u64(span);
+            w.key("name").str(name).key("count").u64(hist.count());
+            w.key("sum").f64(hist.sum());
             if hist.count() > 0 {
-                s.push_str(",\"min\":");
-                push_json_f64(&mut s, hist.min());
-                s.push_str(",\"max\":");
-                push_json_f64(&mut s, hist.max());
+                w.key("min").f64(hist.min()).key("max").f64(hist.max());
             }
-            s.push_str(",\"buckets\":[");
-            let mut first = true;
-            for (b, &c) in hist.bucket_counts().iter().enumerate() {
-                if c > 0 {
-                    if !first {
-                        s.push(',');
+            w.key("buckets").array(|w| {
+                for (b, &c) in hist.bucket_counts().iter().enumerate() {
+                    if c > 0 {
+                        w.u64s([b as u64, c]);
                     }
-                    first = false;
-                    let _ = write!(s, "[{b},{c}]");
                 }
-            }
-            let _ = write!(s, "],\"t_us\":{t_us}}}");
+            });
+            w.key("t_us").u64(t_us);
         }
-    }
+    });
     s
 }
 
-/// JSON string escaping (control characters, quote, backslash).
-/// Append `s` to `out` as a JSON string literal (quoted and escaped) —
-/// shared with the hand-rolled JSON writers of the introspection API.
-pub fn push_str_escaped(out: &mut String, s: &str) {
-    push_json_str(out, s);
-}
-
-/// Append `v` to `out` as a JSON number: Rust's shortest round-trip
-/// decimal (so an `f64` survives a serialize → parse cycle bit-for-bit);
-/// non-finite values become `null`.
-pub fn push_f64(out: &mut String, v: f64) {
-    push_json_f64(out, v);
-}
-
-fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// `f64` as JSON: `Display`'s shortest round-trip decimal; non-finite
-/// values become `null` (JSON has no Infinity/NaN) and parse back as 0.
-fn push_json_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        let _ = write!(out, "{v}");
-    } else {
-        out.push_str("null");
+/// A span's `id` and `parent`, and its `trace` when it has one:
+/// untraced spans (the common case) omit the field, so old traces and
+/// new ones stay byte-identical.
+fn span_ids(w: &mut Writer<'_>, id: u64, parent: u64, trace: u64) {
+    w.key("id").u64(id).key("parent").u64(parent);
+    if trace != 0 {
+        w.key("trace").u64(trace);
     }
 }
 
@@ -338,8 +278,8 @@ fn named<T>(slot: Option<Slot<T>>, missing: &'static str, key: &str) -> Result<T
     field(slot, missing).map_err(|what| format!("{what} {key:?}"))
 }
 
-/// A trace float: a number, or `null` — what [`push_f64`] writes for a
-/// non-finite value — as 0.0.
+/// A trace float: a number, or `null` — what [`Writer::f64`] writes for
+/// a non-finite value — as 0.0.
 fn trace_f64(r: &mut Reader<'_>) -> Result<Slot<f64>, &'static str> {
     Ok(r.opt_f64_value()?.map(|v| v.unwrap_or(0.0)))
 }

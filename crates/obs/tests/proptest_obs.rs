@@ -10,11 +10,16 @@
 //! answer — never a panic — on every truncation and single bit flip of
 //! a valid line.
 //!
+//! The JSON battery holds the compact [`Writer`] to a round trip
+//! through [`Reader`]: every flat object in the reader's subset
+//! reads back to the values written, floats bit for bit.
+//!
 //! The `X-HOM-Trace` battery holds the trace-context parser to its
 //! canonical form: on any input it must not panic, and whatever it
 //! accepts must render back to exactly the input (so there is one
 //! spelling of every trace id, in headers and in `/trace/<id>` URLs).
 
+use hom_obs::json::{Reader, Writer};
 use hom_obs::{jsonl, parse_trace_id, Histogram, OwnedEvent, TraceContext};
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -115,6 +120,169 @@ fn event() -> impl Strategy<Value = OwnedEvent> {
                 }
             },
         )
+}
+
+/// A value of [`Reader`]'s subset.
+#[derive(Debug, Clone)]
+enum Value {
+    Str(String),
+    U64(u64),
+    F64(f64),
+    Bool(bool),
+    Null,
+    U64s(Vec<u64>),
+    F64s(Vec<f64>),
+    U64Rows(Vec<Vec<u64>>),
+    F64Rows(Vec<Vec<f64>>),
+}
+
+/// An exact integer from raw bits, weighted towards the ones `f64`
+/// cannot hold.
+fn exact(raw: u64) -> u64 {
+    match raw % 4 {
+        0 => 0,
+        1 => (1 << 53) + 1,
+        2 => u64::MAX,
+        _ => raw,
+    }
+}
+
+/// A finite float from raw bits, weighted towards the extremes.
+fn finite(raw: u64) -> f64 {
+    match raw % 8 {
+        0 => -0.0,
+        1 => f64::from_bits(raw >> 12),
+        2 => f64::MIN,
+        3 => f64::MAX,
+        4 => f64::MIN_POSITIVE,
+        5 => (raw >> 20) as f64,
+        _ => Some(f64::from_bits(raw.rotate_left(17)))
+            .filter(|v| v.is_finite())
+            .unwrap_or(0.5),
+    }
+}
+
+/// A string from raw draws: escaped characters, any ASCII (controls
+/// included) and any char at all.
+fn text(raws: &[u64]) -> String {
+    const ESCAPED: [char; 8] = ['"', '\\', '\n', '\r', '\t', '\u{1}', '\u{1f}', '\u{7f}'];
+    raws.iter()
+        .map(|&raw| {
+            let pick = (raw >> 8) as u32;
+            match raw % 4 {
+                0 => ESCAPED[pick as usize % ESCAPED.len()],
+                1 => char::from_u32(pick % 0x80).unwrap_or('?'),
+                _ => char::from_u32(pick % 0x11_0000).unwrap_or('\u{fffd}'),
+            }
+        })
+        .collect()
+}
+
+fn value() -> impl Strategy<Value = Value> {
+    (
+        0u8..9,
+        vec(any::<u64>(), 0..8),
+        vec(vec(any::<u64>(), 0..4), 0..4),
+    )
+        .prop_map(|(kind, raws, rows)| {
+            let first = raws.first().copied().unwrap_or(0);
+            match kind {
+                0 => Value::Str(text(&raws)),
+                1 => Value::U64(exact(first)),
+                2 => Value::F64(finite(first)),
+                3 => Value::Bool(first % 2 == 0),
+                4 => Value::Null,
+                5 => Value::U64s(raws.iter().map(|&r| exact(r)).collect()),
+                6 => Value::F64s(raws.iter().map(|&r| finite(r)).collect()),
+                7 => Value::U64Rows(
+                    rows.iter()
+                        .map(|row| row.iter().map(|&r| exact(r)).collect())
+                        .collect(),
+                ),
+                _ => Value::F64Rows(
+                    rows.iter()
+                        .map(|row| row.iter().map(|&r| finite(r)).collect())
+                        .collect(),
+                ),
+            }
+        })
+}
+
+/// A flat object: keys (escaped characters included) and their values.
+fn object() -> impl Strategy<Value = Vec<(String, Value)>> {
+    vec((vec(any::<u64>(), 0..3), value()), 0..8).prop_map(|fields| {
+        fields
+            .into_iter()
+            .enumerate()
+            .map(|(i, (raws, v))| (format!("k{i}{}", text(&raws)), v))
+            .collect()
+    })
+}
+
+fn write_value(w: &mut Writer<'_>, v: &Value) {
+    match v {
+        Value::Str(s) => w.str(s),
+        Value::U64(n) => w.u64(*n),
+        Value::F64(x) => w.f64(*x),
+        Value::Bool(b) => w.bool(*b),
+        Value::Null => w.null(),
+        Value::U64s(ns) => w.u64s(ns.iter().copied()),
+        Value::F64s(xs) => w.f64s(xs),
+        Value::U64Rows(rows) => w.array(|w| {
+            for row in rows {
+                w.u64s(row.iter().copied());
+            }
+        }),
+        Value::F64Rows(rows) => w.array(|w| {
+            for row in rows {
+                w.f64s(row);
+            }
+        }),
+    };
+}
+
+fn bits(xs: &[f64]) -> Vec<u64> {
+    xs.iter().map(|x| x.to_bits()).collect()
+}
+
+/// Read the value `v` was written as from `r`, and check it came back
+/// equal (floats by bits).
+fn read_back(r: &mut Reader<'_>, text: &str, v: &Value) -> Result<(), TestCaseError> {
+    let fail = |what: &str| TestCaseError::fail(format!("{what} in {text}"));
+    match v {
+        Value::Str(s) => {
+            let got = r.str_value().map_err(fail)?.map_err(fail)?;
+            prop_assert_eq!(&*got, s.as_str());
+        }
+        Value::U64(n) => prop_assert_eq!(r.u64_value().map_err(fail)?, Ok(*n)),
+        Value::F64(x) => {
+            let got = r.opt_f64_value().map_err(fail)?.map_err(fail)?;
+            prop_assert_eq!(got.map(f64::to_bits), Some(x.to_bits()));
+        }
+        Value::Bool(b) => {
+            let start = r.offset();
+            r.skip().map_err(fail)?;
+            let literal = if *b { "true" } else { "false" };
+            prop_assert_eq!(&text[start..r.offset()], literal);
+        }
+        Value::Null => prop_assert_eq!(r.opt_u64_value().map_err(fail)?, Ok(None)),
+        Value::U64s(ns) => prop_assert_eq!(r.u64_array().map_err(fail)?, Ok(ns.clone())),
+        Value::F64s(xs) => {
+            let got = r.f64_array().map_err(fail)?.map_err(fail)?;
+            prop_assert_eq!(bits(&got), bits(xs));
+        }
+        Value::U64Rows(rows) => {
+            let got = r.array(Reader::u64_array).map_err(fail)?;
+            prop_assert_eq!(got, Ok(rows.clone()));
+        }
+        Value::F64Rows(rows) => {
+            let got = r.array(Reader::f64_array).map_err(fail)?.map_err(fail)?;
+            let got: Vec<Vec<u64>> = got.iter().map(|row| bits(row)).collect();
+            let want: Vec<Vec<u64>> = rows.iter().map(|row| bits(row)).collect();
+            prop_assert_eq!(got, want);
+        }
+    }
+    Ok(())
 }
 
 /// Parse `s` both ways and check the canonical-form contract: anything
@@ -231,6 +399,27 @@ proptest! {
                 }
             }
         }
+    }
+
+    /// A flat object written by the compact writer reads back with the
+    /// reader to the same keys and values, floats bit for bit.
+    #[test]
+    fn written_objects_read_back_exactly(fields in object()) {
+        let mut text = String::new();
+        Writer::compact(&mut text).object(|w| {
+            for (key, v) in &fields {
+                w.key(key);
+                write_value(w, v);
+            }
+        });
+        let fail = |what: &str| TestCaseError::fail(format!("{what} in {text}"));
+        let mut r = Reader::new(&text).map_err(fail)?;
+        for (key, v) in &fields {
+            let got = r.next_key().map_err(fail)?;
+            prop_assert_eq!(got.as_deref(), Some(key.as_str()));
+            read_back(&mut r, &text, v)?;
+        }
+        prop_assert_eq!(r.next_key().map_err(fail)?, None);
     }
 
     /// Every active context round-trips through its header, and its

@@ -21,8 +21,8 @@
 //! | `/concepts` | Prometheus text: fleet-wide per-concept posterior mass, MAP share and MAP hits (labeled by `concept`), plus mean Eq. 7 likelihood / posterior entropy / prune depth gauges ([`ServeEngine::concept_analytics`]) |
 //! | `/slo` | Prometheus text: batch-latency SLO compliance, error-budget remaining and burn rate computed from the cumulative latency histogram ([`hom_obs::SloPolicy`]), plus deterministic slow-batch exemplars labeled `stream`/`shard` (and `trace` when the slow batch ran under a distributed trace) |
 //!
-//! Floats are rendered with Rust's shortest round-trip decimal
-//! ([`hom_obs::jsonl::push_f64`]), so a scraped posterior parses back
+//! JSON bodies are written by [`hom_obs::json::Writer`], whose floats are
+//! Rust's shortest round-trip decimal, so a scraped posterior parses back
 //! **bit-for-bit** equal to the engine's in-memory `FilterState` — the
 //! property `examples/serve_smoke.rs` asserts end-to-end.
 //!
@@ -45,7 +45,7 @@ use std::net::SocketAddr;
 use std::sync::Arc;
 
 use hom_obs::exemplar::push_exemplars;
-use hom_obs::jsonl::push_f64;
+use hom_obs::json::object_line;
 use hom_obs::trace::DUMP_CAP;
 use hom_obs::{export, AggSink, Fanout, FlightRecorder, Histogram, Obs, TraceBuffer};
 
@@ -370,19 +370,14 @@ pub fn introspect(
 }
 
 fn healthz_json(engine: &ServeEngine) -> String {
-    let mut out = String::with_capacity(160);
-    out.push_str("{\"status\":\"ok\",\"model_epoch\":");
-    out.push_str(&engine.epoch().to_string());
-    out.push_str(",\"shards\":");
-    out.push_str(&engine.n_shards().to_string());
-    out.push_str(",\"threads\":");
-    out.push_str(&engine.threads().to_string());
-    out.push_str(",\"live_streams\":");
-    out.push_str(&engine.live_streams().to_string());
-    out.push_str(",\"parked_streams\":");
-    out.push_str(&engine.parked_streams().to_string());
-    out.push_str("}\n");
-    out
+    object_line(|w| {
+        w.key("status").str("ok");
+        w.key("model_epoch").u64(engine.epoch().into());
+        w.key("shards").u64(engine.n_shards() as u64);
+        w.key("threads").u64(engine.threads() as u64);
+        w.key("live_streams").u64(engine.live_streams() as u64);
+        w.key("parked_streams").u64(engine.parked_streams() as u64);
+    })
 }
 
 /// The durable tier's shape, counters and degraded-mode signal — the
@@ -390,67 +385,56 @@ fn healthz_json(engine: &ServeEngine) -> String {
 /// parked state actually on disk, and how much of it is garbage".
 fn store_json(store: &hom_store::StreamStore) -> String {
     let s = store.status();
-    let health = store.health();
-    let last_error = match &health.last_error {
-        Some(e) => format!(
-            "\"{}\"",
-            e.to_string().replace('\\', "\\\\").replace('"', "\\\"")
-        ),
-        None => "null".to_string(),
-    };
-    format!(
-        concat!(
-            "{{\"parked\":{parked},\"pending_records\":{pending_records},",
-            "\"pending_bytes\":{pending_bytes},\"segments\":{segments},",
-            "\"live_bytes\":{live_bytes},\"dead_bytes\":{dead_bytes},",
-            "\"commits\":{commits},\"commit_records\":{commit_records},",
-            "\"seals\":{seals},\"compactions\":{compactions},",
-            "\"reclaimed_bytes\":{reclaimed_bytes},\"disk_unparks\":{disk_unparks},",
-            "\"io_errors\":{io_errors},\"degraded\":{degraded},",
-            "\"last_error\":{last_error},\"recovery\":{{",
-            "\"files\":{rec_files},\"records\":{rec_records},",
-            "\"streams\":{rec_streams},\"truncated_bytes\":{rec_truncated},",
-            "\"duration_ns\":{rec_ns}}}}}\n"
-        ),
-        parked = s.parked,
-        pending_records = s.pending_records,
-        pending_bytes = s.pending_bytes,
-        segments = s.segments,
-        live_bytes = s.live_bytes,
-        dead_bytes = s.dead_bytes,
-        commits = s.commits,
-        commit_records = s.commit_records,
-        seals = s.seals,
-        compactions = s.compactions,
-        reclaimed_bytes = s.reclaimed_bytes,
-        disk_unparks = s.disk_unparks,
-        io_errors = s.io_errors,
-        degraded = s.degraded,
-        last_error = last_error,
-        rec_files = s.recovery.files,
-        rec_records = s.recovery.records,
-        rec_streams = s.recovery.streams,
-        rec_truncated = s.recovery.truncated_bytes,
-        rec_ns = s.recovery.duration_ns,
-    )
+    let last_error = store.health().last_error.map(|e| e.to_string());
+    object_line(|w| {
+        for (key, v) in [
+            ("parked", s.parked as u64),
+            ("pending_records", s.pending_records as u64),
+            ("pending_bytes", s.pending_bytes as u64),
+            ("segments", s.segments as u64),
+            ("live_bytes", s.live_bytes),
+            ("dead_bytes", s.dead_bytes),
+            ("commits", s.commits),
+            ("commit_records", s.commit_records),
+            ("seals", s.seals),
+            ("compactions", s.compactions),
+            ("reclaimed_bytes", s.reclaimed_bytes),
+            ("disk_unparks", s.disk_unparks),
+            ("io_errors", s.io_errors),
+        ] {
+            w.key(key).u64(v);
+        }
+        w.key("degraded").bool(s.degraded);
+        w.key("last_error");
+        match &last_error {
+            Some(e) => w.str(e),
+            None => w.null(),
+        };
+        let r = &s.recovery;
+        w.key("recovery").object(|w| {
+            w.key("files").u64(r.files as u64);
+            w.key("records").u64(r.records as u64);
+            w.key("streams").u64(r.streams as u64);
+            w.key("truncated_bytes").u64(r.truncated_bytes);
+            w.key("duration_ns").u64(r.duration_ns);
+        });
+    })
 }
 
 fn shards_json(engine: &ServeEngine) -> String {
-    let mut out = String::from("{\"shards\":[");
-    for (i, (live, parked)) in engine.shard_occupancy().into_iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("{\"shard\":");
-        out.push_str(&i.to_string());
-        out.push_str(",\"live\":");
-        out.push_str(&live.to_string());
-        out.push_str(",\"parked\":");
-        out.push_str(&parked.to_string());
-        out.push('}');
-    }
-    out.push_str("]}\n");
-    out
+    object_line(|w| {
+        w.key("shards").array(|w| {
+            for (i, (live, parked)) in engine.shard_occupancy().into_iter().enumerate() {
+                w.object(|w| {
+                    w.key("shard").u64(i as u64);
+                    w.key("live")
+                        .u64(live as u64)
+                        .key("parked")
+                        .u64(parked as u64);
+                });
+            }
+        });
+    })
 }
 
 /// One unlabeled Prometheus sample with its family header.
@@ -621,43 +605,17 @@ fn slo_prom(engine: &ServeEngine, telemetry: &ServeTelemetry) -> String {
     out
 }
 
-fn push_f64_array(out: &mut String, values: &[f64]) {
-    out.push('[');
-    for (i, &v) in values.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_f64(out, v);
-    }
-    out.push(']');
-}
-
 fn stream_json(id: StreamId, info: &crate::engine::StreamInfo) -> String {
     let intro = &info.introspection;
-    let mut out = String::with_capacity(96 + 20 * intro.posterior.len());
-    out.push_str("{\"stream\":");
-    out.push_str(&id.to_string());
-    out.push_str(",\"live\":");
-    out.push_str(if info.live { "true" } else { "false" });
-    out.push_str(",\"model_epoch\":");
-    out.push_str(&info.epoch.to_string());
-    out.push_str(",\"current_concept\":");
-    out.push_str(&intro.current_concept.to_string());
-    out.push_str(",\"last_likelihood\":");
-    push_f64(&mut out, intro.last_likelihood);
-    out.push_str(",\"posterior_entropy\":");
-    push_f64(&mut out, intro.posterior_entropy);
-    out.push_str(",\"posterior\":");
-    push_f64_array(&mut out, &intro.posterior);
-    out.push_str(",\"prior\":");
-    push_f64_array(&mut out, &intro.prior);
-    out.push_str(",\"order\":[");
-    for (i, &c) in intro.order.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&c.to_string());
-    }
-    out.push_str("]}\n");
-    out
+    object_line(|w| {
+        w.key("stream").u64(id).key("live").bool(info.live);
+        w.key("model_epoch").u64(info.epoch.into());
+        w.key("current_concept").u64(intro.current_concept as u64);
+        w.key("last_likelihood").f64(intro.last_likelihood);
+        w.key("posterior_entropy").f64(intro.posterior_entropy);
+        w.key("posterior").f64s(&intro.posterior);
+        w.key("prior").f64s(&intro.prior);
+        w.key("order")
+            .u64s(intro.order.iter().map(|&c| u64::from(c)));
+    })
 }

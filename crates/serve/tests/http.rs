@@ -508,3 +508,84 @@ fn pipelined_requests_share_one_keep_alive_connection() {
         replies[1].1
     );
 }
+
+/// A [`hom_store::MemIo`] whose appends fail, once armed, with a message
+/// full of characters JSON must escape.
+struct FailingAppends {
+    inner: hom_store::MemIo,
+    armed: std::sync::atomic::AtomicBool,
+}
+
+impl hom_store::StoreIo for FailingAppends {
+    fn append(&self, file: &str, bytes: &[u8]) -> std::io::Result<()> {
+        if self.armed.load(std::sync::atomic::Ordering::Relaxed) {
+            return Err(std::io::Error::other("disk \"a\"\nb\\c\t\u{1}"));
+        }
+        self.inner.append(file, bytes)
+    }
+    fn sync(&self, file: &str) -> std::io::Result<()> {
+        self.inner.sync(file)
+    }
+    fn read(&self, file: &str) -> std::io::Result<Vec<u8>> {
+        self.inner.read(file)
+    }
+    fn read_at(&self, file: &str, offset: u64, len: usize) -> std::io::Result<Vec<u8>> {
+        self.inner.read_at(file, offset, len)
+    }
+    fn truncate(&self, file: &str, len: u64) -> std::io::Result<()> {
+        self.inner.truncate(file, len)
+    }
+    fn remove(&self, file: &str) -> std::io::Result<()> {
+        self.inner.remove(file)
+    }
+    fn list(&self) -> std::io::Result<Vec<String>> {
+        self.inner.list()
+    }
+}
+
+/// A store error's message reaches `/store` as `last_error` escaped:
+/// the body is valid JSON whatever bytes the I/O layer reported.
+#[test]
+fn store_route_escapes_the_last_error() {
+    let (model, _) = fixture();
+    let io = Arc::new(FailingAppends {
+        inner: hom_store::MemIo::new(),
+        armed: std::sync::atomic::AtomicBool::new(false),
+    });
+    let store = Arc::new(
+        hom_serve::StreamStore::open_with(
+            Arc::clone(&io) as Arc<dyn hom_store::StoreIo>,
+            hom_store::StoreOptions {
+                commit_interval_us: 0,
+                sink: hom_obs::Obs::none(),
+                ..Default::default()
+            },
+        )
+        .expect("open store"),
+    );
+    let telemetry = ServeTelemetry::new();
+    let engine = Arc::new(ServeEngine::with_options(
+        model,
+        &ServeOptions {
+            sink: telemetry.obs(),
+            store: Some(Arc::clone(&store)),
+            ..Default::default()
+        },
+    ));
+    io.armed.store(true, std::sync::atomic::Ordering::Relaxed);
+    store.park(1, vec![1, 2, 3]);
+    assert!(store.commit().is_err(), "the armed append fails the commit");
+    let server = MetricsServer::bind(engine, telemetry, "127.0.0.1:0").expect("port 0 binds");
+    let (status, body) = get(server.addr(), "/store");
+    assert_eq!(status, "HTTP/1.1 200 OK");
+    let (object, end) = body.split_at(body.len() - 1);
+    assert_eq!(end, "\n", "{body:?}");
+    assert!(
+        object.bytes().all(|b| b >= 0x20),
+        "raw control byte in {body:?}"
+    );
+    for escape in ["\\\"", "\\\\", "\\n", "\\t", "\\u0001"] {
+        assert!(object.contains(escape), "{escape} missing from {body:?}");
+    }
+    server.shutdown();
+}

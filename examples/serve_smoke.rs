@@ -131,13 +131,12 @@ fn main() {
         "telemetry changed a posterior"
     );
 
-    // /healthz answers with engine-truth liveness.
+    // /healthz answers with engine-truth liveness, as well-formed JSON.
     let health = get(addr, "/healthz");
-    assert!(health.contains("\"status\":\"ok\""), "{health}");
-    assert!(
-        health.contains(&format!("\"live_streams\":{}", observed.live_streams())),
-        "{health}"
-    );
+    let [status, live] = json::fields(&health, ["status", "live_streams"])
+        .unwrap_or_else(|e| panic!("/healthz is not JSON ({e}): {health}"));
+    assert_eq!(status.str().as_deref(), Ok("ok"), "{health}");
+    assert_eq!(live.u64(), Ok(observed.live_streams() as u64), "{health}");
 
     // /metrics is Prometheus text with the serving counters & histogram.
     let metrics = get(addr, "/metrics");

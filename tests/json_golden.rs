@@ -541,7 +541,18 @@ fn dump_layouts_are_pinned() {
     let xs = vec![200.0, 600.0];
     let err = vec![vec![0.5, -4.0], vec![], vec![f64::NAN, 1e-7]];
     let time = vec![vec![0.1 + 0.2]];
-    hom_eval::report::maybe_dump_json("golden_fig3", &(&xs, &err, &time));
+    hom_eval::report::maybe_dump_json("golden_fig3", |w| {
+        w.array(|w| {
+            w.f64s(&xs);
+            for rows in [&err, &time] {
+                w.array(|w| {
+                    for row in rows {
+                        w.f64s(row);
+                    }
+                });
+            }
+        });
+    });
     assert_eq!(
         read("golden_fig3"),
         "[\n  [\n    200,\n    600\n  ],\n  [\n    [\n      0.5,\n      -4\n    ],\n    [],\n    \
@@ -551,14 +562,28 @@ fn dump_layouts_are_pinned() {
 
     // Table IV's shape: (workload, seconds, mean concept count or none).
     let rows = vec![("Stagger", 1.5, Some(3.0)), ("Hyper\"plane\\", 0.25, None)];
-    hom_eval::report::maybe_dump_json("golden_table4", &rows);
+    hom_eval::report::maybe_dump_json("golden_table4", |w| {
+        w.array(|w| {
+            for (workload, build_s, concepts) in &rows {
+                w.array(|w| {
+                    w.str(workload).f64(*build_s);
+                    match concepts {
+                        Some(n) => w.f64(*n),
+                        None => w.null(),
+                    };
+                });
+            }
+        });
+    });
     assert_eq!(
         read("golden_table4"),
         "[\n  [\n    \"Stagger\",\n    1.5,\n    3\n  ],\n  [\n    \"Hyper\\\"plane\\\\\",\n    \
          0.25,\n    null\n  ]\n]"
     );
     let empty: Vec<f64> = Vec::new();
-    hom_eval::report::maybe_dump_json("golden_empty", &empty);
+    hom_eval::report::maybe_dump_json("golden_empty", |w| {
+        w.f64s(&empty);
+    });
     assert_eq!(read("golden_empty"), "[]");
     let _ = std::fs::remove_dir_all(&dir);
 }
