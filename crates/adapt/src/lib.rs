@@ -92,9 +92,11 @@
 //! | [`MAX_SEGMENT_ENV`] (`HOM_ADAPT_MAX_SEGMENT`) | segment size forcing admission |
 //! | [`MATCH_ENV`] (`HOM_ADAPT_MATCH`) | Eq. 4 recurrence-vs-novel threshold |
 //!
-//! Invalid values are **typed errors** ([`AdaptConfigError`]) at
-//! construction, never silent clamps — same contract as `hom-serve`'s
-//! `ConfigError`.
+//! [`AdaptOptions::from_env`] reads them. Text that does not parse is an
+//! [`AdaptConfigError::InvalidEnv`] naming the variable
+//! ([`AdaptOptions::try_from_env`]; `from_env` panics with it), and a
+//! value out of range is a typed error at construction — never a silent
+//! fallback or clamp, the same contract as `hom-serve`'s `ConfigError`.
 
 #![warn(missing_docs)]
 

@@ -1,6 +1,7 @@
 //! Configuration of the novelty detector and the admission policy.
 
 use std::fmt;
+use std::str::FromStr;
 
 use hom_obs::Obs;
 
@@ -41,6 +42,14 @@ pub enum AdaptConfigError {
         /// The rejected value.
         got: f64,
     },
+    /// A `HOM_ADAPT_*` variable is set to text that does not parse as
+    /// its knob's type (an unsigned integer or a number).
+    InvalidEnv {
+        /// The environment variable.
+        var: &'static str,
+        /// Its value, verbatim.
+        got: String,
+    },
 }
 
 impl fmt::Display for AdaptConfigError {
@@ -55,6 +64,9 @@ impl fmt::Display for AdaptConfigError {
             ),
             AdaptConfigError::ThresholdOutOfRange { name, got } => {
                 write!(f, "{name} must lie strictly between 0 and 1, got {got}")
+            }
+            AdaptConfigError::InvalidEnv { var, got } => {
+                write!(f, "invalid {var}={got:?}: not a number of the knob's type")
             }
         }
     }
@@ -127,41 +139,69 @@ impl Default for AdaptOptions {
     }
 }
 
-fn env_usize(name: &str) -> Option<usize> {
-    std::env::var(name).ok().and_then(|v| v.parse().ok())
+/// A knob read from the environment: `None` when `var` is unset or
+/// empty, its parsed value otherwise.
+fn env_knob<T: FromStr>(var: &'static str) -> Result<Option<T>, AdaptConfigError> {
+    parse_knob(var, std::env::var(var).ok().as_deref())
 }
 
-fn env_f64(name: &str) -> Option<f64> {
-    std::env::var(name).ok().and_then(|v| v.parse().ok())
+/// [`env_knob`] on a given value: text that does not parse is an
+/// [`AdaptConfigError::InvalidEnv`] naming `var`, never a fallback.
+fn parse_knob<T: FromStr>(
+    var: &'static str,
+    value: Option<&str>,
+) -> Result<Option<T>, AdaptConfigError> {
+    match value {
+        None | Some("") => Ok(None),
+        Some(text) => text
+            .parse()
+            .map(Some)
+            .map_err(|_| AdaptConfigError::InvalidEnv {
+                var,
+                got: text.to_string(),
+            }),
+    }
 }
 
 impl AdaptOptions {
     /// Defaults overridden by any `HOM_ADAPT_*` environment knobs
     /// ([`WINDOW_ENV`], [`LIKELIHOOD_ENV`], [`ENTROPY_ENV`],
     /// [`MIN_SEGMENT_ENV`], [`MAX_SEGMENT_ENV`], [`MATCH_ENV`]). Values
-    /// are taken as-is — [`Self::validate`] rejects invalid ones with a
-    /// typed error when the options are used.
+    /// that parse are taken as-is — [`Self::validate`] rejects invalid
+    /// ones with a typed error when the options are used.
+    ///
+    /// # Panics
+    ///
+    /// On a set variable that does not parse (see
+    /// [`Self::try_from_env`]): misconfiguration must surface, not fall
+    /// back to the default.
     pub fn from_env() -> Self {
+        Self::try_from_env().unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Fallible form of [`Self::from_env`]: a set `HOM_ADAPT_*` variable
+    /// whose text does not parse is an [`AdaptConfigError::InvalidEnv`].
+    pub fn try_from_env() -> Result<Self, AdaptConfigError> {
         let mut o = AdaptOptions::default();
-        if let Some(v) = env_usize(WINDOW_ENV) {
+        if let Some(v) = env_knob(WINDOW_ENV)? {
             o.window = v;
         }
-        if let Some(v) = env_f64(LIKELIHOOD_ENV) {
+        if let Some(v) = env_knob(LIKELIHOOD_ENV)? {
             o.likelihood_threshold = v;
         }
-        if let Some(v) = env_f64(ENTROPY_ENV) {
+        if let Some(v) = env_knob(ENTROPY_ENV)? {
             o.entropy_threshold = v;
         }
-        if let Some(v) = env_usize(MIN_SEGMENT_ENV) {
+        if let Some(v) = env_knob(MIN_SEGMENT_ENV)? {
             o.min_segment = v;
         }
-        if let Some(v) = env_usize(MAX_SEGMENT_ENV) {
+        if let Some(v) = env_knob(MAX_SEGMENT_ENV)? {
             o.max_segment = v;
         }
-        if let Some(v) = env_f64(MATCH_ENV) {
+        if let Some(v) = env_knob(MATCH_ENV)? {
             o.match_threshold = v;
         }
-        o
+        Ok(o)
     }
 
     /// Reject invalid knobs with a typed [`AdaptConfigError`] instead of
@@ -227,6 +267,44 @@ mod tests {
             o.validate(),
             Err(AdaptConfigError::SegmentBoundsInverted { min: 500, max: 100 })
         );
+    }
+
+    #[test]
+    fn env_knobs_parse_or_name_the_variable() {
+        assert_eq!(parse_knob::<usize>(WINDOW_ENV, None), Ok(None));
+        assert_eq!(parse_knob::<usize>(WINDOW_ENV, Some("")), Ok(None));
+        assert_eq!(parse_knob::<usize>(WINDOW_ENV, Some("90")), Ok(Some(90)));
+        assert_eq!(parse_knob::<f64>(MATCH_ENV, Some("0.8")), Ok(Some(0.8)));
+        // Parsed but out of range: validate's error, not the parser's.
+        assert_eq!(parse_knob::<f64>(LIKELIHOOD_ENV, Some("2")), Ok(Some(2.0)));
+        for (var, text, parsed) in [
+            (
+                LIKELIHOOD_ENV,
+                "abc",
+                parse_knob::<f64>(LIKELIHOOD_ENV, Some("abc")).err(),
+            ),
+            (
+                MIN_SEGMENT_ENV,
+                "-5",
+                parse_knob::<usize>(MIN_SEGMENT_ENV, Some("-5")).err(),
+            ),
+            (
+                WINDOW_ENV,
+                "60.5",
+                parse_knob::<usize>(WINDOW_ENV, Some("60.5")).err(),
+            ),
+        ] {
+            let err = parsed.expect(text);
+            assert_eq!(
+                err,
+                AdaptConfigError::InvalidEnv {
+                    var,
+                    got: text.to_string()
+                }
+            );
+            let shown = err.to_string();
+            assert!(shown.contains(var) && shown.contains(text), "{shown}");
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The event taxonomy every [`crate::Sink`] receives.
 //!
-//! Six event kinds cover the whole pipeline (see `ARCHITECTURE.md`
-//! §"Observability" for the catalogue of emitted names):
+//! Six event kinds cover the whole pipeline ([`crate::registry`] lists
+//! every emitted name and the kind it is emitted as):
 //!
 //! * **`span_start` / `span_end`** — hierarchical wall-clock timing of
 //!   pipeline stages (`build` → `build.cluster` → `step1` → …). Durations
@@ -97,7 +97,7 @@ pub enum Event<'a> {
     Hist {
         /// Enclosing span id, 0 at top level.
         span: u64,
-        /// Histogram name, e.g. `"online.predict_ns"`.
+        /// Histogram name, e.g. `"online.latency_ns"`.
         name: &'a str,
         /// The snapshot (bucket layout is fixed, see [`Histogram`]).
         hist: &'a Histogram,
@@ -106,9 +106,9 @@ pub enum Event<'a> {
     },
 }
 
-impl Event<'_> {
+impl<'a> Event<'a> {
     /// The event's name (stage, counter, gauge, series or histogram name).
-    pub fn name(&self) -> &str {
+    pub fn name(&self) -> &'a str {
         match self {
             Event::SpanStart { name, .. }
             | Event::SpanEnd { name, .. }
@@ -253,14 +253,7 @@ pub enum OwnedEvent {
 impl OwnedEvent {
     /// The event's name (stage, counter, gauge, series or histogram name).
     pub fn name(&self) -> &str {
-        match self {
-            OwnedEvent::SpanStart { name, .. }
-            | OwnedEvent::SpanEnd { name, .. }
-            | OwnedEvent::Count { name, .. }
-            | OwnedEvent::Gauge { name, .. }
-            | OwnedEvent::Series { name, .. }
-            | OwnedEvent::Hist { name, .. } => name,
-        }
+        self.as_event().name()
     }
 
     /// A borrowed view of this event (for re-emitting into a sink).

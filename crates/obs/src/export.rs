@@ -28,6 +28,7 @@
 
 use crate::agg::AggSnapshot;
 use crate::hist::{Histogram, N_BUCKETS};
+use crate::registry::{self, Kind};
 
 /// The `Content-Type` of every Prometheus text body a node serves
 /// (`/metrics`, `/concepts`, `/slo`, the router's federated `/metrics`).
@@ -117,56 +118,70 @@ pub fn push_histogram(out: &mut String, name: &str, help: &str, hist: &Histogram
     out.push('\n');
 }
 
+/// The Prometheus family an event of `kind` named `name` exports as
+/// (see the table in the module docs).
+pub fn family_name(name: &str, kind: Kind) -> String {
+    let suffix = match kind {
+        Kind::Count => "_total",
+        Kind::Span => "_span_us",
+        Kind::Series => "_samples_total",
+        Kind::Gauge | Kind::Hist => "",
+    };
+    prom_name(name) + suffix
+}
+
+/// The `# HELP` text of an event's family: its registered help, or the
+/// generic line of its kind when the registry does not hold the name as
+/// that kind.
+fn help(name: &str, kind: Kind) -> &'static str {
+    match registry::spec(name) {
+        Some(spec) if spec.kind == kind => spec.help,
+        _ => match kind {
+            Kind::Count => "event counter (hom-obs)",
+            Kind::Gauge => "last observed value (hom-obs)",
+            Kind::Hist => "sample distribution (hom-obs)",
+            Kind::Span => "span duration in microseconds (hom-obs)",
+            Kind::Series => "series samples observed (hom-obs)",
+        },
+    }
+}
+
+/// One unlabeled sample with its family header: a gauge, or a counter
+/// (of events or of series samples).
+fn push_scalar(out: &mut String, name: &str, kind: Kind, value: &str) {
+    let family = family_name(name, kind);
+    let prom_type = if kind == Kind::Gauge {
+        "gauge"
+    } else {
+        "counter"
+    };
+    push_header(out, &family, prom_type, help(name, kind));
+    out.push_str(&family);
+    out.push(' ');
+    out.push_str(value);
+    out.push('\n');
+}
+
 /// Render a snapshot in Prometheus text format 0.0.4.
 ///
-/// Output is deterministic for a given snapshot (maps are ordered) and
-/// ends with a newline, as the format requires.
+/// Each family's `# HELP` is its event's registered help
+/// ([`crate::registry`]). Output is deterministic for a given snapshot
+/// (maps are ordered) and ends with a newline, as the format requires.
 pub fn to_prometheus(snap: &AggSnapshot) -> String {
     let mut out = String::new();
-    for (name, &total) in &snap.counters {
-        let pname = prom_name(name) + "_total";
-        push_header(&mut out, &pname, "counter", "event counter (hom-obs)");
-        out.push_str(&pname);
-        out.push(' ');
-        out.push_str(&total.to_string());
-        out.push('\n');
+    for (name, total) in &snap.counters {
+        push_scalar(&mut out, name, Kind::Count, &total.to_string());
     }
     for (name, &value) in &snap.gauges {
-        let pname = prom_name(name);
-        push_header(&mut out, &pname, "gauge", "last observed value (hom-obs)");
-        out.push_str(&pname);
-        out.push(' ');
-        out.push_str(&prom_f64(value));
-        out.push('\n');
+        push_scalar(&mut out, name, Kind::Gauge, &prom_f64(value));
     }
-    for (name, hist) in &snap.hists {
-        push_histogram(
-            &mut out,
-            &prom_name(name),
-            "sample distribution (hom-obs)",
-            hist,
-        );
+    for (kind, hists) in [(Kind::Hist, &snap.hists), (Kind::Span, &snap.spans)] {
+        for (name, hist) in hists {
+            push_histogram(&mut out, &family_name(name, kind), help(name, kind), hist);
+        }
     }
-    for (name, hist) in &snap.spans {
-        push_histogram(
-            &mut out,
-            &(prom_name(name) + "_span_us"),
-            "span duration in microseconds (hom-obs)",
-            hist,
-        );
-    }
-    for (name, &seen) in &snap.series_seen {
-        let pname = prom_name(name) + "_samples_total";
-        push_header(
-            &mut out,
-            &pname,
-            "counter",
-            "series samples observed (hom-obs)",
-        );
-        out.push_str(&pname);
-        out.push(' ');
-        out.push_str(&seen.to_string());
-        out.push('\n');
+    for (name, seen) in &snap.series_seen {
+        push_scalar(&mut out, name, Kind::Series, &seen.to_string());
     }
     out
 }

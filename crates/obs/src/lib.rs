@@ -45,21 +45,21 @@
 //!
 //! # Event name registry
 //!
-//! Names are dot-separated, prefixed by the emitting subsystem. The
-//! families currently emitted (see `ARCHITECTURE.md` §Observability for
-//! the per-event semantics):
+//! Names are dot-separated, prefixed by the emitting subsystem.
+//! [`registry::EVENTS`] lists every name with its kind and help; the
+//! `/metrics` exposition, `examples/trace_report.rs` and
+//! `tests/event_registry.rs` all read it. The prefixes:
 //!
-//! | prefix | emitter | events |
-//! |---|---|---|
-//! | `build.*`, `step1.*`, `step2.*` | offline build (`hom-core`, `hom-cluster`) | stage spans, `step1.q` / `step2.cut_q` gauges, candidate/fit counters, `build.transition_row` series |
-//! | `online.*` | the online filter (`hom-core`) | `online.posterior` series, `online.prune` counter, `online.latency_ns` histogram |
-//! | `pool.*` | the worker pool (`hom-parallel`) | `pool.worker_tasks` per-worker series |
-//! | `serve.*` | the serving engine (`hom-serve`) | request/eviction/unpark counters, batch-latency histogram, shard-occupancy series; hot-swap: `serve.swaps`, `serve.model_epoch`, `serve.swap_live_migrated`, `serve.swap_parked_migrated`, `serve.swap_pause_ns` (stop-the-world migration pause histogram); kernel stages (batch-amortized, one sample per fan-out task): `serve.stage_intern_ns` / `serve.stage_evaluate_ns` / `serve.stage_apply_ns` histograms, `serve.batch_requests` / `serve.batch_distinct` batch-shape histograms, `serve.dedup_ratio` gauge, `serve.pruned_records` + `serve.concepts_consulted` counters |
-//! | `serve.concept_*`, `serve.fleet_*`, `serve.slo_*` | fleet concept analytics & SLO (`hom-serve`) | `serve.concept_posterior_mass` / `serve.concept_map_streams` / `serve.concept_map_hits` series (one sample per flush, indexed by concept; also rendered with labels by `/concepts`), `serve.fleet_mean_likelihood` + `serve.fleet_mean_entropy` gauges (cumulative Eq. 7 evidence over every absorbed record), `serve.slo_exemplars` counter (slow-batch exemplars captured, see [`exemplar`]) |
-//! | `store.*` | the durable state tier (`hom-store`) | group-commit counters: `store.appends` / `store.append_bytes` / `store.commits` / `store.commit_records` + `store.fsync_ns` histogram; tiering: `store.unparks` (disk-tier unparks), `store.parked` / `store.pending_bytes` / `store.segments` gauges; segment lifecycle: `store.seals`, `store.compactions` + `store.reclaimed_bytes`; health: `store.io_errors`; recovery (emitted once at open): `store.recovery_ns` / `store.recovered_streams` gauges + `store.truncated_bytes` counter |
-//! | `adapt.*` | novelty & maintenance (`hom-adapt`) | `adapt.evidence` series (windowed mean likelihood + entropy, one sample per window); `adapt.fleet_evidence` series (fleet-wide mean likelihood + entropy ingested from the serving engine's cumulative accumulators); lifecycle counters/gauges: `adapt.triggers` + `adapt.trigger_likelihood`, `adapt.recoveries` + `adapt.recovery_latency`, `adapt.admissions_novel` / `adapt.admissions_matched` + `adapt.admission_latency` / `adapt.admission_similarity`, `adapt.swaps` + `adapt.swap_epoch`, `adapt.swap_failures`; incident reporting: `adapt.flight_dumps`, `adapt.flight_dump_failures`, `adapt.trigger_trace` (count whose `n` is the distributed trace id active when a novelty trigger fired — links an incident dump to the exact fleet traffic that caused it) |
-//! | `cluster.*` | the multi-node tier (`hom-cluster-serve`) | distributed-trace spans (all carry a nonzero `trace` field, see [`ctx`]): router side `cluster.route` → `cluster.forward` (one per sub-batch) → `cluster.merge`, `cluster.migrate` (two-phase stream migration root), `cluster.swap` (two-phase fleet-flip root), `cluster.probe` (health sweep); worker side `cluster.submit` → `cluster.decode` / `cluster.encode`, `cluster.migrate_snapshot` / `cluster.migrate_in` / `cluster.migrate_evict`, `cluster.swap_prepare` / `cluster.swap_commit`, `cluster.healthz` |
-//! | `serve.batch`, `trace.*`, `flight.*` | tracing plumbing | `serve.batch` span (the engine's per-batch span, emitted only under an active trace); `trace.truncated` / `flight.truncated` counts (trailer lines of a capped `/trace` or `/flight` dump — `n` is the number of dropped events) |
+//! | prefix | emitter |
+//! |---|---|
+//! | `build.*`, `step1.*`, `step2.*` | offline build (`hom-core`, `hom-cluster`) |
+//! | `online.*` | the online filter (`hom-core`) |
+//! | `pool.*` | the worker pool (`hom-parallel`) |
+//! | `serve.*` | the serving engine (`hom-serve`) |
+//! | `store.*` | the durable state tier (`hom-store`) |
+//! | `adapt.*` | novelty & maintenance (`hom-adapt`) |
+//! | `cluster.*` | the multi-node tier (`hom-cluster-serve`); every span carries a nonzero `trace` field, see [`ctx`] |
+//! | `trace.*`, `flight.*` | capped `/trace` and `/flight` dumps (`hom-obs`): the trailer count of dropped events |
 //!
 //! # Distributed tracing
 //!
@@ -81,6 +81,7 @@ pub mod flight;
 pub mod hist;
 pub mod json;
 pub mod jsonl;
+pub mod registry;
 pub mod sink;
 pub mod slo;
 pub mod trace;

@@ -70,11 +70,25 @@ const EXEMPLAR_LOG2_RATE: u32 = 3;
 /// At most this many exemplars are captured per slow batch.
 const EXEMPLARS_PER_BATCH: usize = 4;
 
-fn env_usize(name: &str) -> Option<usize> {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&v| v >= 1)
+/// A count knob read from the environment: `None` when `var` is unset
+/// or empty, its value when that is a positive integer.
+fn env_count(var: &'static str) -> Result<Option<usize>, ConfigError> {
+    parse_count(var, std::env::var(var).ok().as_deref())
+}
+
+/// [`env_count`] on a given value: text that is not a positive integer
+/// is a [`ConfigError::InvalidEnv`] naming `var`, never a fallback.
+fn parse_count(var: &'static str, value: Option<&str>) -> Result<Option<usize>, ConfigError> {
+    match value {
+        None | Some("") => Ok(None),
+        Some(text) => match text.parse::<usize>() {
+            Ok(n) if n >= 1 => Ok(Some(n)),
+            _ => Err(ConfigError::InvalidEnv {
+                var,
+                got: text.to_string(),
+            }),
+        },
+    }
 }
 
 /// A rejected [`ServeOptions`] value. The engine refuses to start with a
@@ -108,6 +122,14 @@ pub enum ConfigError {
         /// or the env-var name).
         knob: &'static str,
         /// The rejected value, verbatim.
+        got: String,
+    },
+    /// A count knob ([`SHARDS_ENV`], [`THREADS_ENV`], [`FANOUT_ENV`]) is
+    /// set to text that is not a positive integer.
+    InvalidEnv {
+        /// The environment variable.
+        var: &'static str,
+        /// Its value, verbatim.
         got: String,
     },
     /// The durable store tier could not be opened: `HOM_STORE_DIR` was
@@ -152,6 +174,9 @@ impl fmt::Display for ConfigError {
                     "invalid SLO configuration {knob}={got}: objective must be a positive \
                      finite duration, target strictly between 0 and 1"
                 )
+            }
+            ConfigError::InvalidEnv { var, got } => {
+                write!(f, "invalid {var}={got:?}: expected a positive integer")
             }
             ConfigError::Store { what } => {
                 write!(f, "durable store tier failed to open: {what}")
@@ -225,11 +250,13 @@ pub struct SwapReport {
 pub struct ServeOptions {
     /// Shards of the stream table — a nonzero power of two, or the
     /// engine refuses to start ([`ConfigError::InvalidShards`]). `None`
-    /// reads `HOM_SERVE_SHARDS` (same constraint), defaulting to 16.
+    /// reads `HOM_SERVE_SHARDS` (same constraint; text that is not a
+    /// positive integer is [`ConfigError::InvalidEnv`]), defaulting to 16.
     /// More shards mean less lock contention between unrelated streams.
     pub shards: Option<usize>,
     /// Worker threads for [`ServeEngine::submit`] batches. `None` reads
-    /// `HOM_THREADS`, defaulting to one per available core.
+    /// `HOM_THREADS` (a positive integer, or [`ConfigError::InvalidEnv`]),
+    /// defaulting to one per available core.
     pub threads: Option<usize>,
     /// Serve predictions through the §III-C early-terminated enumeration
     /// (default). `false` always runs the full ensemble of Eq. 10 — the
@@ -249,9 +276,10 @@ pub struct ServeOptions {
     /// [`ConfigError::ZeroFanout`]). Small batches run inline on the
     /// submitting thread no matter how many threads are configured —
     /// dispatching the pool costs more than it buys below a few thousand
-    /// requests per task. `None` reads `HOM_SERVE_FANOUT`
-    /// ([`FANOUT_ENV`]), defaulting to 4096. Like every other option,
-    /// this changes wall-clock behavior only, never an output bit.
+    /// requests per task. `None` reads `HOM_SERVE_FANOUT` ([`FANOUT_ENV`];
+    /// a positive integer, or [`ConfigError::InvalidEnv`]), defaulting
+    /// to 4096. Like every other option, this changes wall-clock behavior
+    /// only, never an output bit.
     pub fanout: Option<usize>,
     /// Batch-latency SLO objective in nanoseconds (positive and finite,
     /// or [`ConfigError::InvalidSlo`]). Batches slower than this burn
@@ -623,7 +651,7 @@ impl ServeEngine {
     ///
     /// # Panics
     /// Panics if the model has no concepts, or the environment carries
-    /// an invalid `HOM_SERVE_SHARDS` (see [`Self::try_with_options`]).
+    /// an invalid serve knob (see [`Self::try_with_options`]).
     pub fn new(model: Arc<HighOrderModel>) -> Self {
         Self::with_options(model, &ServeOptions::default())
     }
@@ -644,9 +672,11 @@ impl ServeEngine {
     /// [`ServeEngine::with_options`], rejecting invalid configuration
     /// with a typed [`ConfigError`] instead of panicking: a zero or
     /// non-power-of-two shard count (whether from
-    /// [`ServeOptions::shards`] or `HOM_SERVE_SHARDS`) and a zero
-    /// [`ServeOptions::capacity`] are errors, **not** silently clamped —
-    /// a rounded shard count would quietly change stream placement.
+    /// [`ServeOptions::shards`] or `HOM_SERVE_SHARDS`), a zero
+    /// [`ServeOptions::capacity`] and a set `HOM_SERVE_SHARDS`,
+    /// `HOM_THREADS` or `HOM_SERVE_FANOUT` that is not a positive
+    /// integer are errors, **not** silently clamped or defaulted — a
+    /// rounded shard count would quietly change stream placement.
     ///
     /// # Panics
     /// Panics if the model has no concepts (a [`FilterState`]
@@ -658,7 +688,7 @@ impl ServeEngine {
         assert!(model.n_concepts() > 0, "model has no concepts");
         let (shards, from_env) = match options.shards {
             Some(s) => (s, false),
-            None => match env_usize(SHARDS_ENV) {
+            None => match env_count(SHARDS_ENV)? {
                 Some(s) => (s, true),
                 None => (DEFAULT_SHARDS, false),
             },
@@ -675,7 +705,11 @@ impl ServeEngine {
         let fanout = match options.fanout {
             Some(0) => return Err(ConfigError::ZeroFanout),
             Some(f) => f,
-            None => env_usize(FANOUT_ENV).unwrap_or(DEFAULT_FANOUT),
+            None => env_count(FANOUT_ENV)?.unwrap_or(DEFAULT_FANOUT),
+        };
+        let threads = match options.threads {
+            Some(t) => Some(t),
+            None => env_count(THREADS_ENV)?,
         };
         let objective_ns = match options.slo_objective_ns {
             Some(ns) => ns,
@@ -744,7 +778,6 @@ impl ServeEngine {
             },
         };
         let shard_bits = shards.trailing_zeros();
-        let threads = options.threads.or_else(|| env_usize(THREADS_ENV));
         let n_concepts = model.n_concepts();
         Ok(ServeEngine {
             serving: RwLock::new(Serving {
@@ -2034,4 +2067,41 @@ fn partition_shards(
         chunks.push(current);
     }
     chunks
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn count_knobs_accept_positive_integers_or_nothing() {
+        assert_eq!(parse_count(SHARDS_ENV, None), Ok(None));
+        assert_eq!(parse_count(SHARDS_ENV, Some("")), Ok(None));
+        assert_eq!(parse_count(THREADS_ENV, Some("8")), Ok(Some(8)));
+        // A count that parses but breaks a knob's own rule is that
+        // knob's error, checked where the value is used.
+        assert_eq!(parse_count(SHARDS_ENV, Some("12")), Ok(Some(12)));
+    }
+
+    #[test]
+    fn a_set_but_invalid_count_knob_is_a_typed_error() {
+        for (var, text) in [
+            (SHARDS_ENV, "0"),
+            (SHARDS_ENV, "abc"),
+            (THREADS_ENV, "-1"),
+            (THREADS_ENV, " 4"),
+            (FANOUT_ENV, "1e3"),
+        ] {
+            let err = parse_count(var, Some(text)).expect_err(text);
+            assert_eq!(
+                err,
+                ConfigError::InvalidEnv {
+                    var,
+                    got: text.to_string()
+                }
+            );
+            let shown = err.to_string();
+            assert!(shown.contains(var) && shown.contains(text), "{shown}");
+        }
+    }
 }

@@ -35,154 +35,18 @@
 //! trigger incident reports) and on `/trace/<id>` responses alike —
 //! they share the JSONL format.
 //!
-//! Exits non-zero on unreadable input, malformed trace lines, **or event
-//! names this report does not know**, so CI verifies both the trace
-//! format and the event-name registry end to end: an instrumentation
-//! point added without teaching the report (and the registry in
-//! `hom-obs`'s crate docs) about it fails the build instead of being
+//! Exits non-zero on unreadable input, malformed trace lines, **or
+//! events the `hom-obs` registry (`hom_obs::registry::EVENTS`) does not
+//! hold under their kind**, so CI checks both the trace format and the
+//! registry end to end: a name missing from the table, or emitted as
+//! another kind than registered, fails the build instead of being
 //! silently dropped from reports.
 
 use std::collections::BTreeMap;
 
+use high_order_models::obs::registry::{self, Kind};
 use high_order_models::obs::{json, jsonl};
-use high_order_models::obs::{Histogram, OwnedEvent};
-
-/// Every event name the instrumented pipeline emits — the executable
-/// form of the registry in `hom-obs`'s crate docs. `main` rejects names
-/// outside this list.
-const KNOWN_EVENTS: &[&str] = &[
-    // offline build (hom-core, hom-cluster)
-    "build",
-    "build.absorb",
-    "build.cluster",
-    "build.concepts_absorbed",
-    "build.concepts_retrained",
-    "build.occurrences",
-    "build.records",
-    "build.retrain",
-    "build.stats",
-    "build.transition_row",
-    "step1",
-    "step1.block_fits",
-    "step1.blocks",
-    "step1.candidate_fits",
-    "step1.chunks",
-    "step1.cut_q",
-    "step1.merge_loop",
-    "step1.mergers",
-    "step1.q",
-    "step1.seed_candidates",
-    "step1.stale_skips",
-    "step2",
-    "step2.concepts",
-    "step2.cut_q",
-    "step2.distance_matrix",
-    "step2.distance_rows",
-    "step2.distances",
-    "step2.merge_loop",
-    "step2.mergers",
-    "step2.pred_cache",
-    "step2.q",
-    "step2.stale_skips",
-    // online filter (hom-core)
-    "online.concepts_consulted",
-    "online.label_agree",
-    "online.latency_ns",
-    "online.posterior",
-    "online.predict_ns",
-    "online.prune",
-    "online.pruned_records",
-    "online.records_observed",
-    "online.records_predicted",
-    // worker pool (hom-parallel)
-    "pool.worker_busy_us",
-    "pool.worker_tasks",
-    // cluster fleet, router side (hom-cluster-serve)
-    "cluster.forward",
-    "cluster.merge",
-    "cluster.migrate",
-    "cluster.probe",
-    "cluster.route",
-    "cluster.swap",
-    // cluster fleet, worker side (hom-cluster-serve)
-    "cluster.decode",
-    "cluster.encode",
-    "cluster.healthz",
-    "cluster.migrate_evict",
-    "cluster.migrate_in",
-    "cluster.migrate_snapshot",
-    "cluster.submit",
-    "cluster.swap_commit",
-    "cluster.swap_prepare",
-    // capped-dump truncation trailers (hom-obs)
-    "flight.truncated",
-    "trace.truncated",
-    // serving engine (hom-serve)
-    "serve.batch",
-    "serve.batch_distinct",
-    "serve.batch_latency_ns",
-    "serve.batch_requests",
-    "serve.batches",
-    "serve.concept_map_hits",
-    "serve.concept_map_streams",
-    "serve.concept_posterior_mass",
-    "serve.concepts_consulted",
-    "serve.dedup_ratio",
-    "serve.evictions",
-    "serve.fleet_mean_entropy",
-    "serve.fleet_mean_likelihood",
-    "serve.live_streams",
-    "serve.model_epoch",
-    "serve.parked_streams",
-    "serve.pruned_records",
-    "serve.records_observed",
-    "serve.records_predicted",
-    "serve.shard_live",
-    "serve.shard_parked",
-    "serve.slo_exemplars",
-    "serve.stage_apply_ns",
-    "serve.stage_evaluate_ns",
-    "serve.stage_intern_ns",
-    "serve.swap_live_migrated",
-    "serve.swap_parked_migrated",
-    "serve.swap_pause_ns",
-    "serve.swaps",
-    "serve.unparks",
-    // durable state tier (hom-store)
-    "store.append_bytes",
-    "store.appends",
-    "store.commit_records",
-    "store.commits",
-    "store.compactions",
-    "store.fsync_ns",
-    "store.io_errors",
-    "store.parked",
-    "store.pending_bytes",
-    "store.reclaimed_bytes",
-    "store.recovered_streams",
-    "store.recovery_ns",
-    "store.seals",
-    "store.segments",
-    "store.truncated_bytes",
-    "store.unparks",
-    // novelty & maintenance (hom-adapt)
-    "adapt.admission_latency",
-    "adapt.admission_similarity",
-    "adapt.admissions_matched",
-    "adapt.admissions_novel",
-    "adapt.evidence",
-    "adapt.fleet_evidence",
-    "adapt.flight_dump_failures",
-    "adapt.flight_dumps",
-    "adapt.recoveries",
-    "adapt.recovery_latency",
-    "adapt.swap_epoch",
-    "adapt.swap_failures",
-    "adapt.swaps",
-    "adapt.trigger_likelihood",
-    "adapt.trigger_trace",
-    "adapt.triggers",
-];
+use high_order_models::obs::{OwnedEvent, Recorder, Sink};
 
 /// Aggregated view of one span name: call count and total duration.
 #[derive(Default)]
@@ -233,35 +97,50 @@ fn main() {
         std::process::exit(1);
     }
 
-    // Unknown names fail the report: an event this binary cannot render
-    // is either a typo at the instrumentation point or a new event that
-    // must be added to KNOWN_EVENTS (and the hom-obs registry docs).
-    let mut unknown: Vec<&str> = events
+    // Unregistered names, and names emitted as another kind than the
+    // registry holds, fail the report: either is a typo at the
+    // instrumentation point or a new event missing from the registry.
+    let mut unknown: Vec<String> = events
         .iter()
-        .map(OwnedEvent::name)
-        .filter(|name| !KNOWN_EVENTS.contains(name))
+        .filter_map(|e| {
+            let kind = Kind::of(&e.as_event());
+            match registry::spec(e.name()) {
+                Some(spec) if spec.kind == kind => None,
+                Some(spec) => Some(format!(
+                    "{} ({kind:?}, registered as {:?})",
+                    e.name(),
+                    spec.kind
+                )),
+                None => Some(format!("{} ({kind:?})", e.name())),
+            }
+        })
         .collect();
     unknown.sort_unstable();
     unknown.dedup();
     if !unknown.is_empty() {
         eprintln!(
-            "trace_report: {path} holds {} unknown event name(s): {}",
+            "trace_report: {path} holds {} unregistered event(s): {}",
             unknown.len(),
             unknown.join(", ")
         );
-        eprintln!("  (new instrumentation? teach examples/trace_report.rs and the hom-obs registry about it)");
+        eprintln!("  (new instrumentation? register it in hom_obs::registry::EVENTS)");
         std::process::exit(1);
     }
     println!("trace: {path} ({} events)", events.len());
 
+    // The per-name queries below read a Recorder replaying the trace.
+    let rec = Recorder::new();
+    for e in &events {
+        rec.record(&e.as_event());
+    }
     report_spans(&events);
     report_traces(&events, &nodes);
     report_counters(&events);
-    report_gauges(&events);
-    report_pools(&events);
-    report_online(&events);
-    report_serving(&events);
-    report_adapt(&events);
+    report_gauges(&rec);
+    report_pools(&rec);
+    report_online(&rec);
+    report_serving(&rec);
+    report_adapt(&rec);
 }
 
 /// Span tree: name, calls, total wall time — children indented under the
@@ -476,24 +355,11 @@ fn report_counters(events: &[OwnedEvent]) {
     }
 }
 
-fn report_gauges(events: &[OwnedEvent]) {
+fn report_gauges(rec: &Recorder) {
     // Q trajectories: show first → last plus the cut value when present.
     for step in ["step1", "step2"] {
-        let q: Vec<f64> = events
-            .iter()
-            .filter_map(|e| match e {
-                OwnedEvent::Gauge { name, value, .. } if name == &format!("{step}.q") => {
-                    Some(*value)
-                }
-                _ => None,
-            })
-            .collect();
-        let cut: Option<f64> = events.iter().rev().find_map(|e| match e {
-            OwnedEvent::Gauge { name, value, .. } if name == &format!("{step}.cut_q") => {
-                Some(*value)
-            }
-            _ => None,
-        });
+        let q = rec.gauges(&format!("{step}.q"));
+        let cut = last_gauge(rec, &format!("{step}.cut_q"));
         if q.is_empty() && cut.is_none() {
             continue;
         }
@@ -508,44 +374,29 @@ fn report_gauges(events: &[OwnedEvent]) {
     }
 }
 
-fn report_pools(events: &[OwnedEvent]) {
-    let mut maps = 0u64;
-    let mut tasks = 0.0f64;
-    let mut busy_us = 0.0f64;
-    let mut widest = 0usize;
-    for e in events {
-        if let OwnedEvent::Series { name, values, .. } = e {
-            match name.as_str() {
-                "pool.worker_tasks" => {
-                    maps += 1;
-                    tasks += values.iter().sum::<f64>();
-                    widest = widest.max(values.len());
-                }
-                "pool.worker_busy_us" => busy_us += values.iter().sum::<f64>(),
-                _ => {}
-            }
-        }
-    }
-    if maps == 0 {
+fn report_pools(rec: &Recorder) {
+    let maps = rec.series("pool.worker_tasks");
+    if maps.is_empty() {
         return;
     }
+    let tasks: f64 = maps.iter().flat_map(|(_, v)| v).sum();
+    let widest = maps.iter().map(|(_, v)| v.len()).max().unwrap_or(0);
+    let busy_us: f64 = rec
+        .series("pool.worker_busy_us")
+        .iter()
+        .flat_map(|(_, v)| v)
+        .sum();
     println!("\n== worker pools ==");
-    println!("  parallel maps               {maps}");
+    println!("  parallel maps               {}", maps.len());
     println!("  tasks executed              {tasks:.0}");
     println!("  widest distribution         {widest} worker(s)");
     println!("  total worker busy time      {}", fmt_us(busy_us as u64));
 }
 
-fn report_online(events: &[OwnedEvent]) {
+fn report_online(rec: &Recorder) {
     // Posterior timeline (Fig. 6): one sparkline per concept.
-    let posterior: Vec<&Vec<f64>> = events
-        .iter()
-        .filter_map(|e| match e {
-            OwnedEvent::Series { name, values, .. } if name == "online.posterior" => Some(values),
-            _ => None,
-        })
-        .collect();
-    if let Some(first) = posterior.first() {
+    let posterior = rec.series("online.posterior");
+    if let Some((_, first)) = posterior.first() {
         let n_concepts = first.len();
         println!(
             "\n== concept posterior timeline ({} records, {} concepts) ==",
@@ -555,7 +406,7 @@ fn report_online(events: &[OwnedEvent]) {
         for c in 0..n_concepts {
             let series: Vec<f64> = posterior
                 .iter()
-                .map(|p| p.get(c).copied().unwrap_or(0.0))
+                .map(|(_, p)| p.get(c).copied().unwrap_or(0.0))
                 .collect();
             let mean = series.iter().sum::<f64>() / series.len() as f64;
             println!(
@@ -566,14 +417,7 @@ fn report_online(events: &[OwnedEvent]) {
     }
 
     // Prediction latency.
-    let mut latency = Histogram::new();
-    for e in events {
-        if let OwnedEvent::Hist { name, hist, .. } = e {
-            if name == "online.latency_ns" {
-                latency.merge(hist);
-            }
-        }
-    }
+    let latency = rec.merged_hist("online.latency_ns");
     if latency.count() > 0 {
         println!("\n== online prediction latency (per step, ns) ==");
         println!(
@@ -588,22 +432,13 @@ fn report_online(events: &[OwnedEvent]) {
     }
 
     // Early-termination statistics (§III-C).
-    let total = |key: &str| -> u64 {
-        events
-            .iter()
-            .filter_map(|e| match e {
-                OwnedEvent::Count { name, n, .. } if name == key => Some(*n),
-                _ => None,
-            })
-            .sum()
-    };
-    let predicted = total("online.records_predicted");
+    let predicted = rec.counter_total("online.records_predicted");
     if predicted > 0 {
-        let pruned = total("online.pruned_records");
-        let consulted = total("online.concepts_consulted");
-        let skipped = total("online.prune");
-        let observed = total("online.records_observed");
-        let agree = total("online.label_agree");
+        let pruned = rec.counter_total("online.pruned_records");
+        let consulted = rec.counter_total("online.concepts_consulted");
+        let skipped = rec.counter_total("online.prune");
+        let observed = rec.counter_total("online.records_observed");
+        let agree = rec.counter_total("online.label_agree");
         println!("\n== online early termination (sec. III-C) ==");
         println!(
             "  records predicted           {predicted} ({pruned} early-terminated, {:.1}%)",
@@ -622,49 +457,19 @@ fn report_online(events: &[OwnedEvent]) {
     }
 }
 
-/// Sum of all `count` events named `key`.
-fn counter_total(events: &[OwnedEvent], key: &str) -> u64 {
-    events
-        .iter()
-        .filter_map(|e| match e {
-            OwnedEvent::Count { name, n, .. } if name == key => Some(*n),
-            _ => None,
-        })
-        .sum()
+/// The most recent `gauge` event named `name`, if any.
+fn last_gauge(rec: &Recorder, name: &str) -> Option<f64> {
+    rec.gauges(name).last().copied()
 }
 
-/// The most recent `gauge` event named `key`, if any.
-fn last_gauge(events: &[OwnedEvent], key: &str) -> Option<f64> {
-    events.iter().rev().find_map(|e| match e {
-        OwnedEvent::Gauge { name, value, .. } if name == key => Some(*value),
-        _ => None,
-    })
+/// The most recent `series` sample named `name`, if any.
+fn last_series(rec: &Recorder, name: &str) -> Option<Vec<f64>> {
+    rec.series(name).pop().map(|(_, values)| values)
 }
 
-/// The most recent `series` event named `key`, if any.
-fn last_series<'a>(events: &'a [OwnedEvent], key: &str) -> Option<&'a Vec<f64>> {
-    events.iter().rev().find_map(|e| match e {
-        OwnedEvent::Series { name, values, .. } if name == key => Some(values),
-        _ => None,
-    })
-}
-
-/// All `hist` events named `key`, merged.
-fn merged_hist(events: &[OwnedEvent], key: &str) -> Histogram {
-    let mut out = Histogram::new();
-    for e in events {
-        if let OwnedEvent::Hist { name, hist, .. } = e {
-            if name == key {
-                out.merge(hist);
-            }
-        }
-    }
-    out
-}
-
-fn report_serving(events: &[OwnedEvent]) {
-    let predicted = counter_total(events, "serve.records_predicted");
-    let observed = counter_total(events, "serve.records_observed");
+fn report_serving(rec: &Recorder) {
+    let predicted = rec.counter_total("serve.records_predicted");
+    let observed = rec.counter_total("serve.records_observed");
     if predicted + observed == 0 {
         return;
     }
@@ -672,14 +477,14 @@ fn report_serving(events: &[OwnedEvent]) {
     println!(
         "  records served              {} predicted, {observed} observed in {} batches",
         predicted,
-        counter_total(events, "serve.batches"),
+        rec.counter_total("serve.batches"),
     );
     println!(
         "  evictions / unparks         {} / {}",
-        counter_total(events, "serve.evictions"),
-        counter_total(events, "serve.unparks"),
+        rec.counter_total("serve.evictions"),
+        rec.counter_total("serve.unparks"),
     );
-    let latency = merged_hist(events, "serve.batch_latency_ns");
+    let latency = rec.merged_hist("serve.batch_latency_ns");
     if latency.count() > 0 {
         println!(
             "  batch latency (ns)          n = {}   mean = {:.0}   p50 <= {:.0}   p99 <= {:.0}",
@@ -697,7 +502,7 @@ fn report_serving(events: &[OwnedEvent]) {
         ("serve.stage_evaluate_ns", "stage: evaluate (ns/task)"),
         ("serve.stage_apply_ns", "stage: apply (ns/task)"),
     ] {
-        let stage = merged_hist(events, name);
+        let stage = rec.merged_hist(name);
         if stage.count() > 0 {
             println!(
                 "  {label:<27} n = {}   mean = {:.0}   p99 <= {:.0}",
@@ -707,8 +512,8 @@ fn report_serving(events: &[OwnedEvent]) {
             );
         }
     }
-    let shape = merged_hist(events, "serve.batch_requests");
-    let distinct = merged_hist(events, "serve.batch_distinct");
+    let shape = rec.merged_hist("serve.batch_requests");
+    let distinct = rec.merged_hist("serve.batch_distinct");
     if shape.count() > 0 {
         print!(
             "  batch shape                 mean {:.0} requests/batch",
@@ -719,13 +524,13 @@ fn report_serving(events: &[OwnedEvent]) {
         }
         println!();
     }
-    if let Some(ratio) = last_gauge(events, "serve.dedup_ratio") {
+    if let Some(ratio) = last_gauge(rec, "serve.dedup_ratio") {
         println!("  dedup ratio                 {ratio:.2} interned per distinct record");
     }
 
     // Fleet-wide early termination (sec. III-C on the serving path).
-    let pruned = counter_total(events, "serve.pruned_records");
-    let consulted = counter_total(events, "serve.concepts_consulted");
+    let pruned = rec.counter_total("serve.pruned_records");
+    let consulted = rec.counter_total("serve.concepts_consulted");
     if predicted > 0 && consulted > 0 {
         println!(
             "  early termination           {pruned} pruned ({:.1}%), {:.2} concepts per record",
@@ -736,7 +541,7 @@ fn report_serving(events: &[OwnedEvent]) {
 
     // Live concept analytics: the last flushed per-concept series are
     // the fleet's current posterior mass and MAP share.
-    if let Some(mass) = last_series(events, "serve.concept_posterior_mass") {
+    if let Some(mass) = last_series(rec, "serve.concept_posterior_mass") {
         let total: f64 = mass.iter().sum();
         let normalized: Vec<f64> = mass
             .iter()
@@ -748,7 +553,7 @@ fn report_serving(events: &[OwnedEvent]) {
             mass.len(),
         );
     }
-    if let Some(map) = last_series(events, "serve.concept_map_streams") {
+    if let Some(map) = last_series(rec, "serve.concept_map_streams") {
         let peak = map.iter().cloned().fold(0.0f64, f64::max);
         let normalized: Vec<f64> = map.iter().map(|&v| v / peak.max(1.0)).collect();
         println!(
@@ -757,8 +562,8 @@ fn report_serving(events: &[OwnedEvent]) {
             peak,
         );
     }
-    let lik = last_gauge(events, "serve.fleet_mean_likelihood");
-    let ent = last_gauge(events, "serve.fleet_mean_entropy");
+    let lik = last_gauge(rec, "serve.fleet_mean_likelihood");
+    let ent = last_gauge(rec, "serve.fleet_mean_entropy");
     if lik.is_some() || ent.is_some() {
         println!(
             "  fleet evidence              mean likelihood {:.3}, mean entropy {:.3}",
@@ -766,7 +571,7 @@ fn report_serving(events: &[OwnedEvent]) {
             ent.unwrap_or(0.0),
         );
     }
-    let exemplars = counter_total(events, "serve.slo_exemplars");
+    let exemplars = rec.counter_total("serve.slo_exemplars");
     if exemplars > 0 {
         println!("  SLO exemplars captured      {exemplars} slow batches sampled");
     }
@@ -777,13 +582,9 @@ fn report_serving(events: &[OwnedEvent]) {
         ("serve.shard_live", "live streams per shard"),
         ("serve.shard_parked", "parked streams per shard"),
     ] {
-        let last: Option<&Vec<f64>> = events.iter().rev().find_map(|e| match e {
-            OwnedEvent::Series {
-                name: n, values, ..
-            } if n == name => Some(values),
-            _ => None,
-        });
-        let Some(values) = last else { continue };
+        let Some(values) = last_series(rec, name) else {
+            continue;
+        };
         let total: f64 = values.iter().sum();
         if total == 0.0 {
             continue;
@@ -801,18 +602,14 @@ fn report_serving(events: &[OwnedEvent]) {
 
     // Hot swaps: how many, the epoch reached, and how long traffic was
     // paused (write-lock wait + full state migration).
-    let swaps = counter_total(events, "serve.swaps");
+    let swaps = rec.counter_total("serve.swaps");
     if swaps > 0 {
-        let epoch: Option<f64> = events.iter().rev().find_map(|e| match e {
-            OwnedEvent::Gauge { name, value, .. } if name == "serve.model_epoch" => Some(*value),
-            _ => None,
-        });
-        let pause = merged_hist(events, "serve.swap_pause_ns");
+        let pause = rec.merged_hist("serve.swap_pause_ns");
         print!(
             "  hot swaps                   {swaps} (epoch {:.0}, {} live + {} parked states migrated)",
-            epoch.unwrap_or(0.0),
-            counter_total(events, "serve.swap_live_migrated"),
-            counter_total(events, "serve.swap_parked_migrated"),
+            last_gauge(rec, "serve.model_epoch").unwrap_or(0.0),
+            rec.counter_total("serve.swap_live_migrated"),
+            rec.counter_total("serve.swap_parked_migrated"),
         );
         if pause.count() > 0 {
             print!(
@@ -825,37 +622,26 @@ fn report_serving(events: &[OwnedEvent]) {
     }
 }
 
-fn report_adapt(events: &[OwnedEvent]) {
+fn report_adapt(rec: &Recorder) {
     // Evidence windows: one sample per detector window — (mean
     // likelihood, mean entropy). A trigger shows as likelihood
     // collapsing while entropy saturates.
-    let evidence: Vec<&Vec<f64>> = events
-        .iter()
-        .filter_map(|e| match e {
-            OwnedEvent::Series { name, values, .. } if name == "adapt.evidence" => Some(values),
-            _ => None,
-        })
-        .collect();
-    let fleet: Vec<&Vec<f64>> = events
-        .iter()
-        .filter_map(|e| match e {
-            OwnedEvent::Series { name, values, .. } if name == "adapt.fleet_evidence" => {
-                Some(values)
-            }
-            _ => None,
-        })
-        .collect();
-    let triggers = counter_total(events, "adapt.triggers");
+    let evidence = rec.series("adapt.evidence");
+    let fleet = rec.series("adapt.fleet_evidence");
+    let triggers = rec.counter_total("adapt.triggers");
     if evidence.is_empty() && fleet.is_empty() && triggers == 0 {
         return;
     }
     println!("\n== adaptation (novelty detection & maintenance) ==");
-    if !evidence.is_empty() {
-        let likelihood: Vec<f64> = evidence.iter().map(|v| v[0]).collect();
-        let entropy: Vec<f64> = evidence
+    // Each sample is (mean likelihood, mean entropy).
+    let split = |samples: &[(u64, Vec<f64>)]| -> (Vec<f64>, Vec<f64>) {
+        samples
             .iter()
-            .map(|v| v.get(1).copied().unwrap_or(0.0))
-            .collect();
+            .map(|(_, v)| (v[0], v.get(1).copied().unwrap_or(0.0)))
+            .unzip()
+    };
+    if !evidence.is_empty() {
+        let (likelihood, entropy) = split(&evidence);
         println!(
             "  evidence windows            {} (one per detector window)",
             evidence.len()
@@ -869,11 +655,7 @@ fn report_adapt(events: &[OwnedEvent]) {
     if !fleet.is_empty() {
         // Fleet-wide evidence ingested from the serving engine's kernel
         // accumulators: interval mean likelihood + fleet entropy.
-        let likelihood: Vec<f64> = fleet.iter().map(|v| v[0]).collect();
-        let entropy: Vec<f64> = fleet
-            .iter()
-            .map(|v| v.get(1).copied().unwrap_or(0.0))
-            .collect();
+        let (likelihood, entropy) = split(&fleet);
         println!(
             "  fleet evidence intervals    {} (from serving kernel telemetry)",
             fleet.len()
@@ -887,27 +669,23 @@ fn report_adapt(events: &[OwnedEvent]) {
     if triggers > 0 {
         println!(
             "  triggers / recoveries       {triggers} / {}",
-            counter_total(events, "adapt.recoveries")
+            rec.counter_total("adapt.recoveries")
         );
-        let novel = counter_total(events, "adapt.admissions_novel");
-        let matched = counter_total(events, "adapt.admissions_matched");
+        let novel = rec.counter_total("adapt.admissions_novel");
+        let matched = rec.counter_total("adapt.admissions_matched");
         if novel + matched > 0 {
             println!("  admissions                  {novel} novel, {matched} recurrences");
         }
-        let dumps = counter_total(events, "adapt.flight_dumps");
-        let failed = counter_total(events, "adapt.flight_dump_failures");
+        let dumps = rec.counter_total("adapt.flight_dumps");
+        let failed = rec.counter_total("adapt.flight_dump_failures");
         if dumps + failed > 0 {
             println!("  incident dumps              {dumps} written, {failed} failed");
         }
-        let swaps = counter_total(events, "adapt.swaps");
+        let swaps = rec.counter_total("adapt.swaps");
         if swaps > 0 {
-            let epoch: Option<f64> = events.iter().rev().find_map(|e| match e {
-                OwnedEvent::Gauge { name, value, .. } if name == "adapt.swap_epoch" => Some(*value),
-                _ => None,
-            });
             println!(
                 "  model swaps                 {swaps} (serving epoch now {:.0})",
-                epoch.unwrap_or(0.0)
+                last_gauge(rec, "adapt.swap_epoch").unwrap_or(0.0)
             );
         }
     }

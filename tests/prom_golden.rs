@@ -38,19 +38,19 @@ fn snapshot(scale: u64) -> AggSnapshot {
 }
 
 const EXPOSITION: &str = "\
-# HELP hom_serve_evictions_total event counter (hom-obs)
+# HELP hom_serve_evictions_total streams evicted from the live table
 # TYPE hom_serve_evictions_total counter
 hom_serve_evictions_total 3
 # HELP hom_test_widgets_total event counter (hom-obs)
 # TYPE hom_test_widgets_total counter
 hom_test_widgets_total 7
-# HELP hom_serve_live_streams last observed value (hom-obs)
+# HELP hom_serve_live_streams streams in the live table
 # TYPE hom_serve_live_streams gauge
 hom_serve_live_streams 42.5
 # HELP hom_test_level last observed value (hom-obs)
 # TYPE hom_test_level gauge
 hom_test_level +Inf
-# HELP hom_serve_batch_latency_ns sample distribution (hom-obs)
+# HELP hom_serve_batch_latency_ns submit time per batch, ns
 # TYPE hom_serve_batch_latency_ns histogram
 hom_serve_batch_latency_ns_bucket{le=\"1\"} 0
 hom_serve_batch_latency_ns_bucket{le=\"2\"} 0
@@ -65,7 +65,7 @@ hom_test_sizes_bucket{le=\"1\"} 1
 hom_test_sizes_bucket{le=\"+Inf\"} 1
 hom_test_sizes_sum 0.5
 hom_test_sizes_count 1
-# HELP hom_build_cluster_span_us span duration in microseconds (hom-obs)
+# HELP hom_build_cluster_span_us two-step concept clustering
 # TYPE hom_build_cluster_span_us histogram
 hom_build_cluster_span_us_bucket{le=\"1\"} 0
 hom_build_cluster_span_us_bucket{le=\"2\"} 1
@@ -80,7 +80,7 @@ hom_test_stage_span_us_bucket{le=\"4\"} 2
 hom_test_stage_span_us_bucket{le=\"+Inf\"} 2
 hom_test_stage_span_us_sum 4
 hom_test_stage_span_us_count 2
-# HELP hom_adapt_evidence_samples_total series samples observed (hom-obs)
+# HELP hom_adapt_evidence_samples_total windowed mean likelihood and entropy
 # TYPE hom_adapt_evidence_samples_total counter
 hom_adapt_evidence_samples_total 4
 # HELP hom_test_trace_samples_total series samples observed (hom-obs)
@@ -89,7 +89,7 @@ hom_test_trace_samples_total 2
 ";
 
 const FEDERATED: &str = "\
-# HELP hom_serve_evictions_total event counter (hom-obs)
+# HELP hom_serve_evictions_total streams evicted from the live table
 # TYPE hom_serve_evictions_total counter
 hom_serve_evictions_total{worker=\"w0\"} 3
 hom_serve_evictions_total{worker=\"w1\"} 6
@@ -97,7 +97,7 @@ hom_serve_evictions_total{worker=\"w1\"} 6
 # TYPE hom_test_widgets_total counter
 hom_test_widgets_total{worker=\"w0\"} 7
 hom_test_widgets_total{worker=\"w1\"} 14
-# HELP hom_serve_live_streams last observed value (hom-obs)
+# HELP hom_serve_live_streams streams in the live table
 # TYPE hom_serve_live_streams gauge
 hom_serve_live_streams{worker=\"w0\"} 42.5
 hom_serve_live_streams{worker=\"w1\"} 85
@@ -105,7 +105,7 @@ hom_serve_live_streams{worker=\"w1\"} 85
 # TYPE hom_test_level gauge
 hom_test_level{worker=\"w0\"} +Inf
 hom_test_level{worker=\"w1\"} +Inf
-# HELP hom_serve_batch_latency_ns sample distribution (hom-obs)
+# HELP hom_serve_batch_latency_ns submit time per batch, ns
 # TYPE hom_serve_batch_latency_ns histogram
 hom_serve_batch_latency_ns_bucket{le=\"1\",worker=\"w0\"} 0
 hom_serve_batch_latency_ns_bucket{le=\"2\",worker=\"w0\"} 0
@@ -131,7 +131,7 @@ hom_test_sizes_bucket{le=\"1\",worker=\"w1\"} 1
 hom_test_sizes_bucket{le=\"+Inf\",worker=\"w1\"} 1
 hom_test_sizes_sum{worker=\"w1\"} 0.5
 hom_test_sizes_count{worker=\"w1\"} 1
-# HELP hom_build_cluster_span_us span duration in microseconds (hom-obs)
+# HELP hom_build_cluster_span_us two-step concept clustering
 # TYPE hom_build_cluster_span_us histogram
 hom_build_cluster_span_us_bucket{le=\"1\",worker=\"w0\"} 0
 hom_build_cluster_span_us_bucket{le=\"2\",worker=\"w0\"} 1
@@ -157,7 +157,7 @@ hom_test_stage_span_us_bucket{le=\"4\",worker=\"w1\"} 2
 hom_test_stage_span_us_bucket{le=\"+Inf\",worker=\"w1\"} 2
 hom_test_stage_span_us_sum{worker=\"w1\"} 4
 hom_test_stage_span_us_count{worker=\"w1\"} 2
-# HELP hom_adapt_evidence_samples_total series samples observed (hom-obs)
+# HELP hom_adapt_evidence_samples_total windowed mean likelihood and entropy
 # TYPE hom_adapt_evidence_samples_total counter
 hom_adapt_evidence_samples_total{worker=\"w0\"} 4
 hom_adapt_evidence_samples_total{worker=\"w1\"} 8
